@@ -1,21 +1,16 @@
-"""Pinned accelerator trajectory: CCH-lite queries vs the fastpath tiers.
+"""Pinned accelerator trajectory: CCH-lite queries vs the CSR tier.
 
 Runs the :mod:`repro.experiments.accelbench` harness piece by piece
 (fixed grid, seed, pair batch, and epoch sweeps — see
-``AccelBenchConfig``) and writes the full report to
-``BENCH_accel.json`` at the repo root, so successive commits can be
-compared on query speedup *and* per-epoch customization latency.
-
-Each test contributes its scenarios to the shared report; the emitter
-only writes when every scenario ran, every epoch was measured, and the
-exactness audit found zero disagreements with Dijkstra — an
-interrupted, filtered, or *wrong* run can never overwrite a complete
-report. The speedup test asserts the acceptance floor CI enforces: the
-accelerated query batch must beat the dict tier by at least 2x.
+``AccelBenchConfig``) into one shared report and checks it is
+complete, audited clean against Dijkstra, and serialisable. Writing
+``BENCH_accel.json`` is left to
+``atis-repro bench-accel --out BENCH_accel.json``, the pinned
+configuration CI runs. The speedup test asserts a floor above CI's:
+the accelerated query batch must beat the CSR tier by at least 1.3x.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,19 +27,11 @@ _CONFIG = AccelBenchConfig()
 _REPORT = AccelBenchReport(config=_CONFIG)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_report_json():
-    yield
-    if _REPORT.complete and _REPORT.clean:
-        path = Path(__file__).resolve().parent.parent / "BENCH_accel.json"
-        path.write_text(_REPORT.to_json() + "\n")
-
-
 def test_accel_query_tiers():
-    """dict baseline vs CSR vs the accelerated elimination-tree query.
+    """CSR baseline vs the accelerated elimination-tree query.
 
-    Asserts the acceptance ratio: the cch batch must beat the dict
-    tier by >= 2x, with the preprocess and full-customize costs billed
+    Asserts the acceptance ratio: the cch batch must beat the CSR
+    tier by >= 1.3x, with the preprocess and full-customize costs billed
     outside the timed region (they are reported as overheads).
     """
     partial = run_accel_bench(_CONFIG, with_epochs=False)
@@ -55,10 +42,10 @@ def test_accel_query_tiers():
     _REPORT.arcs = partial.arcs
     _REPORT.shortcuts = partial.shortcuts
     assert partial.inexact == 0
-    speedup = _REPORT.speedup("query/dict", "query/cch")
+    speedup = _REPORT.speedup("query/csr", "query/cch")
     print()
-    print(f"pinned pair batch: cch is {speedup:.2f}x the dict tier")
-    assert speedup >= 2.0
+    print(f"pinned pair batch: cch is {speedup:.2f}x the CSR tier")
+    assert speedup >= 1.3
     assert _REPORT.overheads["cch-preprocess"] > 0
     assert _REPORT.overheads["cch-customize-full"] > 0
 
@@ -68,8 +55,8 @@ def test_accel_epoch_customization():
 
     Every epoch must take the incremental customize path (the pinned
     batches are incident-sized, under the density cutoff) and every
-    accelerated answer must agree with a dict-tier Dijkstra on the
-    updated costs.
+    accelerated answer must agree with the generic loop's Dijkstra on
+    the updated costs.
     """
     partial = run_accel_bench(_CONFIG, scenarios=(), with_epochs=True)
     _REPORT.epochs.extend(partial.epochs)
@@ -86,5 +73,5 @@ def test_accel_report_complete():
     assert _REPORT.clean
     payload = json.loads(_REPORT.to_json())
     assert set(payload["scenarios"]) == set(EXPECTED_SCENARIOS)
-    assert payload["speedups"]["cch_vs_dict"] >= 2.0
+    assert payload["speedups"]["cch_vs_csr"] >= 1.3
     assert len(payload["epochs"]) == _CONFIG.epochs

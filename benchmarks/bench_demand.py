@@ -2,21 +2,17 @@
 
 Runs the :mod:`repro.experiments.demandbench` harness piece by piece
 (fixed grid, seed, zone sets, demand matrix, and epoch sweeps — see
-``DemandBenchConfig``) and writes the full report to
-``BENCH_demand.json`` at the repo root, so successive commits can be
-compared on skim amortization *and* assignment convergence.
-
-Each test contributes its pieces to the shared report; the emitter
-only writes when every scenario ran, every epoch was audited, the
-assignment converged, and the exactness audit found zero
-disagreements with dict-tier Dijkstra — an interrupted, filtered, or
-*wrong* run can never overwrite a complete report. The amortization
-test asserts the floor CI enforces: skimming the matrix must beat
-answering it as independent point queries.
+``DemandBenchConfig``) into one shared report and checks that every
+scenario ran, every epoch was audited, the assignment converged, and
+the exactness audit found zero disagreements with the reference SSSP.
+Writing ``BENCH_demand.json`` is left to
+``atis-repro bench-demand --out BENCH_demand.json``, the pinned
+configuration CI runs. The amortization test asserts the floor CI
+enforces: skimming the matrix must beat answering it as independent
+point queries.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -33,21 +29,13 @@ _CONFIG = DemandBenchConfig()
 _REPORT = DemandBenchReport(config=_CONFIG)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _emit_report_json():
-    yield
-    if _REPORT.complete and _REPORT.clean:
-        path = Path(__file__).resolve().parent.parent / "BENCH_demand.json"
-        path.write_text(_REPORT.to_json() + "\n")
-
-
 def test_demand_skim_scenarios():
-    """dict vs CSR skims vs pointwise queries, audited bit-exact.
+    """CSR skim vs pointwise queries, audited bit-exact.
 
     Asserts the amortization floor: one SSSP per origin must beat
     |O| x |D| independent point Dijkstras on the same tier, and every
     cell, path, and select-link flow must agree exactly with the
-    independent dict-tier loops.
+    independent reference SSSP.
     """
     partial = run_demand_bench(
         _CONFIG, with_epochs=False, with_assignment=False
@@ -75,7 +63,7 @@ def test_demand_epoch_audit():
     """Re-skim and re-audit after every pinned traffic epoch.
 
     Every cell must re-agree (``==``) with a fresh whole-graph
-    dict-tier SSSP per origin on the updated costs, every retained
+    reference SSSP per origin on the updated costs, every retained
     path must re-price to its cell, and every select-link flow table
     must match brute-force per-pair path membership.
     """
@@ -94,7 +82,7 @@ def test_demand_epoch_audit():
 def test_demand_assignment_convergence():
     """The pinned Frank-Wolfe run: converged, audited, conserving.
 
-    Every iteration's prices are audited against dict-tier Dijkstra
+    Every iteration's prices are audited against the reference SSSP
     and every iteration's volumes against node-level demand
     conservation; the run must reach the relative-gap criterion within
     the pinned iteration cap.

@@ -2,20 +2,16 @@
 
 Runs the :mod:`repro.experiments.fleetload` harness layout by layout
 (fixed grid, seed, Zipf stream, and epoch schedule — see
-``FleetBenchConfig``) and writes the full report to
-``BENCH_fleet.json`` at the repo root.
-
-Each layout is one test contributing its run to the shared report; the
-emitter only writes when **every** layout in ``EXPECTED_LAYOUTS``
-completed *and audited clean* — an interrupted, filtered (-k, -x,
-Ctrl-C), or inexact run can never overwrite a complete report with a
-partial or lying one. Every layout test asserts the acceptance bar
-directly: zero inexact answers against whole-graph Dijkstra and zero
-silently dropped queries.
+``FleetBenchConfig``, trimmed here) into one shared report and checks
+it is complete, clean, and serialisable. Writing ``BENCH_fleet.json``
+is left to ``atis-repro bench-fleet --grid 12 --layouts 2x2,3x3
+--queries 2000 --out BENCH_fleet.json``, the pinned configuration CI
+runs. Every layout test asserts the acceptance bar directly: zero
+inexact answers against whole-graph Dijkstra and zero silently dropped
+queries.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -30,14 +26,6 @@ from repro.experiments.fleetload import (
 # bench stays interactive; the CLI/CI run uses the full default.
 _CONFIG = FleetBenchConfig(queries=600, rounds=3)
 _REPORT = FleetBenchReport(config=_CONFIG)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_report_json():
-    yield
-    if _REPORT.clean:
-        path = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-        path.write_text(_REPORT.to_json() + "\n")
 
 
 def _run(layout: str) -> None:

@@ -3,20 +3,18 @@ faults, replica kills, and traffic epochs.
 
 Runs the :mod:`repro.experiments.fleetchaos` harness (fixed grid,
 seeds, 10% fault mix, one mid-run replica kill — see
-``FleetChaosConfig``) and writes the full report to
-``BENCH_fleet_chaos.json`` at the repo root.
+``FleetChaosConfig``, trimmed here) into one shared report.
 
 The replicated run and the same-seed ``replicas=1`` baseline are one
-test each, sharing the module report; the emitter only writes when the
-report is **clean** — every answer in both runs exact or explicitly
-shed, zero stale serves, and the replicated fleet strictly more
-available than the baseline under the identical failure pattern. An
-interrupted, filtered, or unclean run can never overwrite a complete
-report with a partial or lying one.
+test each; the last test checks the report is **clean** — every answer
+in both runs exact or explicitly shed, zero stale serves, and the
+replicated fleet strictly more available than the baseline under the
+identical failure pattern. Writing ``BENCH_fleet_chaos.json`` is left
+to ``atis-repro bench-fleet-chaos --out BENCH_fleet_chaos.json``, the
+pinned configuration CI runs.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,16 +30,6 @@ pytestmark = pytest.mark.fleetchaos
 # bench stays interactive; the CLI/CI run uses the full default.
 _CONFIG = FleetChaosConfig(queries=160, rounds=4)
 _REPORT = FleetChaosReport(config=_CONFIG)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_report_json():
-    yield
-    if _REPORT.clean:
-        path = (
-            Path(__file__).resolve().parent.parent / "BENCH_fleet_chaos.json"
-        )
-        path.write_text(_REPORT.to_json() + "\n")
 
 
 def test_chaos_replicated_run():

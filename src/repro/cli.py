@@ -24,12 +24,13 @@ Commands
                (``--json``/``--out`` emit the audit for CI artifacts);
 ``bench-wallclock`` time the pinned wall-clock workload (cold/warm
                Dijkstra, A* euclidean/landmark, iterative, plan_many
-               batches on fixed seeds) on the CSR and dict fastpath
-               tiers; ``--min-speedup`` fails the run if the CSR tier
-               stops beating the dict tier on the pinned Dijkstra;
+               batches on fixed seeds) on the CSR tier and the generic
+               reference loop; ``--min-speedup`` fails the run if the
+               CSR tier stops beating the generic loop on the pinned
+               Dijkstra;
 ``bench-accel`` benchmark the preprocess → customize → query
                accelerator pipeline: CCH-lite point queries vs the
-               dict/CSR tiers on a pinned pair batch, per-epoch
+               CSR tier on a pinned pair batch, per-epoch
                re-customization latency, and a Dijkstra exactness
                audit across traffic epochs — exits non-zero on any
                inexact answer or (with ``--min-speedup``) a missed
@@ -46,9 +47,9 @@ Commands
                ``--out``) on any inexact answer, stale serve, silent
                drop, or if replication bought no availability;
 ``bench-demand`` run the pinned batch-OD workload: skim the OD matrix
-               on the dict/CSR tiers vs per-pair point queries, audit
-               every cell/path/select-link flow bit-exact against
-               dict-tier Dijkstra across traffic epochs, and run the
+               on the CSR tier vs per-pair point queries, audit every
+               cell/path/select-link flow bit-exact against the
+               reference SSSP across traffic epochs, and run the
                Frank-Wolfe assignment to its relative-gap criterion —
                exits non-zero (and refuses ``--out``) on any inexact
                answer or a non-converged assignment.
@@ -382,7 +383,7 @@ def _cmd_bench_wallclock(args) -> int:
     else:
         for line in report.summary_lines():
             print(line)
-    dijkstra_speedup = report.speedups["dijkstra_csr_vs_dict"]
+    dijkstra_speedup = report.speedups["dijkstra_csr_vs_generic"]
     if args.min_speedup and dijkstra_speedup < args.min_speedup:
         print(
             f"FAIL: CSR Dijkstra speedup {dijkstra_speedup:.2f}x is below "
@@ -424,10 +425,10 @@ def _cmd_bench_accel(args) -> int:
             handle.write(payload + "\n")
     if args.json:
         print(payload)
-    speedup = report.speedups["cch_vs_dict"]
+    speedup = report.speedups["cch_vs_csr"]
     if args.min_speedup and speedup < args.min_speedup:
         print(
-            f"FAIL: cch query speedup {speedup:.2f}x over the dict tier "
+            f"FAIL: cch query speedup {speedup:.2f}x over the CSR tier "
             f"is below the required {args.min_speedup:.2f}x",
             file=sys.stderr,
         )
@@ -787,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_wallclock = commands.add_parser(
         "bench-wallclock",
-        help="time the pinned wall-clock workload on the CSR and dict "
-             "fastpath tiers (the repo's perf trajectory)",
+        help="time the pinned wall-clock workload on the CSR tier and "
+             "the generic reference loop (the repo's perf trajectory)",
     )
     bench_wallclock.add_argument("--grid", type=int, default=30,
                                  help="pinned grid size K (default 30)")
@@ -802,8 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_wallclock.add_argument("--landmarks", type=int, default=4)
     bench_wallclock.add_argument("--min-speedup", type=float, default=0.0,
                                  help="exit 1 if the CSR tier's pinned "
-                                      "Dijkstra speedup over the dict tier "
-                                      "falls below this ratio")
+                                      "Dijkstra speedup over the generic "
+                                      "loop falls below this ratio")
     bench_wallclock.add_argument("--json", action="store_true",
                                  help="print the full report as JSON")
     bench_wallclock.add_argument("--out", metavar="PATH", default="",
@@ -813,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_accel = commands.add_parser(
         "bench-accel",
         help="benchmark the preprocess/customize/query accelerator "
-             "pipeline (CCH-lite) against the fastpath tiers, auditing "
+             "pipeline (CCH-lite) against the CSR tier, auditing "
              "every answer against Dijkstra across traffic epochs",
     )
     bench_accel.add_argument("--grid", type=int, default=30,
@@ -832,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="edges re-priced per epoch")
     bench_accel.add_argument("--min-speedup", type=float, default=0.0,
                              help="exit 1 if the cch query speedup over "
-                                  "the dict tier falls below this ratio")
+                                  "the CSR tier falls below this ratio")
     bench_accel.add_argument("--json", action="store_true",
                              help="print the full report as JSON")
     bench_accel.add_argument("--out", metavar="PATH", default="",
@@ -843,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-demand",
         help="run the pinned batch-OD workload (skim matrices, "
              "select-link, Frank-Wolfe assignment), auditing every "
-             "answer bit-exact against dict-tier Dijkstra",
+             "answer bit-exact against the reference SSSP",
     )
     bench_demand.add_argument("--grid", type=int, default=30,
                               help="pinned grid size K (default 30)")

@@ -19,7 +19,7 @@ from repro.core.kshortest import (
     path_overlap,
 )
 from repro.core.planner import RoutePlanner, default_planner, plan_route
-from repro.core.result import PathResult, SearchStats, reconstruct_path
+from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 
 __all__ = [
     "astar_search",

@@ -34,7 +34,7 @@ from typing import Dict, Optional
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
 from repro.core.estimators import Estimator, ZeroEstimator
-from repro.core.result import PathResult, SearchStats, reconstruct_path
+from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 from repro.kernel import search
 
 

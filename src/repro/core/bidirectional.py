@@ -1,14 +1,10 @@
 """Bidirectional Dijkstra — now a kernel configuration.
 
-PR 3 unified the in-memory planners behind :mod:`repro.kernel` but left
-this module's standalone implementation behind; the accelerator-pipeline
-refactor folded it in. The dict-tier implementation lives in
-:func:`repro.kernel.fastpath.bidirectional_dict` and the CSR fused
-realisation in :func:`repro.kernel.csr.bidirectional`;
-``kernel.search(..., algorithm="bidirectional")`` dispatches between
-them like every other algorithm, and the accelerator registry exposes
-it as a one-stage configuration
-(``make_accelerator("bidirectional")``).
+The implementation is the CSR fused loop
+:func:`repro.kernel.csr.bidirectional`;
+``kernel.search(..., algorithm="bidirectional")`` dispatches to it like
+every other algorithm, and the accelerator registry exposes it as a
+one-stage configuration (``make_accelerator("bidirectional")``).
 
 This module remains as the planner-facing front door (the registry and
 ``repro.core`` re-export :func:`bidirectional_search` from here).
@@ -17,7 +13,7 @@ This module remains as the planner-facing front door (the registry and
 from __future__ import annotations
 
 from repro.graphs.graph import Graph, NodeId
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 
 
 def bidirectional_search(

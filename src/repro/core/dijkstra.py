@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.graphs.graph import Graph, NodeId
-from repro.core.result import PathResult
-from repro.kernel import fastpath, search
+from repro.kernel.result import PathResult
+from repro.kernel import csr, search
 
 
 def dijkstra_search(
@@ -54,4 +54,4 @@ def dijkstra_sssp(
     specialises; used by tests, the landmark estimator and the graph
     analysis helpers. ``cutoff`` optionally bounds the explored radius.
     """
-    return fastpath.sssp(graph, source, cutoff)
+    return csr.sssp(graph, source, cutoff)

@@ -225,12 +225,12 @@ class LandmarkEstimator:
         """Single-source distances through the shared kernel loop.
 
         Landmark-table builds use the same relaxation implementation as
-        every planner (``repro.kernel.fastpath.sssp``) rather than a
+        every planner (``repro.kernel.csr.sssp``) rather than a
         private inline Dijkstra.
         """
-        from repro.kernel.fastpath import sssp
+        from repro.kernel import csr
 
-        return sssp(graph, source)
+        return csr.sssp(graph, source)
 
     def _select_farthest(self, graph: Graph) -> None:
         """Greedy farthest-point sweep; fills landmarks + forward tables.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graphs.graph import Graph, NodeId
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 from repro.kernel import search
 
 

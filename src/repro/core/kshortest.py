@@ -17,7 +17,7 @@ from repro.exceptions import NodeNotFoundError, PlannerError
 from repro.graphs.graph import Graph, NodeId
 from repro.core.astar import astar_search
 from repro.core.estimators import Estimator, ZeroEstimator
-from repro.core.result import PathResult, SearchStats
+from repro.kernel.result import PathResult, SearchStats
 
 
 def k_shortest_paths(

@@ -35,7 +35,7 @@ from repro.core.estimators import (
 )
 from repro.core.iterative import iterative_search
 from repro.core.kshortest import diverse_alternatives, k_shortest_paths
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 
 PlannerFunc = Callable[..., PathResult]
 

@@ -1,4 +1,4 @@
-"""repro.demand — batch OD workloads over the fastpath tiers.
+"""repro.demand — batch OD workloads over the CSR tier.
 
 The many-to-many workload class from ROADMAP item 4, in three layers
 that feed each other:
@@ -16,9 +16,10 @@ that feed each other:
   :class:`~repro.traffic.feed.TrafficFeed` epochs and iterates to a
   relative-gap criterion.
 
-Everything is auditable against the independent dict-tier Dijkstra
-loops — `atis-repro bench-demand` runs the full harness and refuses
-to emit a report that is not bit-exact and converged.
+Everything is auditable against the independent dict-of-dict
+:func:`~repro.kernel.loop.reference_sssp` — `atis-repro bench-demand`
+runs the full harness and refuses to emit a report that is not
+bit-exact and converged.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.demand.selectlink import (
     link_flows,
     select_link,
 )
-from repro.demand.skim import SKIM_TIERS, SkimMatrix, skim
+from repro.demand.skim import SkimMatrix, skim
 
 __all__ = [
     "ASSIGNMENT_METHODS",
@@ -44,7 +45,6 @@ __all__ = [
     "AssignmentResult",
     "BPRParams",
     "LinkFlow",
-    "SKIM_TIERS",
     "SelectLinkResult",
     "SkimMatrix",
     "assign",

@@ -29,7 +29,7 @@ iteration (each AON loading conserves demand pair-by-pair; convex
 combinations preserve the balance) — the property suite holds the
 proof. The ``auditor`` hook hands every iteration's skim to an
 independent checker before it is loaded; the bench harness uses it to
-re-derive each iteration's prices with whole-graph dict-tier Dijkstra
+re-derive each iteration's prices with the whole-graph reference SSSP
 and refuses to report unless every iteration audited exact.
 """
 
@@ -184,7 +184,6 @@ def assign(
     bpr: BPRParams = BPRParams(),
     max_iterations: int = 100,
     tolerance: float = 1e-4,
-    tier: str = "csr",
     auditor: Optional[Callable[[int, Graph, SkimMatrix, Dict[Edge, float]], None]] = None,
     record_volumes: bool = False,
 ) -> AssignmentResult:
@@ -234,7 +233,7 @@ def assign(
         )
 
     def load_at_current_prices(iteration: int) -> Tuple[SkimMatrix, Dict[Edge, float], float]:
-        matrix = skim(graph, origins, destinations, tier=tier, retain_paths=True)
+        matrix = skim(graph, origins, destinations, retain_paths=True)
         aon, bound = _aon_load(matrix, loaded, edges)
         if auditor is not None:
             auditor(iteration, graph, matrix, aon)

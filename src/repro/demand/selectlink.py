@@ -17,8 +17,8 @@ from two sources through this one code path:
 Both feed :func:`link_flows`, so the select-link result is exactly the
 dual of whichever route set priced the pairs. The exactness harness
 audits it the brute-force way: re-deriving per-pair membership from
-independent dict-tier point Dijkstras and comparing pair sets and
-volume sums cell-for-cell.
+independent reference SSSP trees and comparing pair sets and volume
+sums cell-for-cell.
 """
 
 from __future__ import annotations

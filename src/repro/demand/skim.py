@@ -1,4 +1,4 @@
-"""OD skim matrices: batched one-to-all SSSP over the fastpath tiers.
+"""OD skim matrices: batched one-to-all SSSP over the CSR tier.
 
 The paper's experiments answer one OD query at a time; planning
 workloads (aequilibrae's skimming examples, Chen & Gotsman's batch
@@ -7,9 +7,8 @@ cost matrix between an origin set and a destination set. Answering it
 with |O| x |D| point queries repeats almost all of the search work —
 one Dijkstra from origin *o* already settles every destination. This
 module amortises accordingly: :func:`skim` runs **one** one-to-all
-SSSP per *distinct* origin (over the fingerprint-cached CSR build, or
-the historical dict loops for the audit tier) and slices the requested
-destination columns out of each completed tree.
+SSSP per *distinct* origin over the fingerprint-cached CSR build and
+slices the requested destination columns out of each completed tree.
 
 Two guarantees shape the API:
 
@@ -27,11 +26,11 @@ Two guarantees shape the API:
 With ``retain_paths=True`` the per-origin shortest-path trees are kept
 (predecessor maps over node ids), which is what select-link analysis
 and all-or-nothing assignment loading walk. The tree path for any pair
-is the exact route the single-pair fastpath returns for it — both
-realisations relax edges in the same order — so skim answers are
-auditable cell-by-cell against independent point Dijkstras
-(tests/test_demand.py and the ``bench-demand`` harness hold the
-proofs).
+is the exact route the single-pair search returns for it — both relax
+edges in the same order — so skim answers are auditable cell-by-cell,
+with ``==``, against the independent
+:func:`~repro.kernel.loop.reference_sssp` (tests/test_demand.py and the
+``bench-demand`` harness hold the proofs).
 """
 
 from __future__ import annotations
@@ -44,12 +43,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr as _csr
-from repro.kernel import fastpath as _fastpath
 
 _INF = math.inf
-
-#: Fastpath tiers :func:`skim` can run its per-origin SSSPs on.
-SKIM_TIERS = ("csr", "dict")
 
 
 @dataclass
@@ -65,7 +60,6 @@ class SkimMatrix:
 
     graph_name: str
     fingerprint: Tuple[int, int]
-    tier: str
     origins: Tuple[NodeId, ...]
     destinations: Tuple[NodeId, ...]
     costs: List[List[float]]
@@ -110,7 +104,7 @@ class SkimMatrix:
         """The retained tree path for one pair, or ``None`` if unreachable.
 
         Requires ``retain_paths=True`` at skim time; the walk is the
-        same route the single-pair fastpath returns for the pair.
+        same route the single-pair search returns for the pair.
         """
         if self.trees is None:
             raise ValueError(
@@ -164,12 +158,12 @@ class SkimMatrix:
     def __repr__(self) -> str:
         rows, cols = self.shape
         return (
-            f"SkimMatrix({self.graph_name!r}, {rows}x{cols}, tier={self.tier}, "
+            f"SkimMatrix({self.graph_name!r}, {rows}x{cols}, "
             f"fingerprint={self.fingerprint})"
         )
 
 
-def _skim_rows_csr(
+def _skim_rows(
     graph: Graph,
     distinct_origins: Sequence[NodeId],
     destinations: Sequence[NodeId],
@@ -191,38 +185,18 @@ def _skim_rows_csr(
     return rows, trees
 
 
-def _skim_rows_dict(
-    graph: Graph,
-    distinct_origins: Sequence[NodeId],
-    destinations: Sequence[NodeId],
-    retain_paths: bool,
-) -> Tuple[Dict[NodeId, List[float]], Optional[Dict]]:
-    rows: Dict[NodeId, List[float]] = {}
-    trees: Optional[Dict] = {} if retain_paths else None
-    for origin in distinct_origins:
-        dist, pred = _fastpath.sssp_tree_dict(graph, origin)
-        rows[origin] = [dist.get(d, _INF) for d in destinations]
-        if retain_paths:
-            trees[origin] = pred
-    return rows, trees
-
-
 def skim(
     graph: Graph,
     origins: Iterable[NodeId],
     destinations: Optional[Iterable[NodeId]] = None,
-    tier: str = "csr",
     retain_paths: bool = False,
 ) -> SkimMatrix:
     """Compute the dense OD cost matrix ``origins`` x ``destinations``.
 
     ``destinations`` defaults to every node of the graph (the classic
-    "skim against all zones" shape). ``tier`` picks the SSSP
-    realisation: ``"csr"`` (default) shares the fingerprint-keyed
-    build cache with the single-pair serving path; ``"dict"`` runs the
-    historical dict loops — slower, but structurally independent of
-    the CSR flattening, which is what makes it the audit reference.
-    Duplicate origins (or destinations) are computed once and share
+    "skim against all zones" shape). The SSSPs share the
+    fingerprint-keyed CSR build cache with the single-pair serving
+    path. Duplicate origins (or destinations) are computed once and share
     their row (column); ``sssp_runs`` on the returned matrix counts
     the distinct searches actually executed.
 
@@ -230,11 +204,6 @@ def skim(
     priced at ``matrix.fingerprint``. A pass that overlapped a traffic
     epoch is discarded and recomputed (counted in ``retries``).
     """
-    if tier not in SKIM_TIERS:
-        raise ValueError(
-            f"unknown skim tier {tier!r}; expected one of "
-            f"{', '.join(SKIM_TIERS)}"
-        )
     origin_list: List[NodeId] = list(origins)
     for origin in origin_list:
         if origin not in graph:
@@ -248,7 +217,6 @@ def skim(
                 raise NodeNotFoundError(destination)
     # Order-preserving dedup: each distinct origin runs one SSSP.
     distinct = list(dict.fromkeys(origin_list))
-    compute = _skim_rows_csr if tier == "csr" else _skim_rows_dict
 
     retries = 0
     while True:
@@ -257,7 +225,7 @@ def skim(
         while graph.cost_update_in_progress:
             time.sleep(0)
         fingerprint = graph.fingerprint
-        rows, trees = compute(graph, distinct, destination_list, retain_paths)
+        rows, trees = _skim_rows(graph, distinct, destination_list, retain_paths)
         if not graph.cost_update_in_progress and graph.fingerprint == fingerprint:
             break
         retries += 1
@@ -265,7 +233,6 @@ def skim(
     return SkimMatrix(
         graph_name=graph.name,
         fingerprint=fingerprint,
-        tier=tier,
         origins=tuple(origin_list),
         destinations=tuple(destination_list),
         costs=[list(rows[origin]) for origin in origin_list],

@@ -11,9 +11,8 @@ fails the run, it does not produce a report.
 Scenarios (each best-of-N over ``repetitions`` timed runs of the full
 pair batch):
 
-* ``query/dict`` — the historical fused dict Dijkstra (the baseline
-  the ISSUE's >= 2x floor is measured against);
-* ``query/csr`` — the CSR fastpath tier (warm build cache);
+* ``query/csr`` — CSR-tier Dijkstra (warm build cache), the baseline
+  the speedup floor is measured against;
 * ``query/cch`` — the CCH-lite accelerator's elimination-tree query,
   preprocessed and customized *outside* the timed region (that cost is
   reported separately, which is the whole point).
@@ -21,11 +20,12 @@ pair batch):
 After the query scenarios, ``epochs`` traffic epochs are applied; for
 each one the report records the accelerator's re-customization latency
 (incremental, riding the epoch's delta chain) and re-audits every
-pinned pair against a dict-tier Dijkstra on the updated costs.
+pinned pair against the generic kernel loop's Dijkstra on the updated
+costs.
 
-``benchmarks/bench_accel.py`` and ``atis-repro bench-accel`` both run
-this and emit ``BENCH_accel.json`` at the repo root; the report
-refuses to serialise unless every scenario ran, every epoch was
+``atis-repro bench-accel --out BENCH_accel.json`` runs it and writes
+the report (``benchmarks/bench_accel.py`` runs it piece by piece); the
+report refuses to serialise unless every scenario ran, every epoch was
 measured, and **zero** answers were inexact.
 """
 
@@ -38,13 +38,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
+from repro.experiments.wallclock import ScenarioTiming, time_best_of
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
-from repro.kernel import accel, csr, fastpath
+from repro.kernel import accel, csr, search
 
 #: Every scenario a complete report must contain, in report order.
 EXPECTED_SCENARIOS = (
-    "query/dict",
     "query/csr",
     "query/cch",
 )
@@ -68,16 +68,6 @@ class AccelBenchConfig:
     #: customize path is the one under test; dense sweeps trip the
     #: accelerator's density cutoff and run the full pass instead).
     epoch_edges: int = 12
-
-
-@dataclass
-class ScenarioTiming:
-    """Best-of-N wall time for one scenario (the full pair batch)."""
-
-    name: str
-    best_s: float
-    mean_s: float
-    repetitions: int
 
 
 @dataclass
@@ -142,9 +132,7 @@ class AccelBenchReport:
     def speedups(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         pairs = (
-            ("cch_vs_dict", "query/dict", "query/cch"),
             ("cch_vs_csr", "query/csr", "query/cch"),
-            ("csr_vs_dict", "query/dict", "query/csr"),
         )
         for name, baseline, candidate in pairs:
             if baseline in self.timings and candidate in self.timings:
@@ -250,16 +238,6 @@ class AccelBenchReport:
         )
 
 
-def _time_best_of(fn: Callable[[], object], repetitions: int) -> Tuple[float, float]:
-    """(best, mean) wall seconds of ``fn`` over ``repetitions`` runs."""
-    samples = []
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return min(samples), sum(samples) / len(samples)
-
-
 def pinned_graph(config: AccelBenchConfig) -> Graph:
     return make_paper_grid(config.grid, config.cost_model, seed=config.seed)
 
@@ -279,11 +257,11 @@ def _exact(cost_a: float, cost_b: float) -> bool:
 def _audit(
     graph: Graph, instance: accel.Accelerator, pairs: List[Tuple]
 ) -> Tuple[int, int]:
-    """(checked, inexact) — accelerator answers vs dict-tier Dijkstra."""
+    """(checked, inexact) — accelerator answers vs generic-loop Dijkstra."""
     inexact = 0
     for source, destination in pairs:
         run = instance.query(graph, source, destination)
-        ref = fastpath.uniform_cost_dict(graph, source, destination)
+        ref = search(graph, source, destination, trace=True)
         if run.found != ref.found:
             inexact += 1
         elif ref.found and not (
@@ -319,16 +297,14 @@ def run_accel_bench(
         return run
 
     def record(name: str, fn: Callable[[], object]) -> None:
-        best, mean = _time_best_of(fn, reps)
+        best, mean = time_best_of(fn, reps)
         report.timings[name] = ScenarioTiming(name, best, mean, reps)
 
     wanted = set(scenarios)
 
-    if "query/dict" in wanted:
-        record("query/dict", batch(fastpath.uniform_cost_dict))
     if "query/csr" in wanted:
         csr.csr_for(graph)
-        record("query/csr", batch(fastpath.uniform_cost))
+        record("query/csr", batch(csr.uniform_cost))
 
     needs_cch = "query/cch" in wanted or with_epochs
     if needs_cch:

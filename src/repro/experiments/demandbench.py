@@ -5,14 +5,13 @@ whole OD matrix, the retained trees answer select-link for free, and
 the assignment loop closes planning back into congestion. This harness
 measures the amortization on one **pinned workload** (fixed grid,
 fixed seed, fixed zone sets, fixed demand matrix, fixed epoch sweeps)
-and audits everything against the independent dict-tier Dijkstra loops
-— the *test*-archetype contract: a report that is fast but wrong is
-not a report.
+and audits everything against the independent dict-of-dict
+:func:`~repro.kernel.loop.reference_sssp` — a report that is fast but
+wrong is not a report.
 
 Scenarios (each best-of-N over ``repetitions`` timed runs):
 
-* ``skim/dict`` — the full OD matrix on the historical dict loops;
-* ``skim/csr`` — the same matrix on the CSR fastpath (warm build
+* ``skim/csr`` — the full OD matrix on the CSR tier (warm build
   cache) — the production path;
 * ``pointwise/csr`` — the same matrix as |O| x |D| independent point
   Dijkstras on the CSR tier: the workload shape the skim replaces,
@@ -20,18 +19,19 @@ Scenarios (each best-of-N over ``repetitions`` timed runs):
 
 After the timed scenarios, ``epochs`` traffic epochs are applied; for
 each one the matrix is re-skimmed and every cell re-audited bit-exact
-(``==``, not approximately — both tiers relax edges in the same order,
-so the float sums are identical) against a fresh whole-graph dict-tier
+(``==``, not approximately — both relax edges in the same order, so
+the float sums are identical) against a fresh whole-graph reference
 SSSP per origin, the retained tree paths are re-priced, and the
-select-link flows are re-derived from brute-force per-pair dict-tier
-path membership. Finally a Frank-Wolfe assignment runs on a fresh copy
-of the pinned graph to relative gap < ``tolerance``, with an auditor
-checking **every iteration's** prices against dict-tier Dijkstra and
-the volumes against node-level demand conservation.
+select-link flows are re-derived from brute-force per-pair membership
+of the reference trees' paths. Finally a Frank-Wolfe assignment runs
+on a fresh copy of the pinned graph to relative gap < ``tolerance``,
+with an auditor checking **every iteration's** prices against the
+reference SSSP and the volumes against node-level demand
+conservation.
 
-``benchmarks/bench_demand.py`` and ``atis-repro bench-demand`` both
-run this and emit ``BENCH_demand.json`` at the repo root; the report
-refuses to serialise unless every scenario ran, every epoch was
+``atis-repro bench-demand --out BENCH_demand.json`` runs it and writes
+the report (``benchmarks/bench_demand.py`` runs it piece by piece); the
+report refuses to serialise unless every scenario ran, every epoch was
 audited, **zero** cells or flows were inexact, and the assignment
 converged.
 """
@@ -41,22 +41,22 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.demand.assignment import AssignmentResult, assign
 from repro.demand.selectlink import SelectLinkResult, select_link
 from repro.demand.skim import SkimMatrix, skim
+from repro.experiments.wallclock import ScenarioTiming, time_best_of
 from repro.graphs.graph import Graph, NodeId
 from repro.graphs.grid import make_paper_grid
-from repro.kernel import csr, fastpath
+from repro.kernel import csr
+from repro.kernel.loop import reference_sssp
 
 Edge = Tuple[NodeId, NodeId]
 
 #: Every scenario a complete report must contain, in report order.
 EXPECTED_SCENARIOS = (
-    "skim/dict",
     "skim/csr",
     "pointwise/csr",
 )
@@ -84,16 +84,6 @@ class DemandBenchConfig:
     #: Assignment convergence criterion (relative gap) and cap.
     tolerance: float = 1e-4
     max_iterations: int = 150
-
-
-@dataclass
-class ScenarioTiming:
-    """Best-of-N wall time for one scenario (the full OD matrix)."""
-
-    name: str
-    best_s: float
-    mean_s: float
-    repetitions: int
 
 
 @dataclass
@@ -190,7 +180,6 @@ class DemandBenchReport:
     def speedups(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         pairs = (
-            ("skim_csr_vs_dict", "skim/dict", "skim/csr"),
             ("skim_vs_pointwise", "pointwise/csr", "skim/csr"),
         )
         for name, baseline, candidate in pairs:
@@ -256,8 +245,8 @@ class DemandBenchReport:
         if self.total_inexact != 0:
             raise ValueError(
                 "refusing to serialise an inexact demand report; "
-                f"{self.total_inexact} answers disagreed with dict-tier "
-                "Dijkstra"
+                f"{self.total_inexact} answers disagreed with the "
+                "reference SSSP"
             )
         if not self.assignment.converged:
             raise ValueError(
@@ -335,16 +324,6 @@ class DemandBenchReport:
         )
 
 
-def _time_best_of(fn: Callable[[], object], repetitions: int) -> Tuple[float, float]:
-    """(best, mean) wall seconds of ``fn`` over ``repetitions`` runs."""
-    samples = []
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return min(samples), sum(samples) / len(samples)
-
-
 def pinned_graph(config: DemandBenchConfig) -> Graph:
     return make_paper_grid(config.grid, config.cost_model, seed=config.seed)
 
@@ -388,7 +367,7 @@ def pinned_links(
     return rng.sample(used, min(config.links, len(used)))
 
 
-def _dict_tree_path(
+def _tree_path(
     pred: Dict[NodeId, Optional[NodeId]], origin: NodeId, destination: NodeId
 ) -> List[NodeId]:
     path = [destination]
@@ -405,14 +384,14 @@ def audit_skim(graph: Graph, matrix: SkimMatrix) -> Tuple[int, int, int, int, in
 
     Returns ``(cells, inexact_cells, paths, inexact_paths,
     unreachable)``. Cells compare with ``==`` against an independent
-    whole-graph dict-tier SSSP per origin — identical relaxation order
+    whole-graph :func:`reference_sssp` per origin — identical relaxation order
     makes the float sums identical, so approximate comparison would
     only hide bugs. Retained paths must re-price (left-to-right edge
     sum) to exactly the cell value.
     """
     cells = inexact_cells = paths = inexact_paths = unreachable = 0
     for i, origin in enumerate(matrix.origins):
-        ref = fastpath.sssp_dict(graph, origin)
+        ref, _ = reference_sssp(graph, origin)
         for j, destination in enumerate(matrix.destinations):
             cells += 1
             expected = ref.get(destination, math.inf)
@@ -439,7 +418,7 @@ def audit_select_link(
 ) -> Tuple[int, int]:
     """Brute-force re-derivation of every link's flow table.
 
-    For each origin an independent dict-tier SSSP tree is built; each
+    For each origin an independent :func:`reference_sssp` tree is built; each
     OD pair's tree path gives its link membership, and the reference
     flow tables must match the analysed ones exactly — pair sets and
     volumes both. Returns ``(links_checked, mismatched_links)``.
@@ -448,11 +427,11 @@ def audit_select_link(
         link: {} for link in result.links
     }
     for origin in origins:
-        dist, pred = fastpath.sssp_tree_dict(graph, origin)
+        dist, pred = reference_sssp(graph, origin)
         for destination in destinations:
             if destination == origin or destination not in dist:
                 continue
-            path = _dict_tree_path(pred, origin, destination)
+            path = _tree_path(pred, origin, destination)
             edges = set(zip(path, path[1:]))
             volume = demand.get((origin, destination), 1.0)
             for link in result.links:
@@ -485,33 +464,25 @@ def run_demand_bench(
     reps = config.repetitions
 
     def record(name: str, fn: Callable[[], object]) -> None:
-        best, mean = _time_best_of(fn, reps)
+        best, mean = time_best_of(fn, reps)
         report.timings[name] = ScenarioTiming(name, best, mean, reps)
 
     wanted = set(scenarios)
-    if "skim/dict" in wanted:
-        record(
-            "skim/dict",
-            lambda: skim(graph, origins, destinations, tier="dict"),
-        )
     if "skim/csr" in wanted:
         csr.csr_for(graph)  # warm the build cache outside the timing
-        record(
-            "skim/csr",
-            lambda: skim(graph, origins, destinations, tier="csr"),
-        )
+        record("skim/csr", lambda: skim(graph, origins, destinations))
     if "pointwise/csr" in wanted:
         csr.csr_for(graph)
 
         def pointwise() -> None:
             for origin in origins:
                 for destination in destinations:
-                    fastpath.uniform_cost(graph, origin, destination)
+                    csr.uniform_cost(graph, origin, destination)
 
         record("pointwise/csr", pointwise)
 
     # Pre-epoch audit: the production-tier matrix, paths retained.
-    matrix = skim(graph, origins, destinations, tier="csr", retain_paths=True)
+    matrix = skim(graph, origins, destinations, retain_paths=True)
     (
         report.cells_checked,
         report.inexact_cells,
@@ -538,9 +509,7 @@ def run_demand_bench(
                 for u, v in sample
             ]
             epoch = feed.apply(updates)
-            matrix = skim(
-                graph, origins, destinations, tier="csr", retain_paths=True
-            )
+            matrix = skim(graph, origins, destinations, retain_paths=True)
             cells, bad_cells, paths, bad_paths, _ = audit_skim(graph, matrix)
             flows = select_link(matrix, links, demand)
             checked_links, bad_links = audit_select_link(

@@ -5,24 +5,27 @@ numbers, which are counted in I/O units and iterations — deliberately
 machine-independent. This harness is the opposite: it times the real
 interpreter on one **pinned workload** (fixed grid, fixed seed, fixed
 source/destination pair, fixed batch) so that successive commits can be
-compared on wall-clock seconds. ``benchmarks/bench_wallclock.py`` and
-``atis-repro bench-wallclock`` both run it and emit
-``BENCH_wallclock.json`` at the repo root; CI fails the build if the
-CSR tier stops beating the dict tier on the pinned Dijkstra scenario.
+compared on wall-clock seconds. ``atis-repro bench-wallclock --reps 7
+--out BENCH_wallclock.json`` runs it and writes the report
+(``benchmarks/bench_wallclock.py`` runs it scenario by scenario); CI
+fails the build if the CSR tier stops beating the generic reference
+loop on the pinned Dijkstra scenario.
 
 Scenarios (each reported as best-of-N over ``repetitions`` runs):
 
-* ``dijkstra/dict`` — the historical fused dict loop (the baseline);
+* ``dijkstra/generic`` — the traced generic kernel loop
+  (``search(..., trace=True)``), the reference every fused loop is
+  held to counter for counter (the baseline);
 * ``dijkstra/csr-cold`` — CSR tier with the build cache cleared every
   repetition, so the flattening cost is inside the timed region;
 * ``dijkstra/csr-warm`` — CSR tier against a warm build cache (the
   steady-state production path);
-* ``astar-euclidean/dict`` / ``astar-euclidean/csr`` — A* with the
-  euclidean estimator on each tier;
+* ``astar-euclidean/generic`` / ``astar-euclidean/csr`` — A* with the
+  euclidean estimator on the generic loop and the CSR tier;
 * ``astar-landmark/csr`` — A* with a prepared :class:`LandmarkEstimator`
   (table builds run outside the timed region; they share the CSR cache
-  through :func:`repro.kernel.fastpath.sssp`);
-* ``iterative/dict`` / ``iterative/csr`` — the wave loop on each tier;
+  through :func:`repro.kernel.csr.sssp`);
+* ``iterative/generic`` / ``iterative/csr`` — the wave loop on each;
 * ``plan_many/cold`` — a :class:`RouteService` batch on a fresh
   service (every distinct query computed);
 * ``plan_many/warm`` — the same batch replayed on the same service
@@ -44,17 +47,17 @@ from typing import Callable, Dict, List, Tuple
 from repro.core.estimators import EuclideanEstimator, LandmarkEstimator
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
-from repro.kernel import csr, fastpath
+from repro.kernel import csr, search
 
 #: Every scenario a complete report must contain, in report order.
 EXPECTED_SCENARIOS = (
-    "dijkstra/dict",
+    "dijkstra/generic",
     "dijkstra/csr-cold",
     "dijkstra/csr-warm",
-    "astar-euclidean/dict",
+    "astar-euclidean/generic",
     "astar-euclidean/csr",
     "astar-landmark/csr",
-    "iterative/dict",
+    "iterative/generic",
     "iterative/csr",
     "plan_many/cold",
     "plan_many/warm",
@@ -114,10 +117,12 @@ class WallclockReport:
     def speedups(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         pairs = (
-            ("dijkstra_csr_vs_dict", "dijkstra/dict", "dijkstra/csr-warm"),
-            ("astar_euclidean_csr_vs_dict", "astar-euclidean/dict",
+            ("dijkstra_csr_vs_generic", "dijkstra/generic",
+             "dijkstra/csr-warm"),
+            ("astar_euclidean_csr_vs_generic", "astar-euclidean/generic",
              "astar-euclidean/csr"),
-            ("iterative_csr_vs_dict", "iterative/dict", "iterative/csr"),
+            ("iterative_csr_vs_generic", "iterative/generic",
+             "iterative/csr"),
             ("plan_many_warm_vs_cold", "plan_many/cold", "plan_many/warm"),
         )
         for name, baseline, candidate in pairs:
@@ -187,7 +192,7 @@ class WallclockReport:
         )
 
 
-def _time_best_of(fn: Callable[[], object], repetitions: int) -> Tuple[float, float]:
+def time_best_of(fn: Callable[[], object], repetitions: int) -> Tuple[float, float]:
     """(best, mean) wall seconds of ``fn`` over ``repetitions`` runs."""
     samples = []
     for _ in range(repetitions):
@@ -240,43 +245,44 @@ def run_wallclock(
     reps = config.repetitions
 
     def record(name: str, fn: Callable[[], object]) -> None:
-        best, mean = _time_best_of(fn, reps)
+        best, mean = time_best_of(fn, reps)
         report.timings[name] = ScenarioTiming(name, best, mean, reps)
 
     wanted = set(scenarios)
 
-    if "dijkstra/dict" in wanted:
+    if "dijkstra/generic" in wanted:
         record(
-            "dijkstra/dict",
-            lambda: fastpath.uniform_cost_dict(graph, source, destination),
+            "dijkstra/generic",
+            lambda: search(graph, source, destination, trace=True),
         )
     if "dijkstra/csr-cold" in wanted:
         def cold_dijkstra():
             csr.clear_cache()
-            return fastpath.uniform_cost(graph, source, destination)
+            return csr.uniform_cost(graph, source, destination)
 
         record("dijkstra/csr-cold", cold_dijkstra)
     if "dijkstra/csr-warm" in wanted:
         csr.csr_for(graph)
         record(
             "dijkstra/csr-warm",
-            lambda: fastpath.uniform_cost(graph, source, destination),
+            lambda: csr.uniform_cost(graph, source, destination),
         )
 
-    if "astar-euclidean/dict" in wanted or "astar-euclidean/csr" in wanted:
+    if "astar-euclidean/generic" in wanted or "astar-euclidean/csr" in wanted:
         euclidean = EuclideanEstimator()
-        if "astar-euclidean/dict" in wanted:
+        if "astar-euclidean/generic" in wanted:
             record(
-                "astar-euclidean/dict",
-                lambda: fastpath.best_first_dict(
-                    graph, source, destination, euclidean
+                "astar-euclidean/generic",
+                lambda: search(
+                    graph, source, destination, algorithm="astar",
+                    estimator=euclidean, trace=True,
                 ),
             )
         if "astar-euclidean/csr" in wanted:
             csr.csr_for(graph)
             record(
                 "astar-euclidean/csr",
-                lambda: fastpath.best_first(graph, source, destination, euclidean),
+                lambda: csr.best_first(graph, source, destination, euclidean),
             )
 
     if "astar-landmark/csr" in wanted:
@@ -290,19 +296,21 @@ def run_wallclock(
         report.overheads["landmark-preprocess"] = time.perf_counter() - started
         record(
             "astar-landmark/csr",
-            lambda: fastpath.best_first(graph, source, destination, landmark),
+            lambda: csr.best_first(graph, source, destination, landmark),
         )
 
-    if "iterative/dict" in wanted:
+    if "iterative/generic" in wanted:
         record(
-            "iterative/dict",
-            lambda: fastpath.wave_dict(graph, source, destination),
+            "iterative/generic",
+            lambda: search(
+                graph, source, destination, algorithm="iterative", trace=True
+            ),
         )
     if "iterative/csr" in wanted:
         csr.csr_for(graph)
         record(
             "iterative/csr",
-            lambda: fastpath.wave(graph, source, destination),
+            lambda: csr.wave(graph, source, destination),
         )
 
     if "plan_many/cold" in wanted or "plan_many/warm" in wanted:

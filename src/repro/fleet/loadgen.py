@@ -37,9 +37,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr
-from repro.service.metrics import Snapshot
+from repro.service.metrics import Snapshot, percentile
 from repro.traffic.feed import TrafficFeed
-from repro.traffic.replay import percentile
 
 from repro.fleet.router import FleetResult, FleetRouter
 

@@ -45,7 +45,7 @@ from concurrent.futures import CancelledError, FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 from repro.exceptions import (
     ShardUnavailableError,
     TransientWorkerError,
@@ -53,8 +53,7 @@ from repro.exceptions import (
 )
 from repro.faults.workerplan import WorkerFaultPlan
 from repro.graphs.graph import NodeId
-from repro.service.metrics import Snapshot
-from repro.traffic.replay import percentile
+from repro.service.metrics import Snapshot, percentile
 
 from repro.fleet.partition import ShardSpec
 from repro.fleet.worker import ShardWorker

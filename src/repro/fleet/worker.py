@@ -50,15 +50,14 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 from repro.exceptions import TransientWorkerError, WorkerCrash
 from repro.faults.workerplan import WorkerFaultPlan
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr
 from repro.service import RouteService
-from repro.service.metrics import Snapshot
+from repro.service.metrics import Snapshot, percentile
 from repro.traffic.feed import TrafficFeed
-from repro.traffic.replay import percentile
 
 from repro.fleet.partition import ShardSpec
 

@@ -5,8 +5,9 @@ Dijkstra, A* versions 1-3) are a single expansion loop varied along
 three axes: frontier policy, estimator, and where the tuples live.
 This package is that observation as code:
 
-* :mod:`repro.kernel.loop` — the one loop (:func:`run_search`) and the
-  :class:`SearchConfig` that names a point in the design space;
+* :mod:`repro.kernel.loop` — the one loop (:func:`run_search`), the
+  :class:`SearchConfig` that names a point in the design space, and
+  :func:`reference_sssp`, the dict-of-dict one-to-all audit oracle;
 * :mod:`repro.kernel.frontiers` — in-memory heap and wave policies;
 * :mod:`repro.kernel.backends` — :class:`InMemoryBackend` (zero I/O)
   and :class:`RelationalBackend` (Table 3/4A rates through ``iostats``),
@@ -14,11 +15,10 @@ This package is that observation as code:
 * :mod:`repro.kernel.csr` — the compact CSR form of a graph
   (contiguous ``indptr``/``indices``/``weights`` arrays plus a node-id
   interning table, built once per ``Graph.fingerprint`` and cached)
-  and the flat-array fused loops that run on it;
-* :mod:`repro.kernel.fastpath` — fused specialisations of the loop for
-  the untraced in-memory tier (identical semantics, no per-iteration
-  indirection): the CSR tier by default, with the historical dict
-  loops kept as the ``*_dict`` baseline;
+  and the flat-array fused loops that run on it — the one fast tier
+  untraced in-memory runs dispatch to;
+* :mod:`repro.kernel.accel` — the preprocess → customize → query
+  accelerator pipeline (CCH-lite);
 * :mod:`repro.kernel.result` — the unified :class:`RunResult` schema
   both tiers return.
 
@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.exceptions import UnknownAlgorithmError
 from repro.graphs.graph import Graph, NodeId
-from repro.kernel import accel, csr, fastpath
+from repro.kernel import accel, csr
 from repro.kernel.accel import (
     ACCELERATORS,
     Accelerator,
@@ -51,7 +51,7 @@ from repro.kernel.backends import (
     chase_path_pointers,
 )
 from repro.kernel.frontiers import HeapFrontierPolicy, WaveFrontierPolicy
-from repro.kernel.loop import SearchConfig, run_search
+from repro.kernel.loop import SearchConfig, reference_sssp, run_search
 from repro.kernel.result import (
     IterationRecord,
     PathResult,
@@ -68,11 +68,10 @@ IN_MEMORY_ALGORITHMS = ("dijkstra", "astar", "iterative", "bidirectional")
 #: routes through the preprocess → customize → query accelerator
 #: pipeline (:mod:`repro.kernel.accel`) and serves Dijkstra-exact
 #: answers only.
-FASTPATH_TIERS = ("csr", "dict", "cch")
+FASTPATH_TIERS = ("csr", "cch")
 
-sssp = fastpath.sssp
+sssp = csr.sssp
 sssp_tree = csr.sssp_tree
-sssp_tree_dict = fastpath.sssp_tree_dict
 
 
 def search(
@@ -92,14 +91,13 @@ def search(
     ``"astar"`` the heap policy ordered by ``g + h`` (``estimator``
     defaults to zero, i.e. Dijkstra-equivalent expansion), and
     ``"iterative"`` the wave policy. With ``trace=False`` (the default)
-    the fused fast paths run — this is the production path. ``tier``
-    picks the fused realisation: ``"csr"`` (default) runs on the
-    cached flat-array form, ``"dict"`` on the historical dict-of-dict
-    loops (the wall-clock baseline). With ``trace=True`` the generic
-    loop runs instead (``tier`` is ignored) and the result carries
+    the CSR fused loops run on the cached flat-array form — this is the
+    production path; ``tier="cch"`` serves Dijkstra through the
+    accelerator instead. With ``trace=True`` the generic loop runs
+    (the reference every fused loop is held to) and the result carries
     per-iteration :class:`IterationRecord` entries (including the
     selected labels), which is what the cross-backend equivalence tests
-    compare; counters and results are identical on every tier.
+    compare; counters and results are identical either way.
     """
     if algorithm not in IN_MEMORY_ALGORITHMS:
         raise UnknownAlgorithmError(algorithm, IN_MEMORY_ALGORITHMS)
@@ -112,7 +110,7 @@ def search(
         if trace:
             raise ValueError(
                 "the cch tier has no traced realisation; use tier='csr' "
-                "or tier='dict' with trace=True"
+                "with trace=True"
             )
         if algorithm != "dijkstra":
             raise ValueError(
@@ -129,9 +127,7 @@ def search(
                 "frontiers do not map onto the single-frontier kernel "
                 "loop — use trace=False"
             )
-        if tier == "csr":
-            return fastpath.bidirectional(graph, source, destination)
-        return fastpath.bidirectional_dict(graph, source, destination)
+        return csr.bidirectional(graph, source, destination)
 
     if algorithm == "astar" and estimator is None:
         from repro.core.estimators import ZeroEstimator
@@ -139,21 +135,13 @@ def search(
         estimator = ZeroEstimator()
 
     if not trace:
-        if tier == "csr":
-            if algorithm == "dijkstra":
-                return fastpath.uniform_cost(graph, source, destination)
-            if algorithm == "astar":
-                return fastpath.best_first(
-                    graph, source, destination, estimator, max_iterations
-                )
-            return fastpath.wave(graph, source, destination, max_iterations)
         if algorithm == "dijkstra":
-            return fastpath.uniform_cost_dict(graph, source, destination)
+            return csr.uniform_cost(graph, source, destination)
         if algorithm == "astar":
-            return fastpath.best_first_dict(
+            return csr.best_first(
                 graph, source, destination, estimator, max_iterations
             )
-        return fastpath.wave_dict(graph, source, destination, max_iterations)
+        return csr.wave(graph, source, destination, max_iterations)
 
     if algorithm == "dijkstra":
         config = SearchConfig(
@@ -231,11 +219,10 @@ __all__ = [
     "chase_path_pointers",
     "csr",
     "csr_for",
-    "fastpath",
     "reconstruct_path",
+    "reference_sssp",
     "run_search",
     "search",
     "sssp",
     "sssp_tree",
-    "sssp_tree_dict",
 ]

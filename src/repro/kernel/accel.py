@@ -84,7 +84,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr as _csr
-from repro.kernel import fastpath
 from repro.kernel.result import RunResult, SearchStats
 
 _INF = math.inf
@@ -293,17 +292,17 @@ class OneStageAccelerator(Accelerator):
 
     def _query(self, graph: Graph, source: NodeId, destination: NodeId) -> RunResult:
         if self.name == "dijkstra":
-            return fastpath.uniform_cost(graph, source, destination)
+            return _csr.uniform_cost(graph, source, destination)
         if self.name == "astar":
             estimator = self._estimator
             if estimator is None:
                 from repro.core.estimators import ZeroEstimator
 
                 estimator = self._estimator = ZeroEstimator()
-            return fastpath.best_first(graph, source, destination, estimator)
+            return _csr.best_first(graph, source, destination, estimator)
         if self.name == "bidirectional":
-            return fastpath.bidirectional(graph, source, destination)
-        return fastpath.wave(graph, source, destination)
+            return _csr.bidirectional(graph, source, destination)
+        return _csr.wave(graph, source, destination)
 
 
 class CCHAccelerator(Accelerator):

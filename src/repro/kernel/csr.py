@@ -1,4 +1,4 @@
-"""Compact CSR tier for the in-memory kernel fastpath.
+"""Compact CSR tier: the in-memory kernel's one fused fast path.
 
 The dict-of-dict ``Graph`` is the right construction substrate —
 eager validation, cheap mutation — but the wrong traversal substrate:
@@ -15,8 +15,8 @@ plus an interning table mapping arbitrary hashable node ids to dense
 ``0..n-1`` indices (``index_of`` / ``node_ids``). Edges appear in
 exactly the order ``Graph.neighbors`` yields them and nodes in
 ``Graph.node_ids`` order, so a search over the CSR form relaxes edges
-in the same sequence as the dict form — which is what makes the two
-tiers *byte-identical* in paths, costs, and every
+in the same sequence as the generic loop over the dict form — which is
+what makes the two *byte-identical* in paths, costs, and every
 :class:`~repro.kernel.result.SearchStats` counter (tests/test_kernel.py
 holds the proofs).
 
@@ -26,14 +26,20 @@ so the service's estimator pool (landmark table builds run
 :func:`sssp`) and its query path reuse one flattening. The cache is
 bounded LRU; :func:`cache_stats` feeds ``RouteService.snapshot()``.
 
-The search loops below are the fused fastpath rewritten on flat state:
+The search loops below are the kernel loop fused for flat state —
+``uniform_cost`` is the heap policy with no lookahead (Dijkstra,
+Figure 2), ``best_first`` the heap policy with an estimator (A*,
+Figure 3), ``wave`` the wave-synchronous policy (Iterative, Figure 1):
 preallocated distance/predecessor lists and status bytearrays indexed
 by dense node index, and an index-based lazy-deletion heap (heap
 entries carry ints, so tie-breaking never compares node ids). Counters
 are accumulated in locals and written to the ``SearchStats`` once at
 the end — except ``observe_frontier``, which is called live per
-iteration exactly as the dict loops do, so instrumentation that records
-the observation sequence sees identical streams from every tier.
+iteration exactly as the generic loop does, so instrumentation that
+records the observation sequence sees identical streams from both.
+Iteration limits are enforced *before* the bounding expansion: a
+bounded run performs at most ``limit`` expansions (waves), never
+``limit + 1``.
 """
 
 from __future__ import annotations
@@ -552,8 +558,9 @@ def sssp(
 ) -> Dict[NodeId, float]:
     """Single-source distances on the CSR tier (no early termination).
 
-    Returns the same ``{node_id: distance}`` mapping as the dict loop:
-    only reached nodes appear, and with ``cutoff`` only those within it.
+    Returns the same ``{node_id: distance}`` mapping as the ``dist`` of
+    :func:`repro.kernel.loop.reference_sssp`: only reached nodes
+    appear, and with ``cutoff`` only those within it.
     """
     if source not in graph:
         raise NodeNotFoundError(source)
@@ -658,10 +665,8 @@ def bidirectional(
     arrays and from the destination over the lazily built transpose
     (:meth:`CSRGraph.reverse_lists`), alternating by smaller frontier
     key, and stops when ``fmin + bmin >= best`` certifies no better
-    meeting point exists. Same termination rule, same counter
-    accounting (one ``iterations``/``nodes_expanded`` per settle,
-    merged across directions) as the historical dict implementation in
-    :mod:`repro.kernel.fastpath`.
+    meeting point exists. One ``iterations``/``nodes_expanded`` is
+    counted per settle, merged across directions.
     """
     if source not in graph:
         raise NodeNotFoundError(source)
@@ -758,8 +763,7 @@ def bidirectional(
         if settled_node == -1:
             break
         # A meeting can occur at the settled node or at any labelled-
-        # but-unsettled forward neighbor of it (same rule as the dict
-        # implementation, so both realisations stop on the same state).
+        # but-unsettled forward neighbor of it.
         total = fdist[settled_node] + bdist[settled_node]
         if total < best:
             best = total

@@ -33,7 +33,7 @@ Every policy implements the same protocol the kernel loop drives:
 The counter placement in these policies mirrors the historical
 ``core.dijkstra`` / ``core.astar`` / ``core.iterative`` loops exactly
 (tests/test_kernel.py holds the equivalence proofs), so the fused
-fast paths in :mod:`repro.kernel.fastpath` and this generic form
+fast paths in :mod:`repro.kernel.csr` and this generic form
 produce identical :class:`~repro.kernel.result.SearchStats`.
 """
 

@@ -30,14 +30,21 @@ operation for operation:
 Init, every iteration, and cleanup each run inside the backend's
 matching accounting phase, preserving the phase-attributed costs the
 experiments read (init / iterate / cleanup / traffic-sync).
+
+:func:`reference_sssp` is the one-to-all counterpart kept beside it: a
+plain dict-of-dict Dijkstra, structurally independent of the CSR
+flattening, that the batch OD audits compare skim cells against.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import NodeNotFoundError
+from repro.graphs.graph import Graph, NodeId
 from repro.kernel.result import IterationRecord, RunResult, SearchStats
 
 
@@ -118,3 +125,41 @@ def run_search(backend, source, destination, config: SearchConfig) -> RunResult:
 
     backend.assign_phase_costs(result)
     return result
+
+
+def reference_sssp(
+    graph: Graph, source: NodeId
+) -> Tuple[Dict[NodeId, float], Dict[NodeId, Optional[NodeId]]]:
+    """One-to-all Dijkstra with predecessors over dict adjacency.
+
+    Returns ``(dist, pred)``: only reached nodes appear in ``dist``,
+    and ``pred`` maps each reached node to its predecessor on the
+    shortest path from ``source`` (``None`` for the source itself).
+    Edges are relaxed in ``Graph.neighbors`` order with FIFO tie-breaks,
+    the order :func:`repro.kernel.csr.sssp_tree` replays on flat
+    arrays, so its distances equal the CSR tier's bit for bit and its
+    tree path to any node is the route the single-pair search returns.
+    This is the independent reference the demand subsystem's exactness
+    audits hold the CSR skim to; a radius-bounded answer is the filter
+    ``d <= cutoff`` over ``dist``.
+    """
+    if source not in graph:
+        raise NodeNotFoundError(source)
+    dist: Dict[NodeId, float] = {source: 0.0}
+    pred: Dict[NodeId, Optional[NodeId]] = {source: None}
+    heap = [(0.0, 0, source)]
+    counter = 1
+    settled = set()
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for v, edge_cost in graph.neighbors(u):
+            nd = d + edge_cost
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                pred[v] = u
+                counter += 1
+                heapq.heappush(heap, (nd, counter, v))
+    return dist, pred

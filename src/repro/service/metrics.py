@@ -10,9 +10,10 @@ serving tier and the storage tier uniformly.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 #: A single observability leaf value. Snapshots must stay JSON-round-
 #: trippable and plottable, so every leaf is numeric — never a string,
@@ -23,6 +24,17 @@ Numeric = Union[int, float]
 #: mapping of counter names to numeric values. Fleet-level snapshots
 #: nest these per shard but each leaf dict is still a ``Snapshot``.
 Snapshot = Dict[str, Numeric]
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 100]); 0.0 on empty input."""
+    if not samples:
+        return 0.0
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(samples)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass

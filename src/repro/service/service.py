@@ -67,7 +67,7 @@ if TYPE_CHECKING:  # circular at runtime (traffic.replay imports us)
 
 from repro.core.estimators import Estimator
 from repro.core.planner import RoutePlanner
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 from repro.exceptions import FaultError, UnknownAlgorithmError
 from repro.kernel import accel as _accel
 from repro.engine.tracing import RequestTrace
@@ -223,7 +223,7 @@ class RouteService:
         self._accels: Dict[int, _accel.Accelerator] = {}
         self.accel_queries_served = 0
         # Batch OD serving: completed skim matrices are kept per
-        # ``(fingerprint, origins, destinations, tier)`` so repeated
+        # ``(fingerprint, origins, destinations)`` so repeated
         # skims of the same zone sets between epochs are free, the same
         # way the route cache serves repeated point queries. Matrices
         # are whole-epoch artifacts, so epoch handling drops them for
@@ -760,7 +760,6 @@ class RouteService:
         graph: Graph,
         origins: Sequence[NodeId],
         destinations: Optional[Sequence[NodeId]] = None,
-        tier: str = "csr",
         retain_paths: bool = False,
     ) -> "SkimMatrix":
         """The dense OD cost matrix, served through the skim cache.
@@ -784,7 +783,7 @@ class RouteService:
             while graph.cost_update_in_progress:
                 time.sleep(0)
             fingerprint = graph.fingerprint
-            base = (graph.uid, fingerprint, origin_key, dest_key, tier)
+            base = (graph.uid, fingerprint, origin_key, dest_key)
             with self._skim_lock:
                 hit = self._skims.get(base + (retain_paths,))
                 if hit is None and not retain_paths:
@@ -796,7 +795,6 @@ class RouteService:
             matrix = _skim(
                 graph, origin_key,
                 destinations=dest_key,
-                tier=tier,
                 retain_paths=retain_paths,
             )
             if matrix.fingerprint != fingerprint:
@@ -820,7 +818,6 @@ class RouteService:
         origins: Optional[Sequence[NodeId]] = None,
         destinations: Optional[Sequence[NodeId]] = None,
         source: str = "skim",
-        tier: str = "csr",
     ) -> "SelectLinkResult":
         """Which OD pairs traverse each link, and with what volume.
 
@@ -862,9 +859,7 @@ class RouteService:
             origins = sorted({o for o, _ in demand})
         if destinations is None and demand is not None:
             destinations = sorted({d for _, d in demand})
-        matrix = self.skim(
-            graph, origins, destinations, tier=tier, retain_paths=True
-        )
+        matrix = self.skim(graph, origins, destinations, retain_paths=True)
         routes_seen = 0
 
         def counted():

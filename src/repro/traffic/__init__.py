@@ -30,9 +30,9 @@ from repro.traffic.replay import (
     ReplayConfig,
     ReplayReport,
     compare_invalidation,
-    percentile,
     run_replay,
 )
+from repro.service.metrics import percentile
 
 __all__ = [
     "MINUTES_PER_DAY",

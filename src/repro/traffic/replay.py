@@ -30,11 +30,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.planner import RoutePlanner
 from repro.graphs.graph import Graph, NodeId
 from repro.service import RouteService
+from repro.service.metrics import percentile
 from repro.traffic.feed import TrafficFeed
 
 EdgeKey = Tuple[NodeId, NodeId]
@@ -103,17 +104,6 @@ class ReplayReport:
             f"single-epoch retries: {self.plan_retries}",
             f"wall clock: {self.wall_s:.2f} s",
         ]
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on empty input."""
-    if not samples:
-        return 0.0
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class _StalenessAuditor:

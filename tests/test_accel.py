@@ -3,7 +3,7 @@
 The equivalence suite is the pipeline's contract: every accelerator
 configuration — the four one-stage planners and the CCH-lite overlay —
 must return cost-exact answers (with a consistent path) against the
-seed dict-tier Dijkstra, on grids and random sparse directed graphs,
+generic kernel loop's Dijkstra, on grids and random sparse directed graphs,
 *across traffic epochs*. The epoch tests assert the stronger property
 the ISSUE names: customize-then-query equals rebuild-then-query, down
 to the overlay arrays. Hypothesis drives the customize-idempotence
@@ -43,11 +43,9 @@ def _pairs(graph, stride=3):
 
 
 def _assert_matches_dijkstra(instance, graph, pairs):
-    from repro.kernel import fastpath
-
     for source, destination in pairs:
         run = instance.query(graph, source, destination)
-        ref = fastpath.uniform_cost_dict(graph, source, destination)
+        ref = kernel.search(graph, source, destination, trace=True)
         assert run.found == ref.found, (source, destination)
         if not ref.found:
             continue
@@ -274,7 +272,7 @@ class TestAcceleratorCache:
         graph = make_paper_grid(5, seed=2)
         for pair in _pairs(graph, stride=3):
             run = kernel.search(graph, *pair, tier="cch")
-            ref = kernel.search(graph, *pair, tier="dict")
+            ref = kernel.search(graph, *pair, trace=True)
             assert run.found == ref.found
             if ref.found:
                 assert _exact(run.cost, ref.cost)

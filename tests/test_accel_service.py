@@ -62,7 +62,7 @@ class TestServiceAccel:
         def check_round():
             for source, destination in pairs:
                 served = service.plan(graph, source, destination)
-                ref = kernel.search(graph, source, destination, tier="dict")
+                ref = kernel.search(graph, source, destination, trace=True)
                 assert served.found == ref.found
                 if ref.found:
                     assert _exact(served.cost, ref.cost)
@@ -97,7 +97,7 @@ class TestServiceAccel:
         service.plan(graph, (0, 0), (4, 4), algorithm="dijkstra")
         assert service.snapshot()["accel_queries_served"] == 0
         served = service.plan(graph, (0, 0), (4, 4), algorithm="bidirectional")
-        ref = kernel.search(graph, (0, 0), (4, 4), tier="dict")
+        ref = kernel.search(graph, (0, 0), (4, 4), trace=True)
         assert _exact(served.cost, ref.cost)
         assert service.snapshot()["accel_queries_served"] == 1
 
@@ -143,7 +143,7 @@ class TestServiceAccel:
         service.update_edge_cost(graph, (0, 0), (0, 1), 25.0)
         assert service.snapshot()["accel_customizes"] == before + 1
         served = service.plan(graph, (0, 0), (4, 4))
-        ref = kernel.search(graph, (0, 0), (4, 4), tier="dict")
+        ref = kernel.search(graph, (0, 0), (4, 4), trace=True)
         assert _exact(served.cost, ref.cost)
         assert service.snapshot()["accel_preprocesses"] == 1
 

@@ -147,11 +147,11 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "dijkstra/csr-warm" in out
-        assert "speedup dijkstra_csr_vs_dict" in out
+        assert "speedup dijkstra_csr_vs_generic" in out
         report = json.loads(out_path.read_text())
         assert report["workload"]["grid"] == 8
-        assert "dijkstra/dict" in report["scenarios"]
-        assert "dijkstra_csr_vs_dict" in report["speedups"]
+        assert "dijkstra/generic" in report["scenarios"]
+        assert "dijkstra_csr_vs_generic" in report["speedups"]
 
     def test_bench_fleet(self, tmp_path, capsys):
         import json
@@ -187,7 +187,7 @@ class TestCommands:
         import json
 
         report = json.loads(capsys.readouterr().out)
-        assert set(report["scenarios"]) >= {"dijkstra/dict", "plan_many/warm"}
+        assert set(report["scenarios"]) >= {"dijkstra/generic", "plan_many/warm"}
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 """Tests for the CSR tier's data structure and build cache.
 
 :mod:`tests.test_kernel` proves the CSR search loops byte-identical to
-the dict tier and the generic loop; this module tests what that proof
+the generic loop; this module tests what that proof
 rests on — the flattening itself (layout, interning, edge order) and
 the fingerprint-keyed build cache (hits, invalidation on mutation,
 LRU eviction, capacity, the counters the service snapshot surfaces).
@@ -59,7 +59,7 @@ class TestCSRLayout:
         assert len(snapshot.weights) == 4
 
     def test_edges_keep_neighbor_iteration_order(self):
-        """Relaxation-order parity with the dict tier depends on this."""
+        """Relaxation-order parity with the generic loop depends on this."""
         graph = make_paper_grid(6, "skewed", seed=9)
         snapshot = CSRGraph(graph)
         for i, node_id in enumerate(snapshot.node_ids):
@@ -170,15 +170,11 @@ class TestBuildCache:
 class TestCSRSearchEdges:
     def test_source_equals_destination(self):
         graph = _diamond()
-        from repro.kernel import fastpath
-
-        result = fastpath.uniform_cost(graph, "a", "a")
+        result = csr.uniform_cost(graph, "a", "a")
         assert result.found
         assert result.path == ["a"]
         assert result.cost == 0.0
 
     def test_sssp_missing_source(self):
-        from repro.kernel import fastpath
-
         with pytest.raises(NodeNotFoundError):
-            fastpath.sssp(_diamond(), "nope")
+            csr.sssp(_diamond(), "nope")

@@ -27,7 +27,7 @@ from repro.demand import (
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
-from repro.kernel import fastpath
+from repro.kernel import csr, reference_sssp
 from repro.service import RouteService
 from repro.traffic.feed import TrafficFeed
 
@@ -85,12 +85,12 @@ class TestSkimExactness:
             assert matrix.fingerprint == graph.fingerprint
             for o in origins:
                 for d in destinations:
-                    run = fastpath.uniform_cost(graph, o, d)
+                    run = csr.uniform_cost(graph, o, d)
                     expected = run.cost if run.found else math.inf
                     assert matrix.cost(o, d) == expected
 
     def test_random_sparse_digraph_across_epochs(self):
-        """Same exactness on a random digraph, dict reference this time."""
+        """Same exactness on a random digraph, reference SSSP this time."""
         graph = random_sparse_digraph(nodes=40, edges=90, seed=7)
         feed = TrafficFeed(graph)
         origins = list(range(0, 40, 5))
@@ -99,17 +99,21 @@ class TestSkimExactness:
                 apply_random_epoch(feed, seed=200 + epoch)
             matrix = skim(graph, origins)  # destinations default: all
             for i, o in enumerate(origins):
-                ref = fastpath.sssp_dict(graph, o)
+                ref, _ = reference_sssp(graph, o)
                 for j, d in enumerate(matrix.destinations):
                     assert matrix.costs[i][j] == ref.get(d, math.inf)
 
-    def test_csr_and_dict_tiers_agree_bitwise(self):
+    def test_skim_matches_reference_sssp_bitwise(self):
+        """Cells and retained trees equal the dict-of-dict reference."""
         graph = random_sparse_digraph(nodes=30, edges=70, seed=13)
         origins = [0, 3, 9, 15]
-        a = skim(graph, origins, tier="csr")
-        b = skim(graph, origins, tier="dict")
-        assert a.costs == b.costs
-        assert a.tier == "csr" and b.tier == "dict"
+        matrix = skim(graph, origins, retain_paths=True)
+        for i, o in enumerate(origins):
+            dist, pred = reference_sssp(graph, o)
+            assert matrix.costs[i] == [
+                dist.get(d, math.inf) for d in matrix.destinations
+            ]
+            assert matrix.trees[o] == pred
 
     def test_unreachable_pairs_reported_as_inf_never_dropped(self):
         """The matrix is dense: every requested pair has a cell."""
@@ -122,7 +126,7 @@ class TestSkimExactness:
         assert unreachable, "workload should contain unreachable pairs"
         for o, d in unreachable:
             assert matrix.cost(o, d) == math.inf
-            run = fastpath.uniform_cost(graph, o, d)
+            run = csr.uniform_cost(graph, o, d)
             assert not run.found
         finite = rows * cols - len(unreachable)
         assert finite > 0
@@ -139,8 +143,6 @@ class TestSkimExactness:
             skim(tiny_graph, ["a", "missing"])
         with pytest.raises(NodeNotFoundError):
             skim(tiny_graph, ["a"], ["e", "missing"])
-        with pytest.raises(ValueError):
-            skim(tiny_graph, ["a"], tier="gpu")
 
     def test_cost_accessors_validate_membership(self, tiny_graph):
         matrix = skim(tiny_graph, ["a"], ["e"])
@@ -165,7 +167,7 @@ class TestSkimPaths:
         for o in origins:
             for d in destinations:
                 path = matrix.path(o, d)
-                run = fastpath.uniform_cost(graph, o, d)
+                run = csr.uniform_cost(graph, o, d)
                 assert path == run.path
                 if o != d:
                     assert graph.path_cost(path) == matrix.cost(o, d)

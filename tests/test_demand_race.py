@@ -91,30 +91,6 @@ class TestSkimEpochRaces:
             update_thread.join()
         assert complaints == [], complaints[:5]
 
-    def test_kernel_skim_dict_tier_races_clean_too(self):
-        graph = chain_graph(1.0)
-        feed = TrafficFeed(graph)
-        complaints = []
-        stop = threading.Event()
-
-        def updater():
-            flip = True
-            while not stop.is_set():
-                cost = 10.0 if flip else 1.0
-                feed.apply([(i, i + 1, cost) for i in range(_N - 1)])
-                flip = not flip
-
-        update_thread = threading.Thread(target=updater)
-        update_thread.start()
-        try:
-            for _ in range(150):
-                matrix = skim(graph, list(range(_N)), tier="dict")
-                complaints.extend(single_epoch_faults(matrix))
-        finally:
-            stop.set()
-            update_thread.join()
-        assert complaints == [], complaints[:5]
-
     def test_service_skim_races_epochs_without_stale_or_mixed_serves(self):
         """The cached path adds a second hazard: a matrix computed at
         epoch N must never be *served* once the subscriber has dropped

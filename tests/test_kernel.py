@@ -15,11 +15,12 @@ Three layers of guarantees:
    Iterative (whose relational variant applies each wave as one batch
    REPLACE while the in-memory loop propagates sequentially — the two
    coincide on uniform costs).
-4. The CSR flat-array tier (the default fused fastpath) is
-   byte-identical to the dict tier and the traced generic loop —
-   found/cost/path and every counter — and all three tiers enforce
-   iteration limits identically: a bounded run performs at most
-   ``limit`` expansions, never ``limit + 1``.
+4. The CSR flat-array tier (the one fused fast path) is
+   byte-identical to the traced generic loop — found/cost/path and
+   every counter — and both enforce iteration limits identically: a
+   bounded run performs at most ``limit`` expansions, never
+   ``limit + 1``; CSR SSSP matches the dict-of-dict
+   :func:`~repro.kernel.reference_sssp` exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.core.estimators import (
     ZeroEstimator,
 )
 from repro.core.iterative import iterative_search
-from repro.core.result import PathResult, SearchStats, reconstruct_path
+from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 from repro.engine import RelationalGraph
 from repro.engine.rel_bestfirst import run_best_first, run_dijkstra
 from repro.engine.rel_iterative import run_iterative
@@ -48,7 +49,7 @@ from repro.graphs.random_graphs import (
     random_sparse_directed,
 )
 from repro.exceptions import NodeNotFoundError
-from repro.kernel import fastpath, search
+from repro.kernel import csr, reference_sssp, search
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +367,7 @@ class TestCrossBackendLabels:
 
 
 # ----------------------------------------------------------------------
-# (4) CSR tier == dict tier == generic loop, including limit semantics
+# (4) CSR tier == generic loop, including limit semantics
 # ----------------------------------------------------------------------
 class TestCSRTierEquivalence:
     @pytest.mark.parametrize("graph", GRAPH_CASES, ids=lambda g: g.name)
@@ -390,15 +391,12 @@ class TestCSRTierEquivalence:
                 algorithm=algorithm, estimator=estimator, **kwargs,
             )
 
-        csr_run = run(tier="csr")
-        dict_run = run(tier="dict")
-        generic_run = run(trace=True)
-        _assert_same_run(csr_run, dict_run)
-        _assert_same_run(csr_run, generic_run)
+        _assert_same_run(run(tier="csr"), run(trace=True))
 
     def test_unknown_tier_rejected(self, tiny_graph):
-        with pytest.raises(ValueError, match="unknown fastpath tier"):
-            search(tiny_graph, "a", "e", tier="numpy")
+        for tier in ("numpy", "dict"):
+            with pytest.raises(ValueError, match="unknown fastpath tier"):
+                search(tiny_graph, "a", "e", tier=tier)
 
     def test_csr_unreachable(self, disconnected_graph):
         for algorithm in ("dijkstra", "astar", "iterative"):
@@ -416,23 +414,24 @@ class TestCSRTierEquivalence:
             with pytest.raises(NodeNotFoundError):
                 search(tiny_graph, "a", "nope", algorithm=algorithm, tier="csr")
 
-    def test_sssp_csr_matches_dict(self):
+    def test_sssp_csr_matches_reference(self):
         for graph in GRAPH_CASES:
             source, _ = _corner_pair(graph)
-            full_csr = fastpath.sssp(graph, source)
-            full_dict = fastpath.sssp_dict(graph, source)
-            assert full_csr == full_dict
+            full_csr = csr.sssp(graph, source)
+            full_ref, _ = reference_sssp(graph, source)
+            assert full_csr == full_ref
             cutoff = sorted(full_csr.values())[len(full_csr) // 2]
-            assert fastpath.sssp(graph, source, cutoff=cutoff) == \
-                fastpath.sssp_dict(graph, source, cutoff=cutoff)
+            assert csr.sssp(graph, source, cutoff=cutoff) == {
+                node: d for node, d in full_ref.items() if d <= cutoff
+            }
 
-    @pytest.mark.parametrize("tier", ["csr", "dict", "generic"])
+    @pytest.mark.parametrize("tier", ["csr", "generic"])
     @pytest.mark.parametrize("algorithm", ["astar", "iterative"])
     def test_exact_limit_is_enough(self, grid10_variance, tier, algorithm):
         """A bounded run performs at most ``limit`` expansions.
 
         Exactly the number of iterations the unbounded run needs must
-        succeed; one fewer must raise — on every tier. (The historical
+        succeed; one fewer must raise — on both. (The historical
         fused loops enforced the bound only after expanding, so a run
         at the documented limit performed ``limit + 1`` expansions.)
         """

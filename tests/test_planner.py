@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import UnknownAlgorithmError
 from repro.core.estimators import ManhattanEstimator
 from repro.core.planner import RoutePlanner, default_planner, plan_route
-from repro.core.result import PathResult
+from repro.kernel.result import PathResult
 
 
 class TestDispatch:

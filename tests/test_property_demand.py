@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.demand import assign, select_link, skim
 from repro.graphs.graph import Graph
-from repro.kernel import fastpath
+from repro.kernel import reference_sssp
 
 import pytest
 
@@ -62,9 +62,9 @@ def graph_and_zones(draw, max_nodes=12):
     return graph, origins, destinations
 
 
-def _dict_path(graph, origin, destination):
-    """Independent dict-tier shortest path (None when unreachable)."""
-    dist, pred = fastpath.sssp_tree_dict(graph, origin)
+def _reference_path(graph, origin, destination):
+    """Independent reference shortest path (None when unreachable)."""
+    dist, pred = reference_sssp(graph, origin)
     if destination not in dist:
         return None
     path = [destination]
@@ -128,7 +128,7 @@ def test_select_link_volume_is_exact_membership_sum(data, volume_seed):
     for link in links:
         members = set()
         for (o, d) in demand:
-            path = _dict_path(graph, o, d)
+            path = _reference_path(graph, o, d)
             if path and link in set(zip(path, path[1:])):
                 members.add((o, d))
         flow = result.flow(link)
@@ -143,7 +143,7 @@ def test_assignment_conserves_demand_every_iteration(data, iterations):
     graph, origins, destinations = data
     demand = {}
     for o in origins:
-        reachable = fastpath.sssp_dict(graph, o)
+        reachable, _ = reference_sssp(graph, o)
         for d in destinations:
             if d != o and d in reachable:
                 demand[(o, d)] = 10.0 + 3.0 * ((o + d) % 5)

@@ -1,14 +1,14 @@
-"""Property tests: the three fastpath tiers are indistinguishable.
+"""Property tests: the CSR fused loops and the generic loop are indistinguishable.
 
-tests/test_kernel.py proves tier equivalence on five fixed graphs;
+tests/test_kernel.py proves their equivalence on five fixed graphs;
 this module widens the net with Hypothesis-generated directed graphs
 and — crucially — a deliberately *inconsistent* estimator, which is
-what forces A* to reopen explored nodes. Reopening is where the tiers
+what forces A* to reopen explored nodes. Reopening is where the two
 are most likely to diverge (the frontier-membership test, the
 ``nodes_reopened`` counter, and the order reopened nodes re-enter the
 heap all depend on implementation details), so every counter **and**
 the per-iteration ``observe_frontier`` sequence must match between the
-CSR fused loop, the dict fused loop, and the traced generic loop.
+CSR fused loop and the traced generic loop.
 """
 
 from __future__ import annotations
@@ -114,15 +114,11 @@ def test_tiers_agree_counter_for_counter(case, estimator_factory):
     csr_run, csr_seen = _observed(
         graph, source, destination, estimator_factory, tier="csr"
     )
-    dict_run, dict_seen = _observed(
-        graph, source, destination, estimator_factory, tier="dict"
-    )
     generic_run, generic_seen = _observed(
         graph, source, destination, estimator_factory, trace=True
     )
-    assert _stats_tuple(csr_run) == _stats_tuple(dict_run)
     assert _stats_tuple(csr_run) == _stats_tuple(generic_run)
-    assert csr_seen == dict_seen == generic_seen
+    assert csr_seen == generic_seen
 
 
 class TableEstimator:
@@ -146,7 +142,7 @@ def test_reopening_parity_on_deterministic_case():
     ``a`` pops first with the bad label (h(a)=0 vs h(b)=15 hides the
     cheap detour), then ``b`` improves it, then ``a`` re-enters the
     frontier and pops again — ``nodes_reopened`` must be positive and
-    identical on all three tiers.
+    identical on the CSR loop and the generic loop.
     """
     graph = Graph(name="reopen")
     for node in ("s", "a", "b", "t"):
@@ -158,10 +154,8 @@ def test_reopening_parity_on_deterministic_case():
     make = lambda: TableEstimator({"a": 0.0, "b": 15.0, "t": 0.0})
 
     csr_run, csr_seen = _observed(graph, "s", "t", make, tier="csr")
-    dict_run, dict_seen = _observed(graph, "s", "t", make, tier="dict")
     generic_run, generic_seen = _observed(graph, "s", "t", make, trace=True)
     assert csr_run.stats.nodes_reopened > 0
     assert csr_run.found and csr_run.cost == 13.0
-    assert _stats_tuple(csr_run) == _stats_tuple(dict_run)
     assert _stats_tuple(csr_run) == _stats_tuple(generic_run)
-    assert csr_seen == dict_seen == generic_seen
+    assert csr_seen == generic_seen

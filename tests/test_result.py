@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import PathNotFoundError
-from repro.core.result import PathResult, SearchStats, reconstruct_path
+from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 
 
 class TestSearchStats:
