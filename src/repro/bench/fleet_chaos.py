@@ -9,7 +9,7 @@ against whole-graph Dijkstra on the *current* parent state — and every
 inexact answer is additionally checked against the *previous* epoch's
 state, so a stale serve (right answer, wrong epoch) is distinguished
 from a plain wrong answer. The serving contract under chaos is the
-same exact-or-flagged contract PR 4 proved for storage:
+same exact-or-flagged contract the storage tier keeps:
 
 * zero inexact answers,
 * zero silent drops (``answered + shed == queries``),
@@ -30,30 +30,25 @@ fleet with no plans attached at all. Wall-clock timings (hedge counts,
 latencies) are deliberately excluded from the key: replicas compute
 identical answers, so *which* replica won a race never changes a
 record.
-
-Emission follows the PR 6 convention: :meth:`FleetChaosReport.to_json`
-refuses a report that is not clean, so a committed
-``BENCH_fleet_chaos.json`` always describes a complete chaos run whose
-every answer was exact or explicitly flagged.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import random
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.bench import BenchReport, pinned_grid
+from repro.bench.fleet import run_entry, run_problems
 from repro.faults.workerplan import WorkerFaultPlan
 from repro.fleet.loadgen import (
     ABS_TOL,
     REL_TOL,
-    _audit_one,
-    _perturbation,
-    zipf_pairs,
+    FleetLoadConfig,
+    FleetLoadReport,
+    epoch_rounds,
 )
 from repro.fleet.partition import parse_layout, partition_graph
 from repro.fleet.replica import DeadlinePolicy, HealthPolicy
@@ -111,6 +106,17 @@ class FleetChaosConfig:
     def total_fault_rate(self) -> float:
         return self.error_rate + self.latency_rate + self.hang_rate
 
+    def load_config(self) -> FleetLoadConfig:
+        """The query stream and epoch schedule, replayed serially."""
+        return FleetLoadConfig(
+            queries=self.queries,
+            rounds=self.rounds,
+            concurrency=1,
+            alpha=self.alpha,
+            seed=self.seed,
+            epoch_edges=self.epoch_edges,
+        )
+
     def deadline_policy(self) -> DeadlinePolicy:
         return DeadlinePolicy(
             total_s=self.total_s,
@@ -135,104 +141,74 @@ class FleetChaosConfig:
 
 
 @dataclass
-class FleetChaosRun:
-    """One audited replay (replicated or baseline)."""
+class FleetChaosRun(FleetLoadReport):
+    """One audited replay (replicated or baseline): the fleet load
+    report plus what only chaos measures."""
 
     replicas: int = 1
-    queries: int = 0
-    answered: int = 0
-    shed: int = 0
-    found: int = 0
-    not_found: int = 0
-    cross_shard: int = 0
-    stitched: int = 0
-    audited: int = 0
-    inexact: int = 0
     #: Answers matching the previous epoch's cost but not the current
     #: one — the failure mode version-pinned fan-out must prevent.
     stale_serves: int = 0
-    hedged: int = 0
-    failovers: int = 0
-    retries: int = 0
     kills: int = 0
-    epochs_applied: int = 0
-    wall_s: float = 0.0
     #: CRC32 over the per-query outcome records; timing-independent.
     determinism_key: int = 0
-    snapshot: Dict[str, Snapshot] = field(default_factory=dict)
-    inexact_samples: List[str] = field(default_factory=list)
-
-    @property
-    def availability(self) -> float:
-        return self.answered / self.queries if self.queries else 0.0
 
     @property
     def clean(self) -> bool:
         """Exact-or-flagged held: nothing wrong, stale, or dropped."""
-        return (
-            self.inexact == 0
-            and self.stale_serves == 0
-            and self.answered + self.shed == self.queries
-        )
+        return super().clean and self.stale_serves == 0
 
     def to_snapshot(self) -> Snapshot:
-        return {
-            "replicas": self.replicas,
-            "queries": self.queries,
-            "answered": self.answered,
-            "shed": self.shed,
-            "found": self.found,
-            "not_found": self.not_found,
-            "cross_shard": self.cross_shard,
-            "stitched": self.stitched,
-            "audited": self.audited,
-            "inexact": self.inexact,
-            "stale_serves": self.stale_serves,
-            "hedged": self.hedged,
-            "failovers": self.failovers,
-            "retries": self.retries,
-            "kills": self.kills,
-            "epochs_applied": self.epochs_applied,
-            "availability": self.availability,
-            "wall_s": self.wall_s,
-            "determinism_key": self.determinism_key,
-            "clean": int(self.clean),
-        }
+        snap = super().to_snapshot()
+        snap.update(
+            replicas=self.replicas,
+            stale_serves=self.stale_serves,
+            kills=self.kills,
+            determinism_key=self.determinism_key,
+        )
+        return snap
+
+
+_RUNS = ("replicated", "baseline")
 
 
 @dataclass
-class FleetChaosReport:
+class FleetChaosReport(BenchReport):
     """Replicated run vs same-seed baseline, with the clean verdict."""
 
-    config: FleetChaosConfig
+    NAME = "fleet chaos"
+
     replicated: Optional[FleetChaosRun] = None
     baseline: Optional[FleetChaosRun] = None
 
     @property
-    def complete(self) -> bool:
-        return self.replicated is not None and self.baseline is not None
+    def missing(self) -> List[str]:
+        return [name for name in _RUNS if getattr(self, name) is None]
 
     @property
     def availability_gain(self) -> float:
-        if not self.complete:
+        if self.missing:
             return 0.0
         return self.replicated.availability - self.baseline.availability
 
-    @property
-    def clean(self) -> bool:
+    def problems(self) -> List[str]:
         """Both runs exact-or-flagged, and replication paid for itself.
 
         The availability comparison is only meaningful when the kill
         schedule actually removed capacity; a kill-free config (e.g.
         the rate-0 determinism check) skips it.
         """
-        if not self.complete:
-            return False
-        if not (self.replicated.clean and self.baseline.clean):
-            return False
-        if self.config.kills:
-            return self.replicated.availability > self.baseline.availability
-        return True
+        out = super().problems()
+        if out:
+            return out
+        for name in _RUNS:
+            run = getattr(self, name)
+            out.extend(run_problems(name, run))
+            if run.stale_serves:
+                out.append(f"{name}: {run.stale_serves} stale serves")
+        if self.config.kills and self.availability_gain <= 0:
+            out.append("replication bought no availability over baseline")
+        return out
 
     def summary_lines(self) -> List[str]:
         cfg = self.config
@@ -246,10 +222,8 @@ class FleetChaosReport:
             f"deadlines: total {cfg.total_s}s, stage {cfg.stage_s}s, "
             f"hedge {cfg.hedge_s}s, attempts {cfg.max_attempts}",
         ]
-        for name, run in (
-            ("replicated", self.replicated),
-            ("baseline", self.baseline),
-        ):
+        for name in _RUNS:
+            run = getattr(self, name)
             if run is None:
                 lines.append(f"{name:10s} MISSING")
                 continue
@@ -263,104 +237,24 @@ class FleetChaosReport:
             )
             for sample in run.inexact_samples:
                 lines.append(f"           INEXACT {sample}")
-        if self.complete:
+        if not self.missing:
             lines.append(
                 f"availability gain from replication: "
                 f"{self.availability_gain:+.2%}"
             )
+        problems = self.problems()
         lines.append(
-            "audit: clean" if self.clean else "audit: NOT CLEAN"
+            "audit: clean" if not problems
+            else "audit: NOT CLEAN (" + "; ".join(problems) + ")"
         )
         return lines
 
-    def to_json(self, indent: int = 2) -> str:
-        """Serialize — refusing partial, inexact, stale, or
-        no-gain reports, so a committed ``BENCH_fleet_chaos.json``
-        always describes a clean complete chaos run."""
-        if not self.complete:
-            raise ValueError(
-                "refusing to serialise a partial fleet chaos report"
-            )
-        if not self.clean:
-            problems = []
-            for name, run in (
-                ("replicated", self.replicated),
-                ("baseline", self.baseline),
-            ):
-                if run.inexact:
-                    problems.append(f"{name}: {run.inexact} inexact")
-                if run.stale_serves:
-                    problems.append(f"{name}: {run.stale_serves} stale")
-                if run.answered + run.shed != run.queries:
-                    problems.append(f"{name}: silent drops")
-            if self.config.kills and self.availability_gain <= 0:
-                problems.append(
-                    "replication bought no availability over baseline"
-                )
-            raise ValueError(
-                "refusing to serialise an unclean fleet chaos report: "
-                + "; ".join(problems)
-            )
-        cfg = self.config
-        return json.dumps(
-            {
-                "workload": {
-                    "grid": cfg.grid,
-                    "cost_model": cfg.cost_model,
-                    "seed": cfg.seed,
-                    "layout": cfg.layout,
-                    "replicas": cfg.replicas,
-                    "queries": cfg.queries,
-                    "rounds": cfg.rounds,
-                    "alpha": cfg.alpha,
-                    "epoch_edges": cfg.epoch_edges,
-                },
-                "faults": {
-                    "fault_seed": cfg.fault_seed,
-                    "error_rate": cfg.error_rate,
-                    "latency_rate": cfg.latency_rate,
-                    "hang_rate": cfg.hang_rate,
-                    "total_rate": cfg.total_fault_rate,
-                    "latency_s": cfg.latency_s,
-                    "hang_s": cfg.hang_s,
-                    "kills": [list(kill) for kill in cfg.kills],
-                },
-                "deadlines": {
-                    "total_s": cfg.total_s,
-                    "stage_s": cfg.stage_s,
-                    "hedge_s": cfg.hedge_s,
-                    "max_attempts": cfg.max_attempts,
-                    "backoff_s": cfg.backoff_s,
-                },
-                "availability_gain": round(self.availability_gain, 6),
-                "runs": {
-                    name: {
-                        "summary": {
-                            key: (round(value, 6)
-                                  if isinstance(value, float) else value)
-                            for key, value in run.to_snapshot().items()
-                        },
-                        "fleet": run.snapshot.get("fleet", {}),
-                        "shards": {
-                            key: snap
-                            for key, snap in run.snapshot.items()
-                            if key != "fleet"
-                        },
-                    }
-                    for name, run in (
-                        ("replicated", self.replicated),
-                        ("baseline", self.baseline),
-                    )
-                },
-            },
-            indent=indent,
-        )
-
-
-def chaos_graph(config: FleetChaosConfig) -> Graph:
-    from repro.graphs.grid import make_paper_grid
-
-    return make_paper_grid(config.grid, config.cost_model, seed=config.seed)
+    def payload(self) -> Dict[str, Any]:
+        return {
+            "total_fault_rate": self.config.total_fault_rate,
+            "availability_gain": round(self.availability_gain, 6),
+            "runs": {name: run_entry(getattr(self, name)) for name in _RUNS},
+        }
 
 
 def run_chaos_replay(
@@ -375,7 +269,7 @@ def run_chaos_replay(
     against a rate-0 run to prove the noop path is byte-identical.
     """
     rows, cols = parse_layout(config.layout)
-    graph = chaos_graph(config)
+    graph = pinned_grid(config)
     partition = partition_graph(graph, rows, cols)
     fault_plans = None
     if attach_plans:
@@ -396,19 +290,20 @@ def run_chaos_replay(
     )
     feed = TrafficFeed(graph)
     feed.subscribe(router)
-    run = FleetChaosRun(replicas=replicas)
+    load = config.load_config()
+    run = FleetChaosRun(
+        config=load,
+        replicas=replicas,
+        shard_count=partition.shard_count,
+        cut_edges=len(partition.cut_edges),
+    )
     kills_by_round: Dict[int, List[int]] = {}
     for round_index, shard_id in config.kills:
         kills_by_round.setdefault(round_index, []).append(shard_id)
 
-    pairs = zipf_pairs(graph, config.queries, config.alpha, config.seed)
-    epoch_rng = random.Random(config.seed + 1)
-    base_costs = {
-        (edge.source, edge.target): edge.cost for edge in graph.edges()
-    }
-    rounds = max(1, config.rounds)
-    per_round = [pairs[index::rounds] for index in range(rounds)]
+    per_round, next_epoch = epoch_rounds(graph, load)
     records: List[Tuple] = []
+    latencies: List[float] = []
     previous_graph: Optional[Graph] = None
 
     started = time.perf_counter()
@@ -418,11 +313,7 @@ def run_chaos_replay(
                 # Snapshot the pre-epoch state first: it is the only
                 # state a stale serve could have been computed against.
                 previous_graph = graph.copy()
-                feed.apply(
-                    _perturbation(
-                        graph, base_costs, config.epoch_edges, epoch_rng
-                    )
-                )
+                feed.apply(next_epoch())
                 run.epochs_applied += 1
             for shard_id in kills_by_round.get(round_index, ()):
                 # Kill the highest replica index this run has — the
@@ -436,52 +327,32 @@ def run_chaos_replay(
             ] = {}
             for source, destination in round_pairs:
                 result = router.plan(source, destination)
-                run.queries += 1
-                if result.hedged:
-                    run.hedged += 1
-                run.failovers += result.failovers
-                run.retries += result.retries
+                latencies.append(result.latency_s)
                 if result.shed:
-                    run.shed += 1
                     records.append(
                         (round_index, source, destination, 1, 0, -1.0)
                     )
-                    continue
-                run.answered += 1
-                if result.found:
-                    run.found += 1
                 else:
-                    run.not_found += 1
-                if result.cross_shard:
-                    run.cross_shard += 1
-                if result.stitched:
-                    run.stitched += 1
-                records.append(
-                    (
-                        round_index,
-                        source,
-                        destination,
-                        0,
-                        1 if result.found else 0,
-                        round(result.cost, 9) if result.found else -1.0,
+                    records.append(
+                        (
+                            round_index,
+                            source,
+                            destination,
+                            0,
+                            1 if result.found else 0,
+                            round(result.cost, 9) if result.found else -1.0,
+                        )
                     )
-                )
-                run.audited += 1
-                complaint = _audit_one(graph, result, reference_cache)
+                complaint = run.tally(graph, result, reference_cache)
                 if complaint is not None:
-                    run.inexact += 1
                     if _is_stale(previous_graph, result):
                         run.stale_serves += 1
                         complaint = f"STALE {complaint}"
-                    if len(run.inexact_samples) < 8:
-                        run.inexact_samples.append(
-                            f"round {round_index}: {complaint}"
-                        )
+                    run.flag(round_index, complaint)
     finally:
         router.shutdown()
-    run.wall_s = time.perf_counter() - started
+    run.finish(started, latencies, router.snapshot())
     run.determinism_key = zlib.crc32(repr(tuple(records)).encode("utf-8"))
-    run.snapshot = router.snapshot()
     return run
 
 

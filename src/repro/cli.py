@@ -22,37 +22,11 @@ Commands
                workload at a sweep of operation indexes, recover from
                the write-ahead log, and audit committed-state survival
                (``--json``/``--out`` emit the audit for CI artifacts);
-``bench-wallclock`` time the pinned wall-clock workload (cold/warm
-               Dijkstra, A* euclidean/landmark, iterative, plan_many
-               batches on fixed seeds) on the CSR tier and the generic
-               reference loop; ``--min-speedup`` fails the run if the
-               CSR tier stops beating the generic loop on the pinned
-               Dijkstra;
-``bench-accel`` benchmark the preprocess → customize → query
-               accelerator pipeline: CCH-lite point queries vs the
-               CSR tier on a pinned pair batch, per-epoch
-               re-customization latency, and a Dijkstra exactness
-               audit across traffic epochs — exits non-zero on any
-               inexact answer or (with ``--min-speedup``) a missed
-               query-speedup floor;
-``bench-fleet`` partition the map into regional shards, serve a
-               seeded Zipf-skewed concurrent OD stream through the
-               stitching FleetRouter for each ``--layouts`` entry, and
-               audit every answer against whole-graph Dijkstra — exits
-               non-zero (and refuses ``--out``) on any inexact answer;
-``bench-fleet-chaos`` replay the seeded Zipf stream against a
-               replicated fleet under injected worker faults, replica
-               kills, and traffic epochs, then against a same-seed
-               replicas=1 baseline — exits non-zero (and refuses
-               ``--out``) on any inexact answer, stale serve, silent
-               drop, or if replication bought no availability;
-``bench-demand`` run the pinned batch-OD workload: skim the OD matrix
-               on the CSR tier vs per-pair point queries, audit every
-               cell/path/select-link flow bit-exact against the
-               reference SSSP across traffic epochs, and run the
-               Frank-Wolfe assignment to its relative-gap criterion —
-               exits non-zero (and refuses ``--out``) on any inexact
-               answer or a non-converged assignment.
+``bench``      run one pinned benchmark by name (``wallclock``,
+               ``accel``, ``demand``, ``fleet``, ``fleet-chaos``; see
+               :mod:`repro.bench`), print its summary and, with
+               ``--out``, write its JSON report — exits non-zero on a
+               failed audit (writing nothing) or a missed speedup floor.
 
 Graphs are specified with ``--graph``: ``grid:K[:costmodel[:seed]]``
 (e.g. ``grid:30:variance``), ``minneapolis[:seed]``, or ``json:PATH``
@@ -362,231 +336,25 @@ def _cmd_bench_recovery(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_bench_wallclock(args) -> int:
-    from repro.experiments.wallclock import WallclockConfig, run_wallclock
+def _cmd_bench(args) -> int:
+    from repro.bench import BENCHES, write_report
 
-    config = WallclockConfig(
-        grid=args.grid,
-        cost_model=args.cost_model,
-        seed=args.seed,
-        repetitions=args.reps,
-        batch_size=args.batch_size,
-        landmark_count=args.landmarks,
-    )
-    report = run_wallclock(config)
-    payload = report.to_json()
+    bench = BENCHES[args.name]
+    report = bench.run(bench.config)
+    for line in report.summary_lines():
+        print(line)
+    problems = report.problems()
+    if problems:
+        # A wrong answer means the system is broken, not slow: write
+        # nothing and fail the run.
+        print(f"FAIL: {'; '.join(problems)}", file=sys.stderr)
+        return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    else:
-        for line in report.summary_lines():
-            print(line)
-    dijkstra_speedup = report.speedups["dijkstra_csr_vs_generic"]
-    if args.min_speedup and dijkstra_speedup < args.min_speedup:
-        print(
-            f"FAIL: CSR Dijkstra speedup {dijkstra_speedup:.2f}x is below "
-            f"the required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_accel(args) -> int:
-    from repro.experiments.accelbench import AccelBenchConfig, run_accel_bench
-
-    config = AccelBenchConfig(
-        grid=args.grid,
-        cost_model=args.cost_model,
-        seed=args.seed,
-        repetitions=args.reps,
-        pairs=args.pairs,
-        epochs=args.epochs,
-        epoch_edges=args.epoch_edges,
-    )
-    report = run_accel_bench(config)
-    if not args.json:
-        for line in report.summary_lines():
-            print(line)
-    if not report.clean:
-        # An inexact accelerated answer means the overlay is wrong, not
-        # slow — refuse to emit JSON and fail the run.
-        print(
-            f"FAIL: accel audit found {report.total_inexact} inexact "
-            "answers (see summary above)",
-            file=sys.stderr,
-        )
-        return 1
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    speedup = report.speedups["cch_vs_csr"]
-    if args.min_speedup and speedup < args.min_speedup:
-        print(
-            f"FAIL: cch query speedup {speedup:.2f}x over the CSR tier "
-            f"is below the required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_demand(args) -> int:
-    from repro.experiments.demandbench import (
-        DemandBenchConfig,
-        run_demand_bench,
-    )
-
-    config = DemandBenchConfig(
-        grid=args.grid,
-        cost_model=args.cost_model,
-        seed=args.seed,
-        repetitions=args.reps,
-        origins=args.origins,
-        destinations=args.destinations,
-        links=args.links,
-        epochs=args.epochs,
-        epoch_edges=args.epoch_edges,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-    )
-    report = run_demand_bench(config)
-    if not args.json:
-        for line in report.summary_lines():
-            print(line)
-    if report.total_inexact != 0:
-        # An inexact skim cell or select-link flow means the batch tier
-        # disagrees with Dijkstra — refuse to emit JSON and fail.
-        print(
-            f"FAIL: demand audit found {report.total_inexact} inexact "
-            "answers (see summary above)",
-            file=sys.stderr,
-        )
-        return 1
-    if not report.assignment.converged:
-        print(
-            "FAIL: assignment did not reach relative gap "
-            f"{config.tolerance:.1e} within {config.max_iterations} "
-            f"iterations (final gap {report.assignment.relative_gap:.3e})",
-            file=sys.stderr,
-        )
-        return 1
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    return 0
-
-
-def _cmd_bench_fleet(args) -> int:
-    from repro.experiments.fleetload import FleetBenchConfig, run_fleet_bench
-
-    layouts = tuple(
-        spec.strip() for spec in args.layouts.split(",") if spec.strip()
-    )
-    if not layouts:
-        print("FAIL: --layouts must name at least one RxC layout",
-              file=sys.stderr)
-        return 1
-    config = FleetBenchConfig(
-        grid=args.grid,
-        cost_model=args.cost_model,
-        seed=args.seed,
-        layouts=layouts,
-        queries=args.queries,
-        rounds=args.rounds,
-        concurrency=args.concurrency,
-        alpha=args.alpha,
-        epoch_edges=args.epoch_edges,
-        max_queue=args.max_queue,
-        worker_threads=args.threads,
-    )
-    report = run_fleet_bench(config)
-    if not args.json:
-        for line in report.summary_lines():
-            print(line)
-    if not report.clean:
-        # Refuse to emit JSON for an inexact run — and fail loudly:
-        # an inexact stitched answer means the fleet is wrong, not slow.
-        print(
-            f"FAIL: fleet audit found {report.total_inexact} inexact "
-            "answers (see summary above)",
-            file=sys.stderr,
-        )
-        return 1
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    return 0
-
-
-def _cmd_bench_fleet_chaos(args) -> int:
-    from repro.experiments.fleetchaos import FleetChaosConfig, run_fleet_chaos
-
-    kills = []
-    if args.kills.strip():
-        for spec in args.kills.split(","):
-            spec = spec.strip()
-            if not spec:
-                continue
-            try:
-                round_index, shard_id = spec.split(":")
-                kills.append((int(round_index), int(shard_id)))
-            except ValueError:
-                print(
-                    f"FAIL: bad --kills entry {spec!r} "
-                    "(expected ROUND:SHARD)",
-                    file=sys.stderr,
-                )
-                return 1
-    config = FleetChaosConfig(
-        grid=args.grid,
-        cost_model=args.cost_model,
-        seed=args.seed,
-        layout=args.layout,
-        replicas=args.replicas,
-        queries=args.queries,
-        rounds=args.rounds,
-        alpha=args.alpha,
-        epoch_edges=args.epoch_edges,
-        fault_seed=args.fault_seed,
-        error_rate=args.error_rate,
-        latency_rate=args.latency_rate,
-        hang_rate=args.hang_rate,
-        kills=tuple(kills),
-        max_queue=args.max_queue,
-        worker_threads=args.threads,
-    )
-    report = run_fleet_chaos(config)
-    if not args.json:
-        for line in report.summary_lines():
-            print(line)
-    if not report.clean:
-        # Refuse to emit JSON for an unclean run — and fail loudly: an
-        # inexact or stale answer under chaos means the degradation
-        # ladder is broken, not that the fleet is merely slow.
-        print(
-            "FAIL: fleet chaos audit not clean (see summary above)",
-            file=sys.stderr,
-        )
-        return 1
-    payload = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    return 0
+        write_report(report, args.out)
+    missed = bench.missed_floors(report)
+    for line in missed:
+        print(f"FAIL: speedup {line}", file=sys.stderr)
+    return 1 if missed else 0
 
 
 def _cmd_info(args) -> int:
@@ -611,6 +379,8 @@ def _cmd_info(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench import BENCHES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ATIS path computation (ICDE 1993 reproduction)",
@@ -786,170 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="also write the JSON audit to PATH")
     bench_recovery.set_defaults(func=_cmd_bench_recovery)
 
-    bench_wallclock = commands.add_parser(
-        "bench-wallclock",
-        help="time the pinned wall-clock workload on the CSR tier and "
-             "the generic reference loop (the repo's perf trajectory)",
+    bench = commands.add_parser(
+        "bench",
+        help="run one pinned benchmark (the BENCH_*.json trajectory), "
+             "audited for exactness",
     )
-    bench_wallclock.add_argument("--grid", type=int, default=30,
-                                 help="pinned grid size K (default 30)")
-    bench_wallclock.add_argument("--cost-model", default="variance")
-    bench_wallclock.add_argument("--seed", type=int, default=1993)
-    bench_wallclock.add_argument("--reps", type=int, default=5,
-                                 help="timed runs per scenario "
-                                      "(best-of-N is reported)")
-    bench_wallclock.add_argument("--batch-size", type=int, default=24,
-                                 help="queries in the plan_many batch")
-    bench_wallclock.add_argument("--landmarks", type=int, default=4)
-    bench_wallclock.add_argument("--min-speedup", type=float, default=0.0,
-                                 help="exit 1 if the CSR tier's pinned "
-                                      "Dijkstra speedup over the generic "
-                                      "loop falls below this ratio")
-    bench_wallclock.add_argument("--json", action="store_true",
-                                 help="print the full report as JSON")
-    bench_wallclock.add_argument("--out", metavar="PATH", default="",
-                                 help="also write the JSON report to PATH")
-    bench_wallclock.set_defaults(func=_cmd_bench_wallclock)
-
-    bench_accel = commands.add_parser(
-        "bench-accel",
-        help="benchmark the preprocess/customize/query accelerator "
-             "pipeline (CCH-lite) against the CSR tier, auditing "
-             "every answer against Dijkstra across traffic epochs",
-    )
-    bench_accel.add_argument("--grid", type=int, default=30,
-                             help="pinned grid size K (default 30)")
-    bench_accel.add_argument("--cost-model", default="variance")
-    bench_accel.add_argument("--seed", type=int, default=1993)
-    bench_accel.add_argument("--reps", type=int, default=3,
-                             help="timed runs of the pair batch per "
-                                  "scenario (best-of-N is reported)")
-    bench_accel.add_argument("--pairs", type=int, default=55,
-                             help="OD pairs in the query batch")
-    bench_accel.add_argument("--epochs", type=int, default=3,
-                             help="traffic epochs applied after the "
-                                  "query scenarios")
-    bench_accel.add_argument("--epoch-edges", type=int, default=12,
-                             help="edges re-priced per epoch")
-    bench_accel.add_argument("--min-speedup", type=float, default=0.0,
-                             help="exit 1 if the cch query speedup over "
-                                  "the CSR tier falls below this ratio")
-    bench_accel.add_argument("--json", action="store_true",
-                             help="print the full report as JSON")
-    bench_accel.add_argument("--out", metavar="PATH", default="",
-                             help="also write the JSON report to PATH")
-    bench_accel.set_defaults(func=_cmd_bench_accel)
-
-    bench_demand = commands.add_parser(
-        "bench-demand",
-        help="run the pinned batch-OD workload (skim matrices, "
-             "select-link, Frank-Wolfe assignment), auditing every "
-             "answer bit-exact against the reference SSSP",
-    )
-    bench_demand.add_argument("--grid", type=int, default=30,
-                              help="pinned grid size K (default 30)")
-    bench_demand.add_argument("--cost-model", default="variance")
-    bench_demand.add_argument("--seed", type=int, default=1993)
-    bench_demand.add_argument("--reps", type=int, default=3,
-                              help="timed runs of the full skim per "
-                                   "scenario (best-of-N is reported)")
-    bench_demand.add_argument("--origins", type=int, default=12,
-                              help="origin zones in the skim")
-    bench_demand.add_argument("--destinations", type=int, default=12,
-                              help="destination zones in the skim")
-    bench_demand.add_argument("--links", type=int, default=8,
-                              help="links under select-link analysis")
-    bench_demand.add_argument("--epochs", type=int, default=3,
-                              help="traffic epochs re-audited after "
-                                   "the timed scenarios")
-    bench_demand.add_argument("--epoch-edges", type=int, default=12,
-                              help="edges re-priced per epoch")
-    bench_demand.add_argument("--tolerance", type=float, default=1e-4,
-                              help="assignment relative-gap criterion")
-    bench_demand.add_argument("--max-iterations", type=int, default=150,
-                              help="assignment iteration cap")
-    bench_demand.add_argument("--json", action="store_true",
-                              help="print the full report as JSON")
-    bench_demand.add_argument("--out", metavar="PATH", default="",
-                              help="also write the JSON report to PATH")
-    bench_demand.set_defaults(func=_cmd_bench_demand)
-
-    bench_fleet = commands.add_parser(
-        "bench-fleet",
-        help="serve a skewed concurrent OD stream from a sharded fleet, "
-             "auditing every answer against whole-graph Dijkstra",
-    )
-    bench_fleet.add_argument("--grid", type=int, default=12,
-                             help="paper-grid side length (default 12)")
-    bench_fleet.add_argument("--cost-model", default="variance")
-    bench_fleet.add_argument("--seed", type=int, default=1993)
-    bench_fleet.add_argument("--layouts", default="2x2,3x3",
-                             help="comma-separated RxC shard layouts "
-                                  "(default 2x2,3x3)")
-    bench_fleet.add_argument("--queries", type=int, default=2000,
-                             help="OD queries per layout (default 2000)")
-    bench_fleet.add_argument("--rounds", type=int, default=4,
-                             help="rounds per layout; one traffic epoch "
-                                  "lands between rounds (default 4)")
-    bench_fleet.add_argument("--concurrency", type=int, default=8,
-                             help="concurrent client threads (default 8)")
-    bench_fleet.add_argument("--alpha", type=float, default=1.1,
-                             help="Zipf skew exponent (default 1.1)")
-    bench_fleet.add_argument("--epoch-edges", type=int, default=32,
-                             help="edges perturbed per epoch (default 32)")
-    bench_fleet.add_argument("--max-queue", type=int, default=128,
-                             help="per-shard admission bound (default 128)")
-    bench_fleet.add_argument("--threads", type=int, default=2,
-                             help="executor threads per shard (default 2)")
-    bench_fleet.add_argument("--json", action="store_true",
-                             help="print the report as JSON")
-    bench_fleet.add_argument("--out", metavar="PATH", default="",
-                             help="also write the JSON report to PATH")
-    bench_fleet.set_defaults(func=_cmd_bench_fleet)
-
-    bench_chaos = commands.add_parser(
-        "bench-fleet-chaos",
-        help="replicated fleet under injected faults, kills, and epochs, "
-             "audited exact-or-flagged against whole-graph Dijkstra",
-    )
-    bench_chaos.add_argument("--grid", type=int, default=10,
-                             help="paper grid side (default 10)")
-    bench_chaos.add_argument("--cost-model", default="variance")
-    bench_chaos.add_argument("--seed", type=int, default=1993)
-    bench_chaos.add_argument("--layout", default="2x2",
-                             help="shard layout RxC (default 2x2)")
-    bench_chaos.add_argument("--replicas", type=int, default=2,
-                             help="workers per shard in the replicated run "
-                                  "(default 2)")
-    bench_chaos.add_argument("--queries", type=int, default=240,
-                             help="Zipf OD queries (default 240)")
-    bench_chaos.add_argument("--rounds", type=int, default=4,
-                             help="rounds; one epoch before each round "
-                                  "after the first (default 4)")
-    bench_chaos.add_argument("--alpha", type=float, default=1.1,
-                             help="Zipf skew exponent (default 1.1)")
-    bench_chaos.add_argument("--epoch-edges", type=int, default=24,
-                             help="edges perturbed per epoch (default 24)")
-    bench_chaos.add_argument("--fault-seed", type=int, default=7,
-                             help="worker fault-plan seed (default 7)")
-    bench_chaos.add_argument("--error-rate", type=float, default=0.06,
-                             help="transient task-error rate (default 0.06)")
-    bench_chaos.add_argument("--latency-rate", type=float, default=0.03,
-                             help="injected-latency rate (default 0.03)")
-    bench_chaos.add_argument("--hang-rate", type=float, default=0.01,
-                             help="hung-task rate (default 0.01)")
-    bench_chaos.add_argument("--kills", default="2:0",
-                             help="comma-separated ROUND:SHARD replica "
-                                  "kills (default '2:0'; '' for none)")
-    bench_chaos.add_argument("--max-queue", type=int, default=128,
-                             help="per-worker admission bound (default 128)")
-    bench_chaos.add_argument("--threads", type=int, default=6,
-                             help="executor threads per replica (default 6)")
-    bench_chaos.add_argument("--json", action="store_true",
-                             help="print the report as JSON")
-    bench_chaos.add_argument("--out", metavar="PATH", default="",
-                             help="also write the JSON report to PATH")
-    bench_chaos.set_defaults(func=_cmd_bench_fleet_chaos)
+    bench.add_argument("name", choices=list(BENCHES))
+    bench.add_argument("--out", metavar="PATH", default="",
+                       help="also write the JSON report to PATH")
+    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

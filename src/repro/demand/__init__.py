@@ -17,7 +17,7 @@ that feed each other:
   relative-gap criterion.
 
 Everything is auditable against the independent dict-of-dict
-:func:`~repro.kernel.loop.reference_sssp` — `atis-repro bench-demand`
+:func:`~repro.kernel.loop.reference_sssp` — `atis-repro bench demand`
 runs the full harness and refuses to emit a report that is not
 bit-exact and converged.
 """

@@ -30,7 +30,7 @@ is the exact route the single-pair search returns for it — both relax
 edges in the same order — so skim answers are auditable cell-by-cell,
 with ``==``, against the independent
 :func:`~repro.kernel.loop.reference_sssp` (tests/test_demand.py and the
-``bench-demand`` harness hold the proofs).
+``repro.bench.demand`` benchmark hold the proofs).
 """
 
 from __future__ import annotations

@@ -15,9 +15,6 @@ from repro.experiments.spec import (
     get_experiment,
 )
 
-# Benchmark harnesses (wallclock, fleetload, fleetchaos, demand) are
-# imported lazily by the CLI and benchmarks — not re-exported here.
-
 __all__ = [
     "Measurement",
     "PAPER_ALGORITHMS",

@@ -21,7 +21,7 @@ The subsystem has three pieces:
   (transient task errors, injected latency, hung tasks, and
   no-extra-draw replica kills mirroring ``crash_at_op``), consumed by
   :mod:`repro.fleet` and proven by
-  :mod:`repro.experiments.fleetchaos`.
+  :mod:`repro.bench.fleet_chaos`.
 
 A database without an injector — or with a rate-0 plan — runs the
 exact seed code path: zero extra charges, zero behaviour change.

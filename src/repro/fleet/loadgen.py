@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr
@@ -63,7 +63,6 @@ class FleetLoadConfig:
     seed: int = 1993
     #: Edges perturbed per inter-round epoch (multiplier in [0.5, 2]).
     epoch_edges: int = 32
-    audit: bool = True
 
 
 @dataclass
@@ -133,6 +132,57 @@ class FleetLoadReport:
             "clean": int(self.clean),
         }
 
+    def tally(
+        self,
+        graph: Graph,
+        result: FleetResult,
+        reference_cache: Dict[Tuple[NodeId, NodeId], Tuple[bool, float]],
+    ) -> Optional[str]:
+        """Count one answer and audit it against ``graph``'s current state.
+
+        Returns the audit complaint for an inexact answer (the caller
+        records it with :meth:`flag`), else None. Shed answers are
+        counted, not audited.
+        """
+        self.queries += 1
+        if result.hedged:
+            self.hedged += 1
+        self.failovers += result.failovers
+        self.retries += result.retries
+        if result.shed:
+            self.shed += 1
+            return None
+        self.answered += 1
+        if result.found:
+            self.found += 1
+        else:
+            self.not_found += 1
+        if result.cross_shard:
+            self.cross_shard += 1
+        if result.stitched:
+            self.stitched += 1
+        self.audited += 1
+        return _audit_one(graph, result, reference_cache)
+
+    def finish(
+        self, started: float, latencies: List[float],
+        snapshot: Dict[str, Snapshot],
+    ) -> None:
+        """Close the run begun at ``started`` (a ``perf_counter`` time)."""
+        self.wall_s = time.perf_counter() - started
+        self.throughput_qps = (
+            self.queries / self.wall_s if self.wall_s > 0 else 0.0
+        )
+        self.p50_latency_ms = percentile(latencies, 50) * 1e3
+        self.p99_latency_ms = percentile(latencies, 99) * 1e3
+        self.snapshot = snapshot
+
+    def flag(self, round_index: int, complaint: str) -> None:
+        """Record one inexact answer (keeping the first few as samples)."""
+        self.inexact += 1
+        if len(self.inexact_samples) < 8:
+            self.inexact_samples.append(f"round {round_index}: {complaint}")
+
 
 def zipf_pairs(
     graph: Graph, count: int, alpha: float, seed: int
@@ -154,17 +204,36 @@ def zipf_pairs(
     return list(zip(sources, targets))
 
 
-def _perturbation(
-    graph: Graph, base_costs: Dict[Tuple[NodeId, NodeId], float],
-    count: int, rng: random.Random,
-) -> List[Tuple[NodeId, NodeId, float]]:
-    """One epoch's worth of absolute cost updates (vs free-flow base)."""
-    edges = rng.sample(sorted(base_costs), k=min(count, len(base_costs)))
-    return [
-        (source, target,
-         base_costs[(source, target)] * rng.uniform(0.5, 2.0))
-        for source, target in edges
-    ]
+def epoch_rounds(
+    graph: Graph, config: FleetLoadConfig
+) -> Tuple[List[List[Tuple[NodeId, NodeId]]], Callable[[], List[Tuple]]]:
+    """The workload's query rounds and its epoch generator.
+
+    Returns ``(rounds, next_epoch)``: the seeded Zipf stream split
+    round-robin into ``config.rounds`` rounds, and a function drawing
+    one epoch's absolute cost updates (``epoch_edges`` edges, each at
+    its free-flow cost times a multiplier in [0.5, 2]) from one seeded
+    stream. The driver applies one epoch before every round after the
+    first.
+    """
+    pairs = zipf_pairs(graph, config.queries, config.alpha, config.seed)
+    epoch_rng = random.Random(config.seed + 1)
+    base_costs = {
+        (edge.source, edge.target): edge.cost for edge in graph.edges()
+    }
+    rounds = max(1, config.rounds)
+
+    def next_epoch() -> List[Tuple]:
+        edges = epoch_rng.sample(
+            sorted(base_costs), k=min(config.epoch_edges, len(base_costs))
+        )
+        return [
+            (source, target,
+             base_costs[(source, target)] * epoch_rng.uniform(0.5, 2.0))
+            for source, target in edges
+        ]
+
+    return [pairs[index::rounds] for index in range(rounds)], next_epoch
 
 
 def _audit_one(
@@ -225,13 +294,7 @@ def run_fleet_load(
         shard_count=router.partition.shard_count,
         cut_edges=len(router.partition.cut_edges),
     )
-    pairs = zipf_pairs(graph, config.queries, config.alpha, config.seed)
-    epoch_rng = random.Random(config.seed + 1)
-    base_costs = {
-        (edge.source, edge.target): edge.cost for edge in graph.edges()
-    }
-    rounds = max(1, config.rounds)
-    per_round = [pairs[index::rounds] for index in range(rounds)]
+    per_round, next_epoch = epoch_rounds(graph, config)
     latencies: List[float] = []
     lock = threading.Lock()
 
@@ -245,11 +308,7 @@ def run_fleet_load(
                 # Quiesced between rounds: the pool drained the prior
                 # round's futures, so this epoch defines the exact
                 # graph state every answer below is audited against.
-                feed.apply(
-                    _perturbation(
-                        graph, base_costs, config.epoch_edges, epoch_rng
-                    )
-                )
+                feed.apply(next_epoch())
                 report.epochs_applied += 1
 
             def serve(pair: Tuple[NodeId, NodeId]) -> FleetResult:
@@ -262,37 +321,8 @@ def run_fleet_load(
 
             reference_cache: Dict[Tuple[NodeId, NodeId], Tuple[bool, float]] = {}
             for result in results:
-                report.queries += 1
-                if result.hedged:
-                    report.hedged += 1
-                report.failovers += result.failovers
-                report.retries += result.retries
-                if result.shed:
-                    report.shed += 1
-                    continue
-                report.answered += 1
-                if result.found:
-                    report.found += 1
-                else:
-                    report.not_found += 1
-                if result.cross_shard:
-                    report.cross_shard += 1
-                if result.stitched:
-                    report.stitched += 1
-                if config.audit:
-                    report.audited += 1
-                    complaint = _audit_one(graph, result, reference_cache)
-                    if complaint is not None:
-                        report.inexact += 1
-                        if len(report.inexact_samples) < 8:
-                            report.inexact_samples.append(
-                                f"round {round_index}: {complaint}"
-                            )
-    report.wall_s = time.perf_counter() - started
-    report.throughput_qps = (
-        report.queries / report.wall_s if report.wall_s > 0 else 0.0
-    )
-    report.p50_latency_ms = percentile(latencies, 50) * 1e3
-    report.p99_latency_ms = percentile(latencies, 99) * 1e3
-    report.snapshot = router.snapshot()
+                complaint = report.tally(graph, result, reference_cache)
+                if complaint is not None:
+                    report.flag(round_index, complaint)
+    report.finish(started, latencies, router.snapshot())
     return report

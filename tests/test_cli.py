@@ -2,7 +2,16 @@
 
 import pytest
 
+from repro.bench import BENCHES
 from repro.cli import _load_graph, _parse_node, main
+
+
+def _trim(monkeypatch, name, **fields):
+    """Swap a registry entry's pinned config for a trimmed copy."""
+    from dataclasses import replace
+
+    bench = BENCHES[name]
+    monkeypatch.setattr(bench, "config", replace(bench.config, **fields))
 
 
 class TestParsing:
@@ -135,15 +144,16 @@ class TestCommands:
         audit = json.loads(capsys.readouterr().out)
         assert audit["survival"] == 1.0
 
-    def test_bench_wallclock(self, tmp_path, capsys):
+    def test_bench_wallclock(self, tmp_path, capsys, monkeypatch):
         import json
 
+        _trim(monkeypatch, "wallclock", grid=8, repetitions=1,
+              batch_size=4, landmark_count=2)
+        # A trimmed workload's ratio is not the pinned one; the floor
+        # has its own test below.
+        monkeypatch.setattr(BENCHES["wallclock"], "floors", {})
         out_path = tmp_path / "wallclock.json"
-        code = main([
-            "bench-wallclock", "--grid", "8", "--reps", "1",
-            "--batch-size", "4", "--landmarks", "2",
-            "--out", str(out_path),
-        ])
+        code = main(["bench", "wallclock", "--out", str(out_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "dijkstra/csr-warm" in out
@@ -153,15 +163,13 @@ class TestCommands:
         assert "dijkstra/generic" in report["scenarios"]
         assert "dijkstra_csr_vs_generic" in report["speedups"]
 
-    def test_bench_fleet(self, tmp_path, capsys):
+    def test_bench_fleet(self, tmp_path, capsys, monkeypatch):
         import json
 
+        _trim(monkeypatch, "fleet", grid=6, queries=80, rounds=2,
+              concurrency=2, layouts=("2x2", "1x2"))
         out_path = tmp_path / "fleet.json"
-        code = main([
-            "bench-fleet", "--grid", "6", "--queries", "80",
-            "--rounds", "2", "--concurrency", "2",
-            "--layouts", "2x2,1x2", "--out", str(out_path),
-        ])
+        code = main(["bench", "fleet", "--out", str(out_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "audit: clean" in out
@@ -171,23 +179,38 @@ class TestCommands:
             assert entry["summary"]["inexact"] == 0
             assert entry["summary"]["queries"] == 80
 
-    def test_bench_fleet_rejects_empty_layouts(self, capsys):
-        code = main(["bench-fleet", "--layouts", " , "])
+    def test_bench_fleet_rejects_empty_layouts(self, tmp_path, capsys,
+                                               monkeypatch):
+        # A config with no layouts would audit clean vacuously: the
+        # writer refuses it and nothing is written.
+        _trim(monkeypatch, "fleet", layouts=())
+        out_path = tmp_path / "fleet.json"
+        code = main(["bench", "fleet", "--out", str(out_path)])
         assert code == 1
-        assert "at least one" in capsys.readouterr().err
+        assert "no layouts" in capsys.readouterr().err
+        assert not out_path.exists()
 
-    def test_bench_wallclock_min_speedup_gate(self, capsys):
-        # An impossible floor must fail the run (the CI gate contract).
-        code = main([
-            "bench-wallclock", "--grid", "8", "--reps", "1",
-            "--batch-size", "4", "--landmarks", "2",
-            "--min-speedup", "1000", "--json",
-        ])
-        assert code == 1
+    def test_bench_wallclock_min_speedup_gate(self, tmp_path, capsys,
+                                              monkeypatch):
         import json
 
-        report = json.loads(capsys.readouterr().out)
+        # An impossible floor must fail the run (the CI gate contract);
+        # the complete, audited report is still written.
+        _trim(monkeypatch, "wallclock", grid=8, repetitions=1,
+              batch_size=4, landmark_count=2)
+        monkeypatch.setattr(
+            BENCHES["wallclock"], "floors", {"dijkstra_csr_vs_generic": 1000.0}
+        )
+        out_path = tmp_path / "wallclock.json"
+        code = main(["bench", "wallclock", "--out", str(out_path)])
+        assert code == 1
+        assert "FAIL: speedup dijkstra_csr_vs_generic" in capsys.readouterr().err
+        report = json.loads(out_path.read_text())
         assert set(report["scenarios"]) >= {"dijkstra/generic", "plan_many/warm"}
+
+    def test_bench_unknown_name_exits(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "nope"])
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

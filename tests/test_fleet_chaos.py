@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.experiments.fleetchaos import (
+from repro.bench.fleet_chaos import (
     FleetChaosConfig,
     FleetChaosReport,
     FleetChaosRun,
@@ -66,8 +65,7 @@ def chaos_report():
 class TestChaosAudit:
     def test_audit_clean_at_ten_percent_fault_rate(self, chaos_report):
         assert _CFG.total_fault_rate == pytest.approx(0.10)
-        assert chaos_report.complete
-        assert chaos_report.clean
+        assert chaos_report.problems() == []
         for run in (chaos_report.replicated, chaos_report.baseline):
             assert run.inexact == 0, run.inexact_samples
             assert run.stale_serves == 0
@@ -98,7 +96,8 @@ class TestChaosAudit:
     def test_json_round_trip(self, chaos_report):
         payload = json.loads(chaos_report.to_json())
         assert payload["availability_gain"] > 0
-        assert payload["faults"]["total_rate"] == pytest.approx(0.10)
+        assert payload["total_fault_rate"] == pytest.approx(0.10)
+        assert payload["workload"]["kills"] == [list(k) for k in _CFG.kills]
         for name in ("replicated", "baseline"):
             summary = payload["runs"][name]["summary"]
             assert summary["inexact"] == 0
@@ -131,6 +130,12 @@ class TestDeterminism:
             assert run.availability == 1.0
 
 
+def _run(replicas, **counts):
+    return FleetChaosRun(
+        config=_QUIET.load_config(), replicas=replicas, **counts
+    )
+
+
 class TestReportGuards:
     def test_refuses_partial_report(self):
         report = FleetChaosReport(config=_QUIET)
@@ -140,20 +145,29 @@ class TestReportGuards:
     def test_refuses_inexact_report(self):
         report = FleetChaosReport(
             config=_QUIET,
-            replicated=FleetChaosRun(
-                replicas=2, queries=10, answered=10, inexact=1
-            ),
-            baseline=FleetChaosRun(replicas=1, queries=10, answered=10),
+            replicated=_run(2, queries=10, answered=10, inexact=1),
+            baseline=_run(1, queries=10, answered=10),
         )
         assert not report.clean
         with pytest.raises(ValueError, match="inexact"):
             report.to_json()
 
+    def test_refuses_stale_report(self):
+        report = FleetChaosReport(
+            config=_QUIET,
+            replicated=_run(2, queries=10, answered=10),
+            baseline=_run(1, queries=10, answered=10, inexact=1,
+                          stale_serves=1),
+        )
+        assert not report.baseline.clean
+        with pytest.raises(ValueError, match="stale"):
+            report.to_json()
+
     def test_refuses_silent_drops(self):
         report = FleetChaosReport(
             config=_QUIET,
-            replicated=FleetChaosRun(replicas=2, queries=10, answered=9),
-            baseline=FleetChaosRun(replicas=1, queries=10, answered=10),
+            replicated=_run(2, queries=10, answered=9),
+            baseline=_run(1, queries=10, answered=10),
         )
         with pytest.raises(ValueError, match="silent drops"):
             report.to_json()
@@ -162,14 +176,8 @@ class TestReportGuards:
         config = FleetChaosConfig(kills=((1, 0),))
         report = FleetChaosReport(
             config=config,
-            replicated=FleetChaosRun(replicas=2, queries=10, answered=8, shed=2),
-            baseline=FleetChaosRun(replicas=1, queries=10, answered=8, shed=2),
+            replicated=_run(2, queries=10, answered=8, shed=2),
+            baseline=_run(1, queries=10, answered=8, shed=2),
         )
         with pytest.raises(ValueError, match="no availability"):
             report.to_json()
-
-
-class TestCli:
-    def test_rejects_malformed_kills(self, capsys):
-        assert main(["bench-fleet-chaos", "--kills", "bogus"]) == 1
-        assert "bad --kills" in capsys.readouterr().err

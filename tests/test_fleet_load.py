@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.fleetload import (
-    EXPECTED_LAYOUTS,
-    FleetBenchConfig,
-    FleetBenchReport,
-    run_fleet_bench,
-)
+from repro.bench.fleet import FleetBenchConfig, FleetBenchReport, run_fleet_bench
 from repro.fleet import (
     FleetLoadConfig,
     FleetRouter,
@@ -21,6 +16,8 @@ from repro.graphs.grid import make_paper_grid
 from repro.traffic.feed import TrafficFeed
 
 pytestmark = pytest.mark.fleet
+
+EXPECTED_LAYOUTS = FleetBenchConfig().layouts
 
 
 class TestZipfPairs:
@@ -108,7 +105,7 @@ class TestFleetBenchReport:
 
     def test_covers_expected_layouts_and_audits_clean(self, bench):
         assert tuple(bench.runs) == EXPECTED_LAYOUTS
-        assert bench.complete and bench.clean
+        assert bench.problems() == []
 
     def test_json_payload_shape(self, bench):
         payload = json.loads(bench.to_json())
@@ -122,7 +119,7 @@ class TestFleetBenchReport:
     def test_partial_report_refuses_json(self, bench):
         partial = FleetBenchReport(config=bench.config)
         partial.runs["2x2"] = bench.runs["2x2"]
-        assert not partial.complete
+        assert partial.missing == ["3x3"]
         with pytest.raises(ValueError, match="partial"):
             partial.to_json()
 
@@ -132,14 +129,15 @@ class TestFleetBenchReport:
         poisoned = FleetBenchReport(config=bench.config)
         poisoned.runs = {k: copy.copy(v) for k, v in bench.runs.items()}
         poisoned.runs["2x2"].inexact = 1
-        assert poisoned.complete and not poisoned.clean
+        assert not poisoned.missing and not poisoned.clean
         with pytest.raises(ValueError, match="inexact"):
             poisoned.to_json()
 
-    def test_layout_narrowing_stays_incomplete(self):
-        config = FleetBenchConfig(
-            grid=6, queries=40, rounds=1, concurrency=2, epoch_edges=0
-        )
-        subset = run_fleet_bench(config, layouts=("2x2",))
-        assert not subset.complete
-        assert subset.missing == ["3x3"]
+    def test_silent_drop_refuses_json(self, bench):
+        import copy
+
+        dropped = FleetBenchReport(config=bench.config)
+        dropped.runs = {k: copy.copy(v) for k, v in bench.runs.items()}
+        dropped.runs["3x3"].answered -= 1
+        with pytest.raises(ValueError, match="silent drops"):
+            dropped.to_json()
