@@ -123,6 +123,7 @@ class Graph:
         self._edge_count = 0
         self._uid = next(_GRAPH_UIDS)
         self._version = 0
+        self._last_cost_change: Optional[Tuple[int, Tuple[CostDelta, ...]]] = None
         self._cost_lock = threading.Lock()
         self._updating = False
 
@@ -161,6 +162,19 @@ class Graph:
         """
         return self._updating
 
+    @property
+    def last_cost_change(self) -> Optional[Tuple[int, Tuple[CostDelta, ...]]]:
+        """``(from_version, deltas)`` of the latest cost-only change.
+
+        Recorded by :meth:`update_edge_cost` and
+        :meth:`apply_cost_updates` just before their version bump, and
+        cleared by every structural edit. When ``from_version + 1`` is
+        the current version, ``deltas`` turn the state at
+        ``from_version`` into the current one — what lets derived state
+        (the CSR snapshot) advance by the deltas instead of rebuilding.
+        """
+        return self._last_cost_change
+
     @contextmanager
     def _cost_epoch(self) -> Iterator[None]:
         """Serialize cost writers and publish one version bump per batch.
@@ -189,6 +203,7 @@ class Graph:
         self._nodes[node_id] = node
         self._adjacency[node_id] = {}
         self._reverse[node_id] = {}
+        self._last_cost_change = None
         self._version += 1
         return node
 
@@ -209,6 +224,7 @@ class Graph:
             self._edge_count += 1
         self._adjacency[source][target] = cost
         self._reverse[target][source] = cost
+        self._last_cost_change = None
         self._version += 1
         return Edge(source, target, cost)
 
@@ -226,6 +242,7 @@ class Graph:
         except KeyError:
             raise EdgeNotFoundError(source, target) from None
         self._edge_count -= 1
+        self._last_cost_change = None
         self._version += 1
 
     def update_edge_cost(self, source: NodeId, target: NodeId, cost: float) -> None:
@@ -234,8 +251,13 @@ class Graph:
             raise EdgeNotFoundError(source, target)
         cost = _validated_cost(source, target, cost)
         with self._cost_epoch():
+            old = self._adjacency[source][target]
             self._adjacency[source][target] = cost
             self._reverse[target][source] = cost
+            self._last_cost_change = (
+                self._version,
+                (CostDelta(source, target, old, cost),),
+            )
 
     def apply_cost_updates(
         self, updates: Iterable[Tuple[NodeId, NodeId, float]]
@@ -281,6 +303,7 @@ class Graph:
                     )
                     self._adjacency[source][target] = cost
                     self._reverse[target][source] = cost
+                self._last_cost_change = (self._version, tuple(deltas))
                 self._version += 1
             finally:
                 self._updating = False

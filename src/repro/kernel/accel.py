@@ -53,10 +53,13 @@ symmetrically for ``bw``, remembering the mediating ``x`` for path
 unpacking. After the pass every remaining triangle inequality holds,
 which is exactly the invariant the query needs. The incremental
 variant seeds a worklist with the arcs of the epoch's delta edges and
-re-resolves in ascending arc order, propagating along the inverted
-triangle index only when an arc's weight actually changed — it reaches
-the identical fixpoint as the full pass (same min over the same sums),
-which tests assert array-for-array.
+re-resolves in ascending arc order. A moved arc pushes a mediated arc
+along the inverted triangle index only when their triangle was tight
+for it (its candidate ``<=`` the stored weight) before or after the
+move — a triangle slack on both sides can change neither the arc's
+minimum nor its remembered middle. It reaches the identical fixpoint
+as the full pass (same min over the same sums), which tests assert
+array-for-array.
 
 ``query`` walks the two elimination-tree ancestor paths — no heap, no
 visited set: relax every upward arc out of each ancestor of the source
@@ -340,7 +343,9 @@ class CCHAccelerator(Accelerator):
         self._tri_lo: List[int] = []  # arc (x, lower) per triangle
         self._tri_hi: List[int] = []  # arc (x, upper) per triangle
         self._up_tri_indptr: List[int] = []
+        self._up_tri_split: List[int] = []
         self._up_tri_arc: List[int] = []
+        self._up_tri_other: List[int] = []
         self._base_fw_slot: List[int] = []
         self._base_bw_slot: List[int] = []
         self.original_edges = 0
@@ -356,8 +361,10 @@ class CCHAccelerator(Accelerator):
     # ------------------------------------------------------------------
     @staticmethod
     def _topology_signature(csr: _csr.CSRGraph) -> Tuple:
-        # References to the snapshot's (immutable) lists: comparison is
-        # a C-level elementwise ==, no per-check tuple materialisation.
+        # References to the snapshot's (immutable) lists. A snapshot
+        # derived by a cost-only change shares these very lists, so the
+        # tuple comparison is an identity check per item; only a full
+        # rebuild pays the C-level elementwise ==.
         return (
             csr.node_count,
             csr.edge_count,
@@ -483,13 +490,11 @@ class CCHAccelerator(Accelerator):
             node_arc_end[u] = len(arc_lower)
         m = len(arc_lower)
 
-        # Lower triangles per arc, plus the inverted index (which arcs
-        # each arc mediates) for incremental propagation. Iterating x
-        # in rank order keeps each arc's triangle list sorted by the
-        # middle's rank — the full and incremental passes therefore
-        # fold candidates in the identical float order.
+        # Lower triangles per arc. Iterating x in rank order keeps each
+        # arc's triangle list sorted by the middle's rank — the full
+        # and incremental passes therefore fold candidates in the
+        # identical float order.
         tri_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(m)]
-        up_tri_lists: List[List[int]] = [[] for _ in range(m)]
         for x in order:
             nbrs = up_neighbors[x]
             for i_pos, v_i in enumerate(nbrs):
@@ -498,8 +503,6 @@ class CCHAccelerator(Accelerator):
                     t = arc_of[(v_i, v_j)]
                     a_hi = arc_of[(x, v_j)]
                     tri_lists[t].append((x, a_lo, a_hi))
-                    up_tri_lists[a_lo].append(t)
-                    up_tri_lists[a_hi].append(t)
 
         tri_indptr = [0] * (m + 1)
         tri_mid: List[int] = []
@@ -511,11 +514,39 @@ class CCHAccelerator(Accelerator):
                 tri_lo.append(a_lo)
                 tri_hi.append(a_hi)
             tri_indptr[a + 1] = len(tri_mid)
+        del tri_lists  # the flat arrays replace it; lower the peak
+        # The inverted index for incremental propagation: which arcs t
+        # each arc a mediates, and through which other side b. Per arc,
+        # the triangles where a is the lower side (x, lo(t)) fill
+        # up_tri_indptr[a]:up_tri_split[a], those where it is the upper
+        # side (x, hi(t)) the rest up to up_tri_indptr[a + 1]. Filled
+        # by counting sort straight from the flat triangle arrays.
+        lo_count = [0] * m
+        hi_count = [0] * m
+        for p in range(len(tri_mid)):
+            lo_count[tri_lo[p]] += 1
+            hi_count[tri_hi[p]] += 1
         up_tri_indptr = [0] * (m + 1)
-        up_tri_arc: List[int] = []
+        up_tri_split = [0] * m
         for a in range(m):
-            up_tri_arc.extend(up_tri_lists[a])
-            up_tri_indptr[a + 1] = len(up_tri_arc)
+            up_tri_split[a] = up_tri_indptr[a] + lo_count[a]
+            up_tri_indptr[a + 1] = up_tri_split[a] + hi_count[a]
+        up_tri_arc = [0] * len(tri_mid) * 2
+        up_tri_other = [0] * len(up_tri_arc)
+        lo_fill = up_tri_indptr[:m]
+        hi_fill = up_tri_split[:]
+        for t in range(m):
+            for p in range(tri_indptr[t], tri_indptr[t + 1]):
+                a_lo = tri_lo[p]
+                a_hi = tri_hi[p]
+                q = lo_fill[a_lo]
+                up_tri_arc[q] = t
+                up_tri_other[q] = a_hi
+                lo_fill[a_lo] = q + 1
+                q = hi_fill[a_hi]
+                up_tri_arc[q] = t
+                up_tri_other[q] = a_lo
+                hi_fill[a_hi] = q + 1
 
         # Which CSR weight slot seeds each arc direction (-1: no
         # original edge that way). Slots survive cost epochs — dict
@@ -548,7 +579,9 @@ class CCHAccelerator(Accelerator):
         self._tri_lo = tri_lo
         self._tri_hi = tri_hi
         self._up_tri_indptr = up_tri_indptr
+        self._up_tri_split = up_tri_split
         self._up_tri_arc = up_tri_arc
+        self._up_tri_other = up_tri_other
         self._base_fw_slot = base_fw_slot
         self._base_bw_slot = base_bw_slot
         self.original_edges = csr.edge_count
@@ -671,11 +704,18 @@ class CCHAccelerator(Accelerator):
         """Re-resolve only the arcs an epoch's deltas can have moved.
 
         The worklist is a heap of arc ids — ascending arc id is the
-        bottom-up order — seeded with the delta edges' arcs; an arc
-        whose weight changes pushes every arc it mediates (all of which
-        have strictly larger ids). Reaches the same fixpoint as the
-        full pass because each popped arc folds exactly the same
-        candidates in the same order.
+        bottom-up order — seeded with the delta edges' arcs. A popped
+        arc ``a`` that moved pushes a mediated arc ``t`` (a larger id,
+        still at its old fixpoint) only if their triangle is *tight*:
+        the candidate summed from the smaller of ``a``'s old and new
+        weights and the triangle's other side ``up_tri_other`` (i.e.
+        ``arc_of[(arc_lower[a], other end of t)]``) is ``<=`` ``t``'s
+        stored weight in that direction. A triangle slack both before
+        and after sets neither ``t``'s minimum nor its remembered
+        middle. When both sides of a triangle move, the lower-id side
+        tests the true old sum and the higher-id side the true new
+        one. Each popped arc folds the full pass's candidates in the
+        same order, hence the identical fixpoint, middles included.
         """
         index_of = csr.index_of
         weights = csr.weights_list
@@ -686,7 +726,9 @@ class CCHAccelerator(Accelerator):
         mid_fw = self._mid_fw
         mid_bw = self._mid_bw
         up_tri_indptr = self._up_tri_indptr
+        up_tri_split = self._up_tri_split
         up_tri_arc = self._up_tri_arc
+        up_tri_other = self._up_tri_other
 
         worklist: List[int] = []
         queued = set()
@@ -703,20 +745,45 @@ class CCHAccelerator(Accelerator):
         recomputed = 0
         while worklist:
             a = heapq.heappop(worklist)
-            queued.discard(a)
             fw_a, bw_a, mid_f, mid_b = self._resolve_arc(a, weights)
             recomputed += 1
-            weight_changed = fw_a != fw[a] or bw_a != bw[a]
+            old_fw = fw[a]
+            old_bw = bw[a]
             fw[a] = fw_a
             bw[a] = bw_a
             mid_fw[a] = mid_f
             mid_bw[a] = mid_b
-            if weight_changed:
-                for q in range(up_tri_indptr[a], up_tri_indptr[a + 1]):
-                    t = up_tri_arc[q]
-                    if t not in queued:
-                        queued.add(t)
-                        heapq.heappush(worklist, t)
+            moved_f = fw_a != old_fw
+            moved_b = bw_a != old_bw
+            if not (moved_f or moved_b):
+                continue
+            low_f = fw_a if fw_a < old_fw else old_fw
+            low_b = bw_a if bw_a < old_bw else old_bw
+            split = up_tri_split[a]
+            # a = (x, lo(t)), b = (x, hi(t)): fw(t) folds bw[a] + fw[b],
+            # bw(t) folds bw[b] + fw[a].
+            for q in range(up_tri_indptr[a], split):
+                t = up_tri_arc[q]
+                if t in queued:
+                    continue
+                b = up_tri_other[q]
+                if (moved_b and low_b + fw[b] <= fw[t]) or (
+                    moved_f and bw[b] + low_f <= bw[t]
+                ):
+                    queued.add(t)
+                    heapq.heappush(worklist, t)
+            # a = (x, hi(t)), b = (x, lo(t)): fw(t) folds bw[b] + fw[a],
+            # bw(t) folds bw[a] + fw[b].
+            for q in range(split, up_tri_indptr[a + 1]):
+                t = up_tri_arc[q]
+                if t in queued:
+                    continue
+                b = up_tri_other[q]
+                if (moved_f and bw[b] + low_f <= fw[t]) or (
+                    moved_b and low_b + fw[b] <= bw[t]
+                ):
+                    queued.add(t)
+                    heapq.heappush(worklist, t)
         self.arcs_recomputed += recomputed
 
     # ------------------------------------------------------------------

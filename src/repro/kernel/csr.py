@@ -49,10 +49,11 @@ import math
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from operator import truediv
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.graph import Graph, NodeId
+from repro.graphs.graph import CostDelta, Graph, NodeId
 from repro.kernel.result import RunResult, SearchStats
 
 _INF = math.inf
@@ -63,6 +64,13 @@ class CSRGraph:
 
     ``fingerprint`` records the graph state the snapshot was taken
     from; the cache refuses to serve it for any other state.
+
+    ``CSRGraph(graph)`` flattens the graph. ``CSRGraph(graph, previous,
+    deltas)`` derives the snapshot one cost-only change after
+    ``previous`` copy-on-write: the topology (``indptr`` / ``indices``
+    / ``node_ids`` / ``index_of``, their list views and the edge
+    lengths) is shared, ``weights`` is copied and the deltas patched
+    into the copy, so ``previous`` itself never changes.
     """
 
     __slots__ = (
@@ -78,9 +86,21 @@ class CSRGraph:
         "indices_list",
         "weights_list",
         "_reverse",
+        "_lengths",
+        "_scale",
     )
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(
+        self,
+        graph: Graph,
+        previous: Optional["CSRGraph"] = None,
+        deltas: Sequence[CostDelta] = (),
+    ) -> None:
+        self._reverse = None
+        self._scale = None
+        if previous is not None:
+            self._derive(previous, deltas)
+            return
         self.fingerprint = graph.fingerprint
         node_ids: List[NodeId] = list(graph.node_ids())
         index_of: Dict[NodeId, int] = {
@@ -114,7 +134,72 @@ class CSRGraph:
         self.indptr_list = list(indptr)
         self.indices_list = list(indices)
         self.weights_list = list(weights)
-        self._reverse = None
+        # Straight-line edge lengths for euclidean_scale, filled on
+        # first use as [slots of positive length (None: every slot),
+        # their lengths]. Pure topology: derived snapshots share it.
+        self._lengths = []
+
+    def _derive(self, previous: "CSRGraph", deltas: Sequence[CostDelta]) -> None:
+        uid, version = previous.fingerprint
+        self.fingerprint = (uid, version + 1)
+        self.node_count = previous.node_count
+        self.edge_count = previous.edge_count
+        self.node_ids = previous.node_ids
+        self.index_of = previous.index_of
+        self.indptr = previous.indptr
+        self.indices = previous.indices
+        self.indptr_list = indptr = previous.indptr_list
+        self.indices_list = indices = previous.indices_list
+        self._lengths = previous._lengths
+        weights = array("d", previous.weights)
+        weights_list = list(previous.weights_list)
+        index_of = previous.index_of
+        # In order, so an edge written twice in one batch ends on the
+        # batch's last value, as the graph does.
+        for delta in deltas:
+            v = index_of[delta.target]
+            k = indptr[index_of[delta.source]]
+            while indices[k] != v:
+                k += 1
+            weights[k] = delta.new_cost
+            weights_list[k] = delta.new_cost
+        self.weights = weights
+        self.weights_list = weights_list
+
+    def euclidean_scale(self, graph: Graph) -> float:
+        """The largest factor ``<= 1`` that keeps straight-line distance
+        a lower bound on every edge's cost in this snapshot.
+
+        ``min(cost / length)`` over the edges of positive Euclidean
+        length, capped at 1.0: at or above 1 the plain Euclidean
+        estimator is admissible; below it, the estimator (and any
+        straight-line bound) must be multiplied by this factor to stay
+        one. ``graph`` (the snapshot's graph) supplies node
+        coordinates. Computed once per snapshot, on first use; the
+        lengths once per topology.
+        """
+        if self._scale is None:
+            if not self._lengths:
+                coordinates = [graph.coordinates(v) for v in self.node_ids]
+                indptr = self.indptr_list
+                indices = self.indices_list
+                lengths = []
+                for u, (ux, uy) in enumerate(coordinates):
+                    for k in range(indptr[u], indptr[u + 1]):
+                        vx, vy = coordinates[indices[k]]
+                        lengths.append(math.hypot(ux - vx, uy - vy))
+                slots = None
+                if not all(lengths):
+                    slots = [k for k, length in enumerate(lengths) if length]
+                    lengths = [lengths[k] for k in slots]
+                self._lengths[:] = [slots, lengths]  # one atomic publish
+            slots, lengths = self._lengths
+            weights = self.weights_list
+            if slots is not None:
+                weights = [weights[k] for k in slots]
+            ratio = min(map(truediv, weights, lengths), default=1.0)
+            self._scale = ratio if ratio < 1.0 else 1.0
+        return self._scale
 
     def reverse_lists(self):
         """The transpose as flat lists: ``(rindptr, rindices, rweights)``.
@@ -167,6 +252,7 @@ _stats = {
     "hits": 0,
     "misses": 0,
     "builds": 0,
+    "derived": 0,
     "invalidations": 0,
     "evictions": 0,
 }
@@ -177,10 +263,14 @@ def csr_for(graph: Graph) -> CSRGraph:
 
     Keyed by ``graph.uid`` with the fingerprint checked on every hit:
     a mutation (version bump) makes the cached entry unservable and the
-    next call rebuilds. A build that races a cost epoch (the fingerprint
-    moved, or an epoch is mid-apply) is returned to its caller — whose
-    optimistic retry at the service layer will discard the run — but
-    never cached.
+    next call rebuilds. When the cached entry is exactly the graph's
+    last cost-only change behind (:attr:`Graph.last_cost_change`), the
+    new snapshot is derived from it by the change's deltas instead of
+    re-flattening the graph; a structural edit clears that record and
+    forces the full build. A build that races a cost epoch (the
+    fingerprint moved, or an epoch is mid-apply) is returned to its
+    caller — whose optimistic retry at the service layer will discard
+    the run — but never cached.
     """
     fingerprint = graph.fingerprint
     uid = fingerprint[0]
@@ -193,7 +283,17 @@ def csr_for(graph: Graph) -> CSRGraph:
                 return entry
             _stats["invalidations"] += 1
         _stats["misses"] += 1
-    built = CSRGraph(graph)
+    change = graph.last_cost_change
+    if (
+        entry is not None
+        and change is not None
+        and change[0] == entry.fingerprint[1]
+        and change[0] + 1 == fingerprint[1]
+    ):
+        built = CSRGraph(graph, entry, change[1])
+        _stats["derived"] += 1
+    else:
+        built = CSRGraph(graph)
     with _cache_lock:
         _stats["builds"] += 1
         if graph.fingerprint == fingerprint and not graph.cost_update_in_progress:
@@ -203,6 +303,23 @@ def csr_for(graph: Graph) -> CSRGraph:
                 _cache.popitem(last=False)
                 _stats["evictions"] += 1
     return built
+
+
+def euclidean_scale(graph: Graph, fingerprint: Tuple[int, int]) -> float:
+    """:meth:`CSRGraph.euclidean_scale` of ``graph`` at ``fingerprint``.
+
+    0.0 — no straight-line bound at all, always sound — when the graph
+    is no longer at that state or an epoch is mid-apply, so a caller
+    can never scale by a factor priced on other costs.
+    """
+    snapshot = csr_for(graph)
+    if (
+        snapshot.fingerprint != fingerprint
+        or graph.fingerprint != fingerprint
+        or graph.cost_update_in_progress
+    ):
+        return 0.0
+    return snapshot.euclidean_scale(graph)
 
 
 def clear_cache() -> None:

@@ -29,7 +29,11 @@ traffic epoch evicts only the answers actually affected —
   evicted conservatively on any change —
 
 and **re-keys every survivor to the new fingerprint**, so untouched
-answers keep serving warm hits across updates.
+answers keep serving warm hits across updates. Internally an entry is
+stored under its key *without* the fingerprint, which it carries as a
+field instead: a lookup hits only when the two fingerprints agree, and
+re-keying a survivor is one field write — the LRU order and both
+inverted indexes never move.
 
 The cache sits entirely *above* the planners and the storage engine:
 paper-mode I/O accounting is untouched, and a hit performs zero block
@@ -45,12 +49,27 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.graphs.graph import CostDelta, Graph, NodeId
+from repro.kernel import csr as _csr
 
 #: Everything that determines a query's answer.
 QueryKey = Tuple[Tuple[int, int], NodeId, NodeId, str, str, float]
 
 #: A directed edge as the invalidation index keys it.
 EdgeKey = Tuple[NodeId, NodeId]
+
+#: Where an entry lives: its query key with the fingerprint reduced to
+#: the graph uid, ``(uid, source, destination, algorithm, estimator,
+#: weight)``.
+SlotKey = Tuple[int, NodeId, NodeId, str, str, float]
+
+
+def _slot(key: QueryKey) -> SlotKey:
+    return (key[0][0],) + key[1:]
+
+
+#: One epoch's decrease bound: the straight-line scale and, per cheaper
+#: edge ``(u, v)``, ``(ux, uy, vx, vy, new_cost)``.
+_DecreaseBound = Tuple[float, List[Tuple[float, float, float, float, float]]]
 
 
 def query_key(
@@ -65,13 +84,21 @@ def query_key(
     return (graph.fingerprint, source, destination, algorithm, estimator, weight)
 
 
-@dataclass
+@dataclass(eq=False)
 class CacheEntry:
-    """One cached answer plus the provenance the invalidator needs."""
+    """One cached answer plus the provenance the invalidator needs.
+
+    ``fingerprint`` is the graph state the answer is exact for; an
+    epoch's re-key moves a survivor by rewriting it. ``slot`` is where
+    the entry lives. Entries compare and hash by identity, which is
+    what the inverted indexes hold them by.
+    """
 
     result: object
     cost: float
     edges: Optional[FrozenSet[EdgeKey]]
+    fingerprint: Tuple[int, int]
+    slot: SlotKey
 
 
 @dataclass(frozen=True)
@@ -114,11 +141,11 @@ class RouteCache:
                 "expected 'euclidean' or None"
             )
         self.decrease_bound = decrease_bound
-        self._entries: "OrderedDict[QueryKey, CacheEntry]" = OrderedDict()
-        #: (uid, u, v) -> keys of entries whose path crosses the edge.
-        self._edge_index: Dict[Tuple[int, NodeId, NodeId], Set[QueryKey]] = {}
-        #: uid -> every key cached for that graph.
-        self._by_uid: Dict[int, Set[QueryKey]] = {}
+        self._entries: "OrderedDict[SlotKey, CacheEntry]" = OrderedDict()
+        #: (uid, u, v) -> entries whose path crosses the edge.
+        self._edge_index: Dict[Tuple[int, NodeId, NodeId], Set[CacheEntry]] = {}
+        #: uid -> every entry cached for that graph.
+        self._by_uid: Dict[int, Set[CacheEntry]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -135,10 +162,11 @@ class RouteCache:
     # ------------------------------------------------------------------
     def get(self, key: QueryKey) -> Optional[object]:
         """Return the cached result for ``key`` (refreshing recency) or None."""
+        slot = _slot(key)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
+            entry = self._entries.get(slot)
+            if entry is not None and entry.fingerprint == key[0]:
+                self._entries.move_to_end(slot)
                 self.hits += 1
                 return entry.result
             self.misses += 1
@@ -159,49 +187,49 @@ class RouteCache:
         on *any* update of their graph. ``cost`` defaults to
         ``result.cost`` (``inf`` for unreachable answers, which makes
         the decrease bound evict them whenever a cheaper edge might
-        connect the pair).
+        connect the pair). A put replaces the query's entry at any
+        other fingerprint: one query holds one slot.
         """
         if self.capacity <= 0:
             return
         if cost is None:
             cost = getattr(result, "cost", float("inf"))
         edge_set = frozenset(edges) if edges is not None else None
+        entry = CacheEntry(result, cost, edge_set, key[0], _slot(key))
         with self._lock:
-            if key in self._entries:
-                self._unindex(key)
-                self._entries.move_to_end(key)
-            self._entries[key] = CacheEntry(result, cost, edge_set)
-            self._index(key, edge_set)
+            replaced = self._entries.get(entry.slot)
+            if replaced is not None:
+                self._unindex(replaced)
+                self._entries.move_to_end(entry.slot)
+            self._entries[entry.slot] = entry
+            self._index(entry)
             while len(self._entries) > self.capacity:
-                victim = next(iter(self._entries))
+                _, victim = self._entries.popitem(last=False)
                 self._unindex(victim)
-                del self._entries[victim]
                 self.evictions += 1
 
     # ------------------------------------------------------------------
     # index bookkeeping (call with the lock held)
     # ------------------------------------------------------------------
-    def _index(self, key: QueryKey, edge_set: Optional[FrozenSet[EdgeKey]]) -> None:
-        uid = key[0][0]
-        self._by_uid.setdefault(uid, set()).add(key)
-        if edge_set:
-            for u, v in edge_set:
-                self._edge_index.setdefault((uid, u, v), set()).add(key)
+    def _index(self, entry: CacheEntry) -> None:
+        uid = entry.slot[0]
+        self._by_uid.setdefault(uid, set()).add(entry)
+        if entry.edges:
+            for u, v in entry.edges:
+                self._edge_index.setdefault((uid, u, v), set()).add(entry)
 
-    def _unindex(self, key: QueryKey) -> None:
-        uid = key[0][0]
-        keys = self._by_uid.get(uid)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
+    def _unindex(self, entry: CacheEntry) -> None:
+        uid = entry.slot[0]
+        entries = self._by_uid.get(uid)
+        if entries is not None:
+            entries.discard(entry)
+            if not entries:
                 del self._by_uid[uid]
-        entry = self._entries.get(key)
-        edge_set = entry.edges if entry is not None else None
-        if edge_set:
-            for u, v in edge_set:
+        if entry.edges:
+            for u, v in entry.edges:
                 slot = self._edge_index.get((uid, u, v))
                 if slot is not None:
-                    slot.discard(key)
+                    slot.discard(entry)
                     if not slot:
                         del self._edge_index[(uid, u, v)]
 
@@ -217,9 +245,9 @@ class RouteCache:
         """
         with self._lock:
             stale = list(self._by_uid.get(graph.uid, ()))
-            for key in stale:
-                self._unindex(key)
-                del self._entries[key]
+            for entry in stale:
+                self._unindex(entry)
+                del self._entries[entry.slot]
             self.invalidations += len(stale)
             return len(stale)
 
@@ -251,104 +279,99 @@ class RouteCache:
         stale answers live at the newest fingerprint.
         """
         deltas = list(deltas)
+        uid = graph.uid
+        new_fp = new_fingerprint if new_fingerprint is not None else graph.fingerprint
+        if previous_fingerprint is None:
+            previous_fingerprint = (uid, new_fp[1] - 1)
+        decreases = [d for d in deltas if d.decreased]
+        # Priced outside the lock: it may build the CSR snapshot.
+        bound = self._decrease_bound(graph, decreases, new_fp) if decreases else None
         with self._lock:
-            uid = graph.uid
-            new_fp = (
-                new_fingerprint if new_fingerprint is not None else graph.fingerprint
-            )
-            if previous_fingerprint is None:
-                previous_fingerprint = (uid, new_fp[1] - 1)
-            keys = self._by_uid.get(uid)
-            if not keys:
+            cached = self._by_uid.get(uid)
+            if not cached:
                 return InvalidationReport(0, 0)
-
-            affected: Set[QueryKey] = set()
-            # Any entry not cached at the epoch's starting state is dead.
-            for key in keys:
-                if key[0] != previous_fingerprint:
-                    affected.add(key)
-            if deltas:
-                # Entries whose path crosses a touched edge.
-                for delta in deltas:
-                    affected |= self._edge_index.get(
-                        (uid, delta.source, delta.target), set()
-                    )
-                # Entries cached without provenance: any change hits them.
-                wildcard = [
-                    key for key in keys if self._entries[key].edges is None
-                ]
-                affected.update(wildcard)
-                # Cost decreases can reroute answers that never touched
-                # the edge; keep only those the admissible bound clears.
-                decreases = [d for d in deltas if d.decreased]
-                if decreases:
-                    for key in keys:
-                        if key in affected:
-                            continue
-                        if not self._survives_decreases(graph, key, decreases):
-                            affected.add(key)
-
-            for key in affected:
-                self._unindex(key)
-                del self._entries[key]
+            # Entries whose path crosses a touched edge.
+            crossing: Set[CacheEntry] = set()
+            for delta in deltas:
+                crossing |= self._edge_index.get((uid, delta.source, delta.target), set())
+            # Dead: any entry not cached at the epoch's starting state;
+            # on any change, entries cached without provenance and those
+            # crossing a touched edge; on a cost decrease (which can
+            # reroute answers that never touched the edge), those the
+            # admissible bound does not clear.
+            affected = [
+                entry for entry in cached
+                if entry.fingerprint != previous_fingerprint
+                or (deltas and (entry.edges is None or entry in crossing))
+                or (decreases and not self._survives_decreases(graph, entry, bound))
+            ]
+            for entry in affected:
+                self._unindex(entry)
+                del self._entries[entry.slot]
             self.invalidations += len(affected)
 
-            survivors = [key for key in list(keys) if key not in affected]
+            # ``cached`` now holds exactly the survivors (``_unindex``
+            # discarded the rest); re-keying is a field write each.
+            survivors = len(cached)
             if survivors and new_fp != previous_fingerprint:
-                self._rekey(survivors, new_fp)
-                self.rekeyed += len(survivors)
-            return InvalidationReport(len(affected), len(survivors))
+                for entry in cached:
+                    entry.fingerprint = new_fp
+                self.rekeyed += survivors
+            return InvalidationReport(len(affected), survivors)
+
+    def _decrease_bound(
+        self, graph: Graph, decreases: List[CostDelta], new_fp: Tuple[int, int]
+    ) -> Optional[_DecreaseBound]:
+        """The :data:`_DecreaseBound` of one epoch's cheaper edges.
+
+        ``scale`` makes straight-line distance a lower bound on every
+        cost at ``new_fp`` (1.0 unless an edge is priced below its
+        length; see :meth:`CSRGraph.euclidean_scale`). Endpoint
+        coordinates are looked up once per epoch. ``None`` when no
+        bound applies: the policy is off, or a delta's endpoints have
+        no coordinates.
+        """
+        if self.decrease_bound is None:
+            return None
+        try:
+            ends = [
+                graph.coordinates(d.source) + graph.coordinates(d.target)
+                + (d.new_cost,)
+                for d in decreases
+            ]
+        except Exception:
+            return None
+        return _csr.euclidean_scale(graph, new_fp), ends
 
     def _survives_decreases(
-        self, graph: Graph, key: QueryKey, decreases: List[CostDelta]
+        self, graph: Graph, entry: CacheEntry, bound: Optional[_DecreaseBound]
     ) -> bool:
         """True if no cheaper edge can possibly beat the cached cost."""
         if self.decrease_bound is None:
             return False
-        entry = self._entries[key]
         if entry.cost == math.inf and entry.edges is not None:
             # A provenance-bearing "unreachable" answer: reachability is
             # structural, so no cost change can ever overturn it.
             return True
-        source, destination = key[1], key[2]
+        if bound is None:
+            return False
         try:
-            sx, sy = graph.coordinates(source)
-            dx, dy = graph.coordinates(destination)
+            sx, sy = graph.coordinates(entry.slot[1])
+            dx, dy = graph.coordinates(entry.slot[2])
         except Exception:
             return False
-        for delta in decreases:
-            try:
-                ux, uy = graph.coordinates(delta.source)
-                vx, vy = graph.coordinates(delta.target)
-            except Exception:
-                return False
+        scale, ends = bound
+        cost = entry.cost
+        hypot = math.hypot
+        for ux, uy, vx, vy, new_cost in ends:
             detour = (
-                math.hypot(sx - ux, sy - uy)
-                + delta.new_cost
-                + math.hypot(vx - dx, vy - dy)
+                scale * hypot(sx - ux, sy - uy)
+                + new_cost
+                + scale * hypot(vx - dx, vy - dy)
             )
-            if detour < entry.cost:
+            if detour < cost:
                 return False
         return True
-
-    def _rekey(self, survivors: List[QueryKey], new_fp: Tuple[int, int]) -> None:
-        """Move survivors to the new fingerprint, preserving LRU order."""
-        translation = {key: (new_fp,) + key[1:] for key in survivors}
-        rebuilt: "OrderedDict[QueryKey, CacheEntry]" = OrderedDict()
-        for key, entry in self._entries.items():
-            rebuilt[translation.get(key, key)] = entry
-        self._entries = rebuilt
-        uid = new_fp[0]
-        by_uid = self._by_uid.get(uid)
-        for old_key, new_key in translation.items():
-            by_uid.discard(old_key)
-            by_uid.add(new_key)
-            edge_set = self._entries[new_key].edges
-            if edge_set:
-                for u, v in edge_set:
-                    slot = self._edge_index[(uid, u, v)]
-                    slot.discard(old_key)
-                    slot.add(new_key)
 
     def clear(self) -> None:
         """Drop everything (counters are kept)."""
@@ -383,15 +406,14 @@ class RouteCache:
         out: List[Tuple[NodeId, NodeId, FrozenSet[EdgeKey]]] = []
         with self._lock:
             for u, v in links:
-                for key in self._edge_index.get((uid, u, v), ()):
-                    if key[0] != fingerprint:
+                for entry in self._edge_index.get((uid, u, v), ()):
+                    if entry.fingerprint != fingerprint:
                         continue
-                    pair = (key[1], key[2])
+                    pair = (entry.slot[1], entry.slot[2])
                     if pair in seen:
                         continue
                     seen.add(pair)
-                    entry = self._entries.get(key)
-                    if entry is not None and entry.edges:
+                    if entry.edges:
                         out.append((pair[0], pair[1], entry.edges))
         return out
 
@@ -409,21 +431,26 @@ class RouteCache:
         problems: List[str] = []
         with self._lock:
             for key, entry in self._entries.items():
-                uid = key[0][0]
-                if key not in self._by_uid.get(uid, ()):
+                uid = key[0]
+                if entry.slot != key or entry.fingerprint[0] != uid:
+                    problems.append(
+                        f"entry at {key!r} stamped {entry.slot!r} at "
+                        f"{entry.fingerprint!r}"
+                    )
+                if entry not in self._by_uid.get(uid, ()):
                     problems.append(f"entry {key!r} missing from uid index")
                 for u, v in entry.edges or ():
-                    if key not in self._edge_index.get((uid, u, v), ()):
+                    if entry not in self._edge_index.get((uid, u, v), ()):
                         problems.append(
                             f"entry {key!r} missing from edge index at "
                             f"({u!r}, {v!r})"
                         )
-            for (uid, u, v), keys in self._edge_index.items():
-                if not keys:
+            for (uid, u, v), entries in self._edge_index.items():
+                if not entries:
                     problems.append(f"empty edge-index slot ({uid}, {u!r}, {v!r})")
-                for key in keys:
-                    entry = self._entries.get(key)
-                    if entry is None:
+                for entry in entries:
+                    key = entry.slot
+                    if self._entries.get(key) is not entry:
                         problems.append(
                             f"edge index ({uid}, {u!r}, {v!r}) points at "
                             f"dead key {key!r}"
@@ -433,14 +460,15 @@ class RouteCache:
                             f"edge index ({uid}, {u!r}, {v!r}) points at "
                             f"{key!r} whose provenance lacks the edge"
                         )
-                    elif key[0][0] != uid:
+                    elif key[0] != uid:
                         problems.append(
                             f"edge index ({uid}, {u!r}, {v!r}) holds "
                             f"foreign-uid key {key!r}"
                         )
-            indexed = {k for keys in self._by_uid.values() for k in keys}
-            for key in indexed - set(self._entries):
-                problems.append(f"uid index holds dead key {key!r}")
+            for entries in self._by_uid.values():
+                for entry in entries:
+                    if self._entries.get(entry.slot) is not entry:
+                        problems.append(f"uid index holds dead key {entry.slot!r}")
         return problems
 
     # ------------------------------------------------------------------

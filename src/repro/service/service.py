@@ -65,11 +65,12 @@ if TYPE_CHECKING:  # circular at runtime (traffic.replay imports us)
     from repro.demand.selectlink import SelectLinkResult
     from repro.demand.skim import SkimMatrix
 
-from repro.core.estimators import Estimator
+from repro.core.estimators import Estimator, ScaledEstimator, make_estimator
 from repro.core.planner import RoutePlanner
 from repro.kernel.result import PathResult
 from repro.exceptions import FaultError, UnknownAlgorithmError
 from repro.kernel import accel as _accel
+from repro.kernel import csr as _csr
 from repro.engine.tracing import RequestTrace
 from repro.graphs.graph import CostDelta, Graph, NodeId
 from repro.service.cache import (
@@ -319,6 +320,9 @@ class RouteService:
                 continue
 
             consistent = False
+            planned_spec = self._admissible_spec(
+                graph, algorithm, estimator_spec, estimator_name, key[0]
+            )
             try:
                 with trace.span(
                     "plan",
@@ -330,12 +334,12 @@ class RouteService:
                         try:
                             result = self._plan_relational(
                                 graph, source, destination, algorithm,
-                                estimator_spec, weight,
+                                planned_spec, weight,
                             )
                         except FaultError as fault:
                             result = self._degrade(
                                 graph, source, destination, algorithm,
-                                estimator_spec, estimator_name, weight, fault,
+                                planned_spec, estimator_name, weight, fault,
                             )
                     elif self._accel_serves(algorithm, backend, weight):
                         result = self.accelerator_instance(graph).query(
@@ -346,7 +350,7 @@ class RouteService:
                     else:
                         result = self.planner.plan(
                             graph, source, destination, algorithm,
-                            estimator_spec, weight,
+                            planned_spec, weight,
                         )
                 degraded = bool(getattr(result, "degraded", False))
                 # A degraded answer is explicitly second-class: it is
@@ -380,6 +384,36 @@ class RouteService:
                 return self._finish(key, result, trace, started, cache_hit=False)
             with self._traffic_lock:
                 self.plan_retries += 1
+
+    @staticmethod
+    def _admissible_spec(
+        graph: Graph,
+        algorithm: str,
+        estimator_spec: "str | Estimator",
+        estimator_name: str,
+        fingerprint: Tuple[int, int],
+    ) -> "str | Estimator":
+        """The estimator A* plans with at ``fingerprint``.
+
+        Straight-line distance bounds a route's cost only while no edge
+        is priced below its length. When an epoch prices one lower, the
+        Euclidean estimator is scaled by the state's ``min(cost /
+        length)`` (:meth:`CSRGraph.euclidean_scale`), which keeps it
+        admissible, so the answer stays exact and its provenance sound.
+        At or above free flow the factor is 1.0 and the spec is
+        returned unchanged.
+        """
+        if algorithm != "astar" or estimator_name != "euclidean":
+            return estimator_spec
+        scale = _csr.euclidean_scale(graph, fingerprint)
+        if scale >= 1.0:
+            return estimator_spec
+        inner = (
+            make_estimator("euclidean")
+            if isinstance(estimator_spec, str)
+            else estimator_spec
+        )
+        return ScaledEstimator(inner, scale)
 
     # ------------------------------------------------------------------
     # accelerator plumbing

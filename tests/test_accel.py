@@ -157,28 +157,31 @@ class TestResultBilling:
 
 
 @st.composite
-def graphs_with_updates(draw):
-    node_count = draw(st.integers(min_value=2, max_value=10))
+def graphs_with_epochs(draw):
+    """A graph big enough for the incremental path, plus epochs.
+
+    Each epoch writes 1-3 distinct edges at 0.1-5x their current cost
+    (so increases and decreases mix); the first epoch also writes its
+    first edge a second time, at another factor. With at most four
+    deltas per batch, >= 128 edges keep every epoch under the
+    ``deltas * 32 <= edges`` density cutoff.
+    """
+    node_count = draw(st.integers(min_value=50, max_value=80))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    extra = draw(st.integers(min_value=0, max_value=2 * node_count))
+    extra = draw(st.integers(min_value=80, max_value=160))
     graph = random_sparse_directed(node_count, extra, seed=seed)
     edges = sorted((e.source, e.target) for e in graph.edges())
-    picks = draw(
-        st.lists(
-            st.sampled_from(edges),
-            min_size=1,
-            max_size=min(6, len(edges)),
-            unique=True,
-        )
+    factor = st.floats(min_value=0.1, max_value=5.0, allow_nan=False).filter(
+        lambda f: f != 1.0
     )
-    factors = draw(
-        st.lists(
-            st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-            min_size=len(picks),
-            max_size=len(picks),
-        )
-    )
-    return graph, list(zip(picks, factors))
+    epochs = []
+    for number in range(draw(st.integers(min_value=2, max_value=4))):
+        picks = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3, unique=True))
+        batch = [(edge, draw(factor)) for edge in picks]
+        if number == 0:
+            batch.append((picks[0], draw(factor)))
+        epochs.append(batch)
+    return graph, epochs
 
 
 class TestCustomizeIdempotence:
@@ -187,31 +190,40 @@ class TestCustomizeIdempotence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(case=graphs_with_updates())
+    @given(case=graphs_with_epochs())
     def test_customize_is_idempotent_and_matches_full(self, case):
-        """Re-customizing on unchanged costs is a no-op fixpoint, and
-        the epoch path lands on a cold full pass's arrays."""
-        graph, updates = case
+        """Chained incremental epochs land on a cold full pass's
+        arrays, middles included, and re-customizing on unchanged costs
+        is a no-op fixpoint."""
+        graph, epochs = case
         live = accel.make_accelerator("cch")
         feed = TrafficFeed(graph)
         feed.subscribe(live)
         live.preprocess(graph)
         live.customize(graph)
-        feed.apply(
-            [(u, v, graph.edge_cost(u, v) * factor) for (u, v), factor in updates]
-        )
-        fw_after, bw_after = list(live._fw), list(live._bw)
+        applied = 0
+        for batch in epochs:
+            cost = {edge: graph.edge_cost(*edge) for edge, _ in batch}
+            epoch = feed.apply(
+                [(u, v, cost[(u, v)] * factor) for (u, v), factor in batch]
+            )
+            applied += bool(epoch.deltas)
+        assert applied >= 1
+        assert live.incremental_customizes == applied
+        assert live.full_customizes == 1
+        after = (list(live._fw), list(live._bw), list(live._mid_fw), list(live._mid_bw))
         # Idempotence: customizing again against the same costs must
         # not move the overlay.
         live.customize(graph)
-        assert live._fw == fw_after
-        assert live._bw == bw_after
+        assert (live._fw, live._bw, live._mid_fw, live._mid_bw) == after
         # And the overlay equals a cold full customization.
         fresh = accel.make_accelerator("cch")
         fresh.preprocess(graph)
         fresh.customize(graph)
         assert live._fw == fresh._fw
         assert live._bw == fresh._bw
+        assert live._mid_fw == fresh._mid_fw
+        assert live._mid_bw == fresh._mid_bw
 
 
 class TestGuards:

@@ -167,6 +167,101 @@ class TestBuildCache:
         assert stats["hits"] >= 1
 
 
+class TestDerivedSnapshots:
+    """A snapshot one cost-only change behind is derived, not rebuilt."""
+
+    @staticmethod
+    def _assert_equals_rebuild(snapshot, graph):
+        fresh = CSRGraph(graph)
+        assert snapshot.fingerprint == fresh.fingerprint == graph.fingerprint
+        assert snapshot.node_ids == fresh.node_ids
+        assert snapshot.index_of == fresh.index_of
+        assert snapshot.indptr == fresh.indptr
+        assert snapshot.indices == fresh.indices
+        assert snapshot.weights == fresh.weights
+        assert snapshot.indptr_list == fresh.indptr_list
+        assert snapshot.indices_list == fresh.indices_list
+        assert snapshot.weights_list == fresh.weights_list
+
+    def test_chained_epochs_match_a_rebuild(self):
+        graph = make_paper_grid(6, "variance", seed=4)
+        edges = sorted((e.source, e.target) for e in graph.edges())
+        base = csr_for(graph)
+        previous = base
+        for number in range(1, 5):
+            updates = [
+                (u, v, graph.edge_cost(u, v) * (0.5 + 0.3 * number))
+                for u, v in edges[number::7]
+            ]
+            if number == 2:
+                # One edge written twice: the batch's last value wins.
+                u, v = edges[0]
+                updates += [(u, v, 7.0), (u, v, 3.5)]
+            graph.apply_cost_updates(updates)
+            derived = csr_for(graph)
+            # Topology shared, weights copied: no published list moved.
+            assert derived.indices_list is base.indices_list
+            assert derived.node_ids is base.node_ids
+            assert derived.weights_list is not previous.weights_list
+            self._assert_equals_rebuild(derived, graph)
+            previous = derived
+        graph.update_edge_cost(*edges[3], 0.25)
+        self._assert_equals_rebuild(csr_for(graph), graph)
+        stats = csr.cache_stats()
+        assert stats["derived"] == 5
+        assert stats["builds"] == 6
+
+    def test_structural_edit_forces_full_rebuild(self):
+        graph = _diamond()
+        first = csr_for(graph)
+        graph.update_edge_cost("a", "b", 4.0)
+        assert csr_for(graph).indices_list is first.indices_list
+        assert csr.cache_stats()["derived"] == 1
+        # A structural edit straight after the derived snapshot...
+        graph.add_edge("b", "c", 1.0)
+        rebuilt = csr_for(graph)
+        assert rebuilt.indices_list is not first.indices_list
+        assert rebuilt.edge_count == 5
+        self._assert_equals_rebuild(rebuilt, graph)
+        # ...and one between epochs, never seen by the cache.
+        graph.update_edge_cost("a", "c", 6.0)
+        graph.add_edge("d", "a", 2.0)
+        graph.update_edge_cost("c", "d", 0.5)
+        self._assert_equals_rebuild(csr_for(graph), graph)
+        stats = csr.cache_stats()
+        assert stats["derived"] == 1
+        assert stats["builds"] == 4
+
+    def test_snapshot_before_an_epoch_keeps_its_weights(self):
+        graph = _diamond()
+        before = csr_for(graph)
+        weights = list(before.weights_list)
+        graph.apply_cost_updates([("a", "b", 9.0), ("c", "d", 0.5)])
+        after = csr_for(graph)
+        assert before.weights_list == weights
+        assert list(before.weights) == weights
+        assert after.weights_list != weights
+        assert before.fingerprint != after.fingerprint
+
+    def test_euclidean_scale(self):
+        graph = Graph("geometry")
+        graph.add_node("a", 0.0, 0.0)
+        graph.add_node("b", 3.0, 4.0)
+        graph.add_node("c", 0.0, 0.0)  # zero length to a: excluded
+        graph.add_edge("a", "b", 10.0)
+        graph.add_edge("b", "a", 5.0)
+        graph.add_edge("a", "c", 0.0)
+        assert csr_for(graph).euclidean_scale(graph) == 1.0
+        graph.update_edge_cost("b", "a", 2.5)
+        assert csr_for(graph).euclidean_scale(graph) == 0.5
+        assert csr.euclidean_scale(graph, graph.fingerprint) == 0.5
+        # Priced at a state the graph has left: no bound at all.
+        stale = graph.fingerprint
+        graph.update_edge_cost("b", "a", 5.0)
+        assert csr.euclidean_scale(graph, stale) == 0.0
+        assert csr.euclidean_scale(graph, graph.fingerprint) == 1.0
+
+
 class TestCSRSearchEdges:
     def test_source_equals_destination(self):
         graph = _diamond()

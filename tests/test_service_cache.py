@@ -71,13 +71,18 @@ class TestRouteCache:
         assert cache.invalidations == 1
 
     def test_invalidate_reclaims_old_version_slots(self):
+        """One query holds one slot: a put at a newer version takes over
+        the old version's slot instead of occupying a second one."""
         graph = make_grid(4)
         cache = RouteCache(capacity=8)
-        cache.put(_key(graph), "v0")
+        old_key = _key(graph)
+        cache.put(old_key, "v0")
         graph.update_edge_cost((0, 0), (0, 1), 9.0)
         cache.put(_key(graph), "v1")
-        assert len(cache) == 2  # old-version entry still occupies a slot
-        assert cache.invalidate_graph(graph) == 2
+        assert len(cache) == 1
+        assert cache.get(old_key) is None
+        assert cache.get(_key(graph)) == "v1"
+        assert cache.invalidate_graph(graph) == 1
         assert len(cache) == 0
 
     def test_snapshot_is_plain_numbers(self):
@@ -165,6 +170,42 @@ class TestInvalidateEdgesRekeyTarget:
         assert cache.get((fp3,) + key1[1:]) is None
         assert len(cache) == 0
         assert cache.audit_index() == []
+
+    def test_rekeying_epochs_keep_lru_order_and_index(self):
+        """Re-keying survivors across several epochs leaves recency
+        order and both inverted indexes exactly as they were."""
+        graph = make_grid(4)
+        cache = RouteCache(capacity=4)
+        routes = [
+            ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1)), ((0, 1), (0, 2)),
+        ]
+        for source, destination in routes:
+            cache.put(
+                _key(graph, source=source, destination=destination),
+                (source, destination),
+                edges=[(source, destination)],
+                cost=1.0,
+            )
+        cache.get(_key(graph, source=(0, 0), destination=(0, 1)))  # most recent
+        for cost in (90.0, 91.0, 92.0):
+            fp = graph.fingerprint
+            delta, new_fp = self._bump(graph, (3, 3), (2, 3), cost)
+            report = cache.invalidate_edges(
+                graph, [delta], previous_fingerprint=fp, new_fingerprint=new_fp
+            )
+            assert report.rekeyed == 4 and report.evicted == 0
+            assert cache.audit_index() == []
+        # LRU order (oldest first) is routes 1, 2, 3, 0: each new put
+        # now evicts the next one in exactly that order.
+        for victim in (1, 2, 3):
+            cache.put(_key(graph, destination=(3, 3 - victim)), "new")
+            source, destination = routes[victim]
+            assert cache.get(_key(graph, source=source, destination=destination)) is None
+            assert cache.audit_index() == []
+        source, destination = routes[0]
+        assert cache.get(
+            _key(graph, source=source, destination=destination)
+        ) == (source, destination)
 
     def test_default_rekey_target_is_still_the_live_fingerprint(self):
         """Quiesced, strictly-in-order callers that pass no

@@ -1,12 +1,16 @@
 """Edge-granular cache invalidation: precision, re-keying, policies."""
 
 import math
+import random
 
 import pytest
 
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
+from repro.graphs.roadmap import make_minneapolis_map
+from repro.kernel import csr, reference_sssp
 from repro.service import RouteService
+from repro.service.cache import query_key
 from repro.traffic import TrafficFeed
 
 pytestmark = pytest.mark.traffic
@@ -158,6 +162,85 @@ class TestDecreases:
         feed.apply([("b", "z", 20.0)])
         hits_before = service.metrics.cache_hits
         service.plan(graph, "a", "b")
+        assert service.metrics.cache_hits == hits_before
+
+
+class TestSubEuclideanEpochs:
+    """An epoch that prices edges below their straight-line length.
+
+    Plain Euclidean distance then overestimates some remaining costs:
+    unscaled, the default A*/euclidean returns inexact routes and the
+    cache's decrease bound keeps answers a cheaper edge has beaten.
+    Both must scale by the epoch's ``min(cost / length)``.
+    """
+
+    def test_plans_and_survivors_stay_exact(self):
+        graph = make_minneapolis_map(1993).graph
+        service = RouteService()
+        feed = TrafficFeed(graph)
+        feed.subscribe(service)
+        rng = random.Random(11)
+        nodes = sorted(graph.node_ids())
+        sources = rng.sample(nodes, 20)
+        pairs = [(s, d) for s in sources for d in rng.sample(nodes, 20)]
+        # Short routes too: only answers much cheaper than the detour
+        # through every cheaper edge can survive an epoch this dense.
+        nearby = [
+            (s, w)
+            for s in sources
+            for v, _ in graph.neighbors(s)
+            for w, _ in graph.neighbors(v)
+            if w != s
+        ]
+        cached_before = pairs[::2] + nearby
+        for source, destination in cached_before:
+            service.plan(graph, source, destination)
+
+        edges = sorted((e.source, e.target) for e in graph.edges())
+        feed.apply(
+            (u, v, graph.edge_cost(u, v) * rng.uniform(0.3, 1.0))
+            for u, v in rng.sample(edges, 600)
+        )
+        assert csr.euclidean_scale(graph, graph.fingerprint) < 1.0
+
+        reference = {s: reference_sssp(graph, s)[0] for s in sources}
+        survivors = 0
+        for source, destination in cached_before:
+            key = query_key(graph, source, destination, "astar", "euclidean", 1.0)
+            kept = service.cache.get(key)
+            if kept is not None:
+                survivors += 1
+                assert math.isclose(
+                    kept.cost, reference[source][destination], rel_tol=1e-9
+                ), (source, destination)
+        assert survivors > 0
+        for source, destination in pairs:
+            run = service.plan(graph, source, destination)
+            assert math.isclose(
+                run.cost, reference[source][destination], rel_tol=1e-9
+            ), (source, destination)
+        assert service.cache.audit_index() == []
+
+    def test_decrease_bound_scales_with_the_epoch(self):
+        """Three edges each priced at 0.3x of their length make a
+        cheaper detour (9 < 10), yet each one alone passes the unscaled
+        bound (0 + 3 + 14.1 >= 10); scaled by 0.3 it evicts."""
+        graph = Graph(name="square")
+        graph.add_node("a", 0, 0)
+        graph.add_node("b", 10, 0)
+        graph.add_node("p", 0, 10)
+        graph.add_node("q", 10, 10)
+        graph.add_edge("a", "b", 10.0)
+        graph.add_edge("a", "p", 10.0)
+        graph.add_edge("p", "q", 10.0)
+        graph.add_edge("q", "b", 10.0)
+        service = RouteService()
+        feed = TrafficFeed(graph)
+        feed.subscribe(service)
+        assert service.plan(graph, "a", "b").cost == 10.0
+        feed.apply([("a", "p", 3.0), ("p", "q", 3.0), ("q", "b", 3.0)])
+        hits_before = service.metrics.cache_hits
+        assert service.plan(graph, "a", "b").cost == 9.0
         assert service.metrics.cache_hits == hits_before
 
 
