@@ -120,10 +120,7 @@ class FleetChaosConfig:
     def deadline_policy(self) -> DeadlinePolicy:
         return DeadlinePolicy(
             total_s=self.total_s,
-            local_s=self.stage_s,
             boundary_s=self.stage_s,
-            overlay_s=self.stage_s,
-            materialize_s=self.stage_s,
             hedge_s=self.hedge_s,
             max_attempts=self.max_attempts,
             backoff_s=self.backoff_s,

@@ -24,7 +24,8 @@ toward clean replicas without any operator action. A crashed replica
 is dead, not unhealthy — it leaves the order entirely.
 
 **Deadline + hedged dispatch.** :meth:`call` runs one logical stage
-(local plan bundle, boundary SSSP, ...) under a wall-clock budget.
+(a shard tree out of a source or into a destination) under a
+wall-clock budget.
 It submits to the best replica and waits up to the hedge threshold;
 if the task has not come back (injected hang, long queue), it
 *hedges* — launches the same task on the next replica and races the
@@ -56,7 +57,7 @@ from repro.graphs.graph import NodeId
 from repro.service.metrics import Snapshot, percentile
 
 from repro.fleet.partition import ShardSpec
-from repro.fleet.worker import ShardWorker
+from repro.fleet.worker import CliqueEdge, ShardTree, ShardWorker
 
 _INF = float("inf")
 
@@ -73,7 +74,6 @@ _SUM_KEYS = frozenset(
         "crashed",
         "queries",
         "cache_hits",
-        "clique_point_queries",
     }
 )
 #: Counters where the set-level value is the max across replicas
@@ -120,15 +120,9 @@ class DeadlinePolicy:
 
     #: Whole-query budget; every stage is clipped to what remains.
     total_s: float = 5.0
-    #: Same-shard bundle / shard-local plan stage.
-    local_s: float = 2.0
-    #: One-to-boundary SSSP stage (each side of a cross-shard query).
+    #: One shard-tree stage (the source's out-tree, the destination's
+    #: in-tree); a tree the router already holds dispatches nothing.
     boundary_s: float = 2.0
-    #: Overlay build + search stage (router thread; checked before
-    #: entry, not preempted).
-    overlay_s: float = 2.0
-    #: Path materialization stage (router thread; checked before entry).
-    materialize_s: float = 2.0
     #: Hedge threshold: how long a stage waits on one replica before
     #: racing a peer.
     hedge_s: float = 0.25
@@ -138,14 +132,7 @@ class DeadlinePolicy:
     backoff_s: float = 0.002
 
     def __post_init__(self) -> None:
-        for name in (
-            "total_s",
-            "local_s",
-            "boundary_s",
-            "overlay_s",
-            "materialize_s",
-            "hedge_s",
-        ):
+        for name in ("total_s", "boundary_s", "hedge_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.max_attempts < 1:
@@ -423,8 +410,7 @@ class ReplicaSet:
                 return outcome
 
     # ------------------------------------------------------------------
-    # router-thread direct calls (post-admission segment expansion,
-    # overlay cliques)
+    # router-thread direct calls (overlay cliques, shard-local plans)
     # ------------------------------------------------------------------
     def _serving_worker(self) -> ShardWorker:
         order = self.serving_order()
@@ -433,17 +419,20 @@ class ReplicaSet:
         return self.workers[order[0]]
 
     def plan_direct(self, source: NodeId, destination: NodeId) -> PathResult:
-        """Shard-local plan in the caller's thread (materialization).
+        """Shard-local plan in the caller's thread.
 
-        Runs on the best serving replica without the submit boundary —
-        the query already passed admission; segment expansion is part
-        of a task that was admitted. Raises
+        Runs :meth:`ShardWorker.plan` on the best serving replica
+        without the submit boundary. The router materializes paths
+        from shard trees and does not call this. Raises
         :class:`~repro.exceptions.ShardUnavailableError` when dark.
         """
         return self._serving_worker().plan(source, destination)
 
-    def boundary_clique(self) -> List[Tuple[NodeId, NodeId, float]]:
-        """The shard's exact clique, from the best serving replica.
+    def boundary_clique(
+        self,
+    ) -> Tuple[List[CliqueEdge], Dict[NodeId, ShardTree]]:
+        """The shard's pruned exact clique and boundary out-trees, from
+        the best serving replica (:meth:`ShardWorker.boundary_clique`).
 
         Raises :class:`~repro.exceptions.ShardUnavailableError` when
         the shard is dark — the router marks the overlay *degraded*

@@ -3,29 +3,40 @@
 The router fronts one :class:`~repro.fleet.partition.Partition` worth
 of :class:`~repro.fleet.worker.ShardWorker` instances and answers any
 OD query over the *parent* map exactly, without ever running a
-whole-map search:
+whole-map search. Every query reads two shard shortest-path trees
+(:class:`~repro.fleet.worker.ShardTree`): the out-tree of the source
+inside its shard and the in-tree of the destination inside its shard.
 
-* **Single-shard queries** dispatch directly to the owning worker's
-  RouteService. The answer is provably optimal whenever no cheaper
+* **Single-shard queries** take the out-tree's cost and path to the
+  destination. The answer is provably optimal whenever no cheaper
   path leaves and re-enters the shard; the router checks a
   conservative bound (see below) and only pays for stitching when the
   bound cannot rule re-entry out.
 * **Cross-shard queries** (and re-entrant single-shard ones) are
-  answered by *boundary stitching*: a one-to-boundary SSSP inside the
-  source shard, a boundary-to-destination SSSP inside the destination
-  shard (forward SSSP on the worker's maintained reversed copy), and a
-  Dijkstra over a small precomputed **boundary overlay** joining them.
+  answered by *boundary stitching*: the out-tree's boundary distances
+  seed a Dijkstra over a small precomputed **boundary overlay**, and
+  the in-tree's boundary distances close it.
+
+Trees are memoized per fleet version, keyed ``("out", s)`` /
+``("in", t)``: at most one out-tree and one in-tree per node per
+version. A table hit dispatches nothing to a worker. The overlay build
+adds the boundary out-trees it computes, and the winning chain is
+materialized by walking trees alone: source to entry in the out-tree,
+each clique hop in its boundary node's out-tree, exit to destination
+in the in-tree.
 
 Exactness argument
 ------------------
 Decompose any optimal parent path P(s, t) at its cut-edge crossings.
 Every maximal segment of P lies inside one shard and starts/ends at a
 boundary node (or at s / t). The overlay contains, for every shard,
-an edge b1 -> b2 weighted with the *exact* shard-internal distance
-(the worker's boundary clique), and every cut edge at its current
-cost — so each segment of P is priced by an overlay edge of equal or
-smaller weight, and conversely every overlay edge corresponds to a
-realizable walk in the parent graph. Hence
+the *exact* shard-internal distance b1 -> b2 between its boundary
+nodes — as one clique edge, or, when b1's tree path to b2 runs
+through another boundary node, as the kept chain of edges through it
+(the worker's dominance-pruned clique) — and every cut edge at its
+current cost. So each segment of P is priced by overlay edges of
+equal or smaller total weight, and conversely every overlay edge
+corresponds to a realizable walk in the parent graph. Hence
 
     cost(P) = min( local_shard_route,
                    min over b1 in B(shard(s)), b2 in B(shard(t)) of
@@ -48,26 +59,29 @@ The router subscribes to the parent :class:`TrafficFeed`. Each epoch
 is fanned out under a lock: shard-internal deltas go to the owning
 worker's own feed (bumping the *shard* fingerprint, invalidating its
 cache edge-granularly), cut-edge deltas update the router's cut-cost
-table, the overlay is invalidated, and the fleet version is bumped.
-Queries run optimistically: they pin the fleet version on entry and
-retry when an epoch landed mid-flight, so a served answer is always
-computed against one consistent fleet version — the same optimistic
-fingerprint discipline RouteService uses per graph.
+table, the overlay and the tree table are dropped, and the fleet
+version is bumped. Queries run optimistically: they pin the fleet
+version on entry and retry when an epoch landed mid-flight, so a
+served answer is always computed against one consistent fleet
+version — the same optimistic fingerprint discipline RouteService
+uses per graph. An attempt adds the trees it computed to the table
+only after that final version check passed, so the table never holds
+a tree priced across an epoch.
 
 Backpressure
 ------------
-Every query admits exactly one task on each involved worker through
-:meth:`ShardWorker.submit`. A full queue sheds the *query* — the
-returned :class:`FleetResult` carries ``shed=True`` and the refusing
-shard — never a stale or silently dropped answer.
+Every computed tree is admitted through :meth:`ShardWorker.submit`;
+a table hit computes nothing on a worker. A full queue sheds the
+*query* — the returned :class:`FleetResult` carries ``shed=True`` and
+the refusing shard — never a stale or silently dropped answer.
 
 Fault tolerance (PR 10)
 -----------------------
 With ``replicas=N`` each shard is served by a
 :class:`~repro.fleet.replica.ReplicaSet` of N full worker stacks, and
-every worker-stage dispatch (local bundle, boundary SSSPs) runs under
-the :class:`~repro.fleet.replica.DeadlinePolicy`: a per-query budget
-carved into per-stage budgets, hedged dispatch to the next replica
+every tree dispatch runs under the
+:class:`~repro.fleet.replica.DeadlinePolicy`: a per-query budget
+clipping a per-stage budget, hedged dispatch to the next replica
 when a stage exceeds the hedge threshold, bounded same-replica retry
 with backoff on injected transient errors, and immediate failover on
 a replica crash. Epochs fan out to every live replica under the same
@@ -104,6 +118,7 @@ from repro.fleet.replica import (
     ReplicaSet,
     StageOutcome,
 )
+from repro.fleet.worker import ShardTree
 
 EdgeKey = Tuple[NodeId, NodeId]
 
@@ -112,6 +127,9 @@ EdgeKey = Tuple[NodeId, NodeId]
 CUT = -1
 
 _INF = float("inf")
+
+#: Tree-table direction -> the ShardWorker stage that computes it.
+_TREE_STAGES = {"out": "distances_to_boundary", "in": "distances_from_boundary"}
 
 
 @dataclass
@@ -157,6 +175,9 @@ class _Overlay:
         #: node -> [(neighbor, cost, via_shard-or-CUT)]
         self.adjacency: Dict[NodeId, List[Tuple[NodeId, float, int]]] = {}
         self.edge_count = 0
+        #: The boundary out-trees the cliques were read from; a clique
+        #: hop ``b1 -> b2`` is materialized as ``trees[b1].path(b2)``.
+        self.trees: Dict[NodeId, ShardTree] = {}
         #: Shards whose clique could not be collected (dark). A
         #: degraded overlay cannot prove stitched optimality, so the
         #: router sheds every answer that would need it.
@@ -231,6 +252,9 @@ class FleetRouter:
         self._epoch_in_progress = False
         self._version = 1
         self._overlay: Optional[_Overlay] = None
+        #: Shard trees valid at ``_version``, keyed ("out", s) /
+        #: ("in", t); replaced whenever the version moves.
+        self._trees: Dict[Tuple[str, NodeId], ShardTree] = {}
         #: (version, min_exit-per-shard, min_entry-per-shard) — the
         #: pruning-bound floors; derived from cut costs alone, so far
         #: cheaper to rebuild than the overlay.
@@ -263,9 +287,10 @@ class FleetRouter:
         Shard-internal deltas are re-applied through the owning
         worker's own TrafficFeed (one shard fingerprint bump each,
         edge-granular cache invalidation); cut-edge deltas update the
-        router's cut-cost table. The overlay is invalidated and the
-        fleet version bumped exactly once per epoch, so queries racing
-        the fan-out observe the version change and retry.
+        router's cut-cost table. The overlay and the tree table are
+        dropped and the fleet version bumped exactly once per epoch, so
+        queries racing the fan-out observe the version change and
+        retry.
         """
         if not epoch.deltas:
             return
@@ -289,6 +314,7 @@ class FleetRouter:
                 with self._state_lock:
                     self._overlay = None
                     self._floors = None
+                    self._trees = {}
                     self._version += 1
                     self.epochs_applied += 1
                     self._epoch_in_progress = False
@@ -318,7 +344,7 @@ class FleetRouter:
                 built.add_edge(key[0], key[1], cost, CUT)
             for shard_id, replica_set in self.workers.items():
                 try:
-                    clique = replica_set.boundary_clique()
+                    clique, trees = replica_set.boundary_clique()
                 except ShardUnavailableError:
                     # A dark shard's interior is unpriceable: record
                     # the degradation instead of building an overlay
@@ -327,8 +353,13 @@ class FleetRouter:
                     continue
                 for b1, b2, cost in clique:
                     built.add_edge(b1, b2, cost, shard_id)
+                built.trees.update(trees)
             with self._state_lock:
+                # Under the epoch lock no fan-out can be mid-flight, so
+                # the trees are exactly the current version's.
                 self._overlay = built
+                for node, tree in built.trees.items():
+                    self._trees[("out", node)] = tree
                 self.overlay_builds += 1
             return built
 
@@ -360,58 +391,57 @@ class FleetRouter:
         overlay: _Overlay,
         seeds: Dict[NodeId, float],
         targets: Dict[NodeId, float],
+        bound: float,
     ) -> Tuple[float, Optional[NodeId], Dict[NodeId, Tuple[NodeId, int]]]:
         """Multi-source Dijkstra over the overlay.
 
         ``seeds`` maps entry boundary nodes to d_s(s -> b1); ``targets``
-        maps exit boundary nodes to d_t(b2 -> t). Returns the best
-        total stitched cost, the winning exit node, and the predecessor
-        map (node -> (previous node, via-shard or CUT)) for path
-        materialization.
+        maps exit boundary nodes to d_t(b2 -> t). Only totals below
+        ``bound`` (the local answer, or inf) count. Returns the best
+        total stitched cost, the winning exit node (None when nothing
+        beat ``bound``), and the predecessor map (node -> (previous
+        node, via-shard or CUT)) for path materialization.
         """
         dist: Dict[NodeId, float] = dict(seeds)
         pred: Dict[NodeId, Tuple[NodeId, int]] = {}
         counter = itertools.count()
         heap = [(cost, next(counter), node) for node, cost in seeds.items()]
         heapq.heapify(heap)
-        best_cost, best_exit = _INF, None
-        # Once every remaining frontier entry exceeds the best stitched
-        # total, no target can improve — targets only add cost.
+        best_cost, best_exit = bound, None
+        # Every total through a frontier cost c is at least c + floor,
+        # so the search stops once that reaches the best total, and
+        # never pushes a label that cannot beat it.
+        floor = min(targets.values())
+        adjacency = overlay.adjacency
         while heap:
             cost, _tie, node = heapq.heappop(heap)
-            if cost > dist.get(node, _INF):
-                continue
-            if cost >= best_cost:
+            if cost + floor >= best_cost:
                 break
+            if cost > dist[node]:
+                continue
             tail = targets.get(node)
             if tail is not None and cost + tail < best_cost:
                 best_cost, best_exit = cost + tail, node
-            for neighbor, weight, via in overlay.adjacency.get(node, ()):
+            for neighbor, weight, via in adjacency.get(node, ()):
                 candidate = cost + weight
-                if candidate < dist.get(neighbor, _INF):
+                if candidate + floor < best_cost and candidate < dist.get(neighbor, _INF):
                     dist[neighbor] = candidate
                     pred[neighbor] = (node, via)
                     heapq.heappush(heap, (candidate, next(counter), neighbor))
         return best_cost, best_exit, pred
 
+    @staticmethod
     def _materialize(
-        self,
-        source: NodeId,
-        destination: NodeId,
+        overlay: _Overlay,
+        out_tree: ShardTree,
+        in_tree: ShardTree,
         exit_: NodeId,
-        seeds: Dict[NodeId, float],
         pred: Dict[NodeId, Tuple[NodeId, int]],
-        source_shard: int,
-        target_shard: int,
     ) -> List[NodeId]:
-        """Expand the winning overlay chain into a parent-node path.
-
-        Clique hops are expanded by the owning worker's RouteService
-        (cache-backed, so repeated stitches through the same corridor
-        are cheap); cut hops append the crossing edge directly. These
-        segment plans run in the router thread — the query already
-        passed admission on the involved shards.
-        """
+        """Expand the winning overlay chain into a parent-node path by
+        walking trees: source to entry in ``out_tree``, each clique hop
+        in its boundary node's out-tree, exit to destination in
+        ``in_tree``; cut hops append the crossing edge directly."""
         # Walk the predecessor chain back to the true entry node. Only
         # seeds carry an initial distance, so any node without a pred
         # entry is a seed reached at its seed cost; a seed that was
@@ -424,20 +454,13 @@ class FleetRouter:
             hops.append((previous, node, via))
             node = previous
         hops.reverse()
-        entry_node = node
-        path = list(
-            self.workers[source_shard].plan_direct(source, entry_node).path
-        )
+        path = out_tree.path(node)
         for segment_source, segment_target, via in hops:
             if via == CUT:
                 path.append(segment_target)
             else:
-                segment = self.workers[via].plan_direct(
-                    segment_source, segment_target
-                )
-                path.extend(segment.path[1:])
-        tail = self.workers[target_shard].plan_direct(exit_, destination)
-        path.extend(tail.path[1:])
+                path.extend(overlay.trees[segment_source].path(segment_target)[1:])
+        path.extend(in_tree.path(exit_)[1:])
         return path
 
     # ------------------------------------------------------------------
@@ -555,50 +578,35 @@ class FleetRouter:
             return result
 
         same_shard = source_shard == target_shard
-        source_set = self.workers[source_shard]
-        target_set = self.workers[target_shard]
+        fresh: Dict[Tuple[str, NodeId], ShardTree] = {}
+        trees: List[ShardTree] = []
+        for key, shard_id in (
+            (("out", source), source_shard),
+            (("in", destination), target_shard),
+        ):
+            # A tree of another version can only be read by an attempt
+            # the final version check below discards.
+            with self._state_lock:
+                tree = self._trees.get(key)
+            if tree is None:
+                outcome = self._stage(
+                    self.workers[shard_id],
+                    _TREE_STAGES[key[0]],
+                    (key[1],),
+                    self.deadline.boundary_s,
+                    deadline,
+                    result,
+                )
+                if not outcome.ok:
+                    return self._shed(result, outcome)
+                tree = fresh[key] = outcome.value
+            trees.append(tree)
+        out_tree, in_tree = trees
+        seeds, tails = out_tree.boundary, in_tree.boundary
 
         if same_shard:
-            outcome = self._stage(
-                source_set,
-                "local_and_boundaries",
-                (source, destination),
-                self.deadline.local_s,
-                deadline,
-                result,
-            )
-            if not outcome.ok:
-                return self._shed(result, outcome)
-            local, seeds, tails = outcome.value
-        else:
-            local = None
-            outcome = self._stage(
-                source_set,
-                "distances_to_boundary",
-                (source,),
-                self.deadline.boundary_s,
-                deadline,
-                result,
-            )
-            if not outcome.ok:
-                return self._shed(result, outcome)
-            seeds = outcome.value
-            outcome = self._stage(
-                target_set,
-                "distances_from_boundary",
-                (destination,),
-                self.deadline.boundary_s,
-                deadline,
-                result,
-            )
-            if not outcome.ok:
-                return self._shed(result, outcome)
-            tails = outcome.value
-
-        if local is not None and local.found:
-            result.found = True
-            result.cost = local.cost
-            result.path = list(local.path)
+            result.cost = out_tree.cost(destination)
+            result.found = result.cost < _INF
 
         stitched_needed = not same_shard or not self._pruned(
             result, seeds, tails, source_shard, target_shard, version
@@ -616,29 +624,26 @@ class FleetRouter:
                 # (Pruned same-shard answers never reach this branch
                 # and stay exact — the bound needs only cut costs.)
                 return self._shed_dark(result, overlay.dark_shards)
-            best, exit_node, pred = self._overlay_search(overlay, seeds, tails)
-            if exit_node is not None and best < result.cost:
-                if deadline - self._clock() <= 0:
-                    return self._shed_deadline(result, "materialize")
-                try:
-                    path = self._materialize(
-                        source, destination, exit_node, seeds, pred,
-                        source_shard, target_shard,
-                    )
-                except ShardUnavailableError as error:
-                    # A shard on the winning chain died between the
-                    # overlay build and expansion.
-                    return self._shed_dark(result, [error.shard_id])
+            best, exit_node, pred = self._overlay_search(
+                overlay, seeds, tails, result.cost
+            )
+            if exit_node is not None:
                 result.found = True
                 result.cost = best
-                result.path = path
+                result.path = self._materialize(
+                    overlay, out_tree, in_tree, exit_node, pred
+                )
                 result.stitched = True
                 with self._state_lock:
                     self.stitched_answers += 1
+        if result.found and not result.stitched:
+            result.path = out_tree.path(destination)
 
         with self._state_lock:
             if self._version != version or self._epoch_in_progress:
                 return None
+            # Only trees priced at an unbroken version are remembered.
+            self._trees.update(fresh)
         return result
 
     def _pruned(

@@ -9,11 +9,12 @@ built, instantiated over its shard's *subgraph*:
 * a :class:`~repro.traffic.feed.TrafficFeed` over the shard subgraph,
   with the service subscribed, so a parent epoch forwarded by the
   router invalidates exactly like a native epoch would;
-* a maintained **reversed** copy of the shard graph (costs updated on
-  every epoch), so one-to-boundary distances *into* a destination are
-  a plain forward SSSP on the reversed copy — both directions run the
-  CSR :func:`~repro.kernel.csr.sssp` kernel and share its
-  fingerprint-keyed build cache;
+* one-node **shortest-path trees** (:class:`ShardTree`), the only
+  per-query work a worker does: the tree out of a source and the tree
+  into a destination both run the CSR
+  :func:`~repro.kernel.csr.sssp_tree` loop over the shard's one
+  fingerprint-keyed snapshot — the in-tree over its cached transpose,
+  so no reversed copy of the shard is kept or re-priced per epoch;
 * a thread-pool executor with **admission control**: the in-flight
   count is bounded by ``max_queue``; an arrival over the bound is shed
   — counted, reported, and surfaced to the router as an explicit
@@ -48,7 +49,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.kernel.result import PathResult
 from repro.exceptions import TransientWorkerError, WorkerCrash
@@ -60,6 +61,63 @@ from repro.service.metrics import Snapshot, percentile
 from repro.traffic.feed import TrafficFeed
 
 from repro.fleet.partition import ShardSpec
+
+_INF = float("inf")
+
+#: Boundary-to-boundary edge of a shard clique: ``(b1, b2, cost)``.
+CliqueEdge = Tuple[NodeId, NodeId, float]
+
+
+class ShardTree:
+    """One shard shortest-path tree out of, or into (``inward``), a node.
+
+    Immutable once built (one :func:`~repro.kernel.csr.sssp_tree` run),
+    so the router may share it between queries at one fleet version.
+    ``boundary`` maps each boundary node linked to the root inside the
+    shard to its distance; :meth:`cost` and :meth:`path` read any shard
+    node. Distances and paths run root to node for an out-tree and
+    node to root for an in-tree.
+    """
+
+    __slots__ = ("inward", "boundary", "_index_of", "_node_ids", "_dist", "_pred")
+
+    def __init__(
+        self,
+        inward: bool,
+        snapshot: csr.CSRGraph,
+        dist: List[float],
+        pred: List[int],
+        boundary: Iterable[NodeId],
+    ) -> None:
+        self.inward = inward
+        self._index_of = index_of = snapshot.index_of
+        self._node_ids = snapshot.node_ids
+        self._dist = dist
+        self._pred = pred
+        self.boundary: Dict[NodeId, float] = {
+            node: dist[index_of[node]]
+            for node in boundary
+            if dist[index_of[node]] != _INF
+        }
+
+    def cost(self, node: NodeId) -> float:
+        i = self._index_of.get(node)
+        return _INF if i is None else self._dist[i]
+
+    def path(self, node: NodeId) -> List[NodeId]:
+        """The tree path in travel order (``[]`` when unlinked)."""
+        i = self._index_of.get(node)
+        if i is None or self._dist[i] == _INF:
+            return []
+        node_ids = self._node_ids
+        pred = self._pred
+        path = [node_ids[i]]
+        while pred[i] != -1:
+            i = pred[i]
+            path.append(node_ids[i])
+        if not self.inward:
+            path.reverse()
+        return path
 
 
 class ShardWorker:
@@ -97,11 +155,9 @@ class ShardWorker:
         # path provenance, so the shard cache retains warm entries
         # across epochs that miss the cached routes. With
         # ``accelerator`` set the service hosts a per-shard
-        # preprocess → customize → query instance: shard-local plans
-        # route through it, epochs forwarded by the router re-customize
-        # it (through the shard feed subscription), and the boundary
-        # clique is answered by point queries against it instead of one
-        # SSSP per boundary node.
+        # preprocess → customize → query instance that serves
+        # :meth:`plan` and is re-customized by forwarded epochs. The
+        # router's query path reads shard trees, not this service.
         self.service = RouteService(
             cache_capacity=cache_capacity,
             default_algorithm="dijkstra",
@@ -110,9 +166,6 @@ class ShardWorker:
         )
         self.feed = TrafficFeed(self.graph)
         self.feed.subscribe(self.service)
-        # Reversed copy for boundary-to-destination distances; kept in
-        # cost-sync with the forward subgraph by apply_deltas.
-        self._reversed = self.graph.reversed()
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, threads),
             thread_name_prefix=f"shard-{spec.shard_id}-r{replica_index}",
@@ -127,7 +180,6 @@ class ShardWorker:
         self.shed_count = 0
         self.shed_unavailable = 0
         self.epochs_forwarded = 0
-        self.clique_point_queries = 0
         self.faults_injected = 0
         self.faults_by_kind: Dict[str, int] = {}
         self._latencies: deque = deque(maxlen=latency_window)
@@ -258,68 +310,52 @@ class ShardWorker:
         """One shard-local route through the worker's RouteService."""
         return self.service.plan(self.graph, source, destination)
 
-    def distances_to_boundary(self, source: NodeId) -> Dict[NodeId, float]:
-        """Shard-internal distances ``source -> b`` for each boundary b.
+    def distances_to_boundary(self, source: NodeId) -> ShardTree:
+        """The shard out-tree of ``source``: its ``boundary`` holds the
+        shard-internal distances ``source -> b``."""
+        return self._tree(source, inward=False)
 
-        One CSR SSSP over the shard subgraph; unreachable boundary
-        nodes are absent from the result.
+    def distances_from_boundary(self, destination: NodeId) -> ShardTree:
+        """The shard in-tree of ``destination``: its ``boundary`` holds
+        the shard-internal distances ``b -> destination``."""
+        return self._tree(destination, inward=True)
+
+    def _tree(self, root: NodeId, inward: bool) -> ShardTree:
+        snapshot, dist, pred = csr.sssp_tree(self.graph, root, reverse=inward)
+        return ShardTree(inward, snapshot, dist, pred, self.spec.boundary)
+
+    def boundary_clique(self) -> Tuple[List[CliqueEdge], Dict[NodeId, ShardTree]]:
+        """The dominance-pruned boundary clique and the boundary
+        out-trees it was read from.
+
+        One out-tree per boundary node. The edge ``b1 -> b2`` (the exact
+        shard-internal distance) is kept only when b1's tree path to b2
+        passes through no other boundary node b3 strictly between them
+        (``0 < d(b1, b3) < d(b1, b2)``). A dropped edge is priced exactly
+        by the chain through b3 — subpaths of shortest paths are
+        shortest, and both halves are strictly shorter, so by induction
+        on distance each is itself kept or priced by a kept chain.
+        Zero-cost halves never prune, so zero-cost edges cannot cycle
+        the argument. Pairs with no internal connection are omitted.
         """
-        dist = csr.sssp(self.graph, source)
-        return {b: dist[b] for b in self.spec.boundary if b in dist}
-
-    def distances_from_boundary(self, destination: NodeId) -> Dict[NodeId, float]:
-        """Shard-internal distances ``b -> destination`` per boundary b.
-
-        A forward CSR SSSP on the maintained reversed copy — same
-        kernel, same build cache, no per-query graph reversal.
-        """
-        dist = csr.sssp(self._reversed, destination)
-        return {b: dist[b] for b in self.spec.boundary if b in dist}
-
-    def local_and_boundaries(
-        self, source: NodeId, destination: NodeId
-    ) -> Tuple[PathResult, Dict[NodeId, float], Dict[NodeId, float]]:
-        """Same-shard bundle: one admitted task computes all three."""
-        local = self.plan(source, destination)
-        seeds = self.distances_to_boundary(source)
-        tails = self.distances_from_boundary(destination)
-        return local, seeds, tails
-
-    def boundary_clique(self) -> List[Tuple[NodeId, NodeId, float]]:
-        """Exact boundary-to-boundary shard-internal distances.
-
-        This is the overlay's per-shard clique, recomputed after every
-        epoch that invalidates the router's overlay. Without an
-        accelerator it costs one SSSP per boundary node. With one, it
-        is answered by point queries against the worker's accelerated
-        state — which the epoch merely re-*customized* (the topology
-        preprocess survives), so the fleet's per-epoch overlay refresh
-        rides the customize phase instead of re-running boundary
-        SSSPs. Pairs with no internal connection are omitted either
-        way, and both paths return identical (cost-exact) cliques.
-        """
-        edges: List[Tuple[NodeId, NodeId, float]] = []
-        accel = self.service.accelerator_instance(self.graph)
-        if accel is not None:
-            graph = self.graph
-            queries = 0
-            for b1 in self.spec.boundary:
-                for b2 in self.spec.boundary:
-                    if b2 == b1:
-                        continue
-                    run = accel.query(graph, b1, b2)
-                    queries += 1
-                    if run.found:
-                        edges.append((b1, b2, run.cost))
-            with self._lock:
-                self.clique_point_queries += queries
-            return edges
-        for b1 in self.spec.boundary:
-            dist = csr.sssp(self.graph, b1)
-            for b2 in self.spec.boundary:
-                if b2 is not b1 and b2 != b1 and b2 in dist:
-                    edges.append((b1, b2, dist[b2]))
-        return edges
+        boundary = self.spec.boundary
+        edges: List[CliqueEdge] = []
+        trees: Dict[NodeId, ShardTree] = {}
+        for b1 in boundary:
+            snapshot, dist, pred = csr.sssp_tree(self.graph, b1)
+            tree = trees[b1] = ShardTree(False, snapshot, dist, pred, boundary)
+            index_of = snapshot.index_of
+            marks = {index_of[b] for b in boundary}
+            root = index_of[b1]
+            for b2, cost in tree.boundary.items():
+                if b2 == b1:
+                    continue
+                i = pred[index_of[b2]]
+                while i != root and not (i in marks and 0.0 < dist[i] < cost):
+                    i = pred[i]
+                if i == root:
+                    edges.append((b1, b2, cost))
+        return edges, trees
 
     # ------------------------------------------------------------------
     # traffic epochs
@@ -331,15 +367,11 @@ class ShardWorker:
 
         Applies the absolute costs through the shard's own feed (one
         shard fingerprint bump, service cache invalidated edge-
-        granularly) and mirrors them onto the reversed copy so both
-        SSSP directions price the new epoch.
+        granularly); the next tree in either direction prices them.
         """
         if not updates:
             return
         self.feed.apply(updates)
-        self._reversed.apply_cost_updates(
-            [(target, source, cost) for source, target, cost in updates]
-        )
         with self._lock:
             self.epochs_forwarded += 1
 
@@ -390,7 +422,6 @@ class ShardWorker:
         snap["cache_hit_rate"] = metrics.cache_hit_rate
         snap["cache_hits"] = metrics.cache_hits
         snap["shard_epochs_applied"] = self.service.epochs_applied
-        snap["clique_point_queries"] = self.clique_point_queries
         if self.accelerator is not None:
             accel = self.service.accelerator_instance(self.graph)
             for name, value in accel.snapshot().items():

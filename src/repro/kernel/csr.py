@@ -207,10 +207,10 @@ class CSRGraph:
         ``rindptr[v]:rindptr[v+1]`` brackets node *v*'s **incoming**
         edges; ``rindices`` holds the source's dense index and
         ``rweights`` the edge cost. Built lazily by counting sort on
-        first use (the bidirectional fused loop is the only consumer)
-        and cached on the snapshot — the snapshot is immutable, so the
-        transpose can never go stale, and a racing double build is
-        idempotent.
+        first use (the bidirectional fused loop and the in-trees of
+        :func:`sssp_tree` read it) and cached on the snapshot — the
+        snapshot is immutable, so the transpose can never go stale, and
+        a racing double build is idempotent.
         """
         if self._reverse is None:
             n = self.node_count
@@ -722,7 +722,7 @@ def sssp(
 
 
 def sssp_tree(
-    graph: Graph, source: NodeId
+    graph: Graph, source: NodeId, reverse: bool = False
 ) -> "Tuple[CSRGraph, List[float], List[int]]":
     """One-to-all Dijkstra with predecessor retention on the CSR tier.
 
@@ -735,20 +735,27 @@ def sssp_tree(
     mapping and the tree path to any settled node is the same route
     :func:`uniform_cost` returns for the pair — the property the skim
     subsystem's exactness audit leans on.
+
+    With ``reverse`` the same loop runs over the snapshot's cached
+    transpose (:meth:`CSRGraph.reverse_lists`): the tree is then the
+    one *into* ``source`` — ``dist[i]`` is the cost from node ``i`` to
+    ``source`` and ``pred[i]`` the next node on that path.
     """
     if source not in graph:
         raise NodeNotFoundError(source)
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
+    if reverse:
+        indptr, indices, weights = csr.reverse_lists()
+    else:
+        indptr = csr.indptr_list
+        indices = csr.indices_list
+        weights = csr.weights_list
     s = csr.index_of[source]
     n = csr.node_count
 
     dist = [_INF] * n
     pred = [-1] * n
-    settled = bytearray(n)
     dist[s] = 0.0
     heap = [(0.0, 0, s)]
     counter = 1
@@ -757,9 +764,10 @@ def sssp_tree(
 
     while heap:
         d, _, u = pop(heap)
-        if settled[u]:
+        # A push needs a strictly smaller label, so only stale entries
+        # pop above the node's label: the same pops :func:`sssp` skips.
+        if d > dist[u]:
             continue
-        settled[u] = 1
         start = indptr[u]
         for k in range(start, indptr[u + 1]):
             v = indices[k]

@@ -423,9 +423,9 @@ class RouteService:
 
         ``None`` when the service was constructed without an
         ``accelerator``. Exposed so co-located layers (the fleet's
-        :class:`~repro.fleet.worker.ShardWorker` boundary overlay) can
-        issue point queries against the *same* customized state the
-        serving path uses, instead of building a second instance.
+        :class:`~repro.fleet.worker.ShardWorker` SLO snapshot) read the
+        *same* customized state the serving path uses, instead of
+        building a second instance.
         """
         if self.accelerator is None:
             return None

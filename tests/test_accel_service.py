@@ -190,12 +190,19 @@ class TestFleetAccel:
                 check_round()
             snap = router.snapshot()
             assert snap["fleet"]["accelerated"] == 1
-            shard = snap["shard_0"]
-            # Boundary cliques were answered by accelerator point
-            # queries, against a single per-shard preprocess.
-            assert shard["clique_point_queries"] > 0
+            # Queries read shard trees; the shard accelerator is off
+            # the query path and serves shard-local plans only.
+            assert snap["shard_0"]["accel_queries"] == 0
+            spec = router.partition.shards[0]
+            source, destination = spec.nodes[0], spec.nodes[-1]
+            local = router.workers[spec.shard_id].plan_direct(source, destination)
+            ref = kernel.search(spec.graph, source, destination)
+            assert local.found == ref.found
+            if ref.found:
+                assert _exact(local.cost, ref.cost)
+            shard = router.snapshot()[f"shard_{spec.shard_id}"]
             assert shard["accel_preprocesses"] == 1
-            assert shard["accel_customizes"] >= 1
+            assert shard["accel_queries"] >= 1
         finally:
             router.shutdown()
 
@@ -207,7 +214,7 @@ class TestFleetAccel:
             router.plan((0, 0), (5, 5))
             snap = router.snapshot()
             assert snap["fleet"]["accelerated"] == 0
-            assert snap["shard_0"]["clique_point_queries"] == 0
+            assert snap["shard_0"]["queries"] == 0
             assert "accel_preprocesses" not in snap["shard_0"]
         finally:
             router.shutdown()

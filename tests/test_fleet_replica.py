@@ -227,7 +227,7 @@ class TestPolicies:
         [
             {"total_s": 0.0},
             {"hedge_s": 0.0},
-            {"local_s": -1.0},
+            {"boundary_s": -1.0},
             {"max_attempts": 0},
             {"backoff_s": -0.1},
         ],

@@ -114,6 +114,82 @@ class TestExactness:
             router.shutdown()
 
 
+class TestTreeTable:
+    def test_repeated_od_admits_no_new_task(self):
+        graph = make_paper_grid(8, "variance", seed=11)
+        router, _feed = make_fleet(graph, 2, 2)
+        try:
+            source, destination = (0, 0), (7, 7)
+            first = assert_exact(graph, router, source, destination)
+            assert first.cross_shard
+            accepted = {
+                name: shard["accepted"]
+                for name, shard in router.snapshot().items()
+                if name != "fleet"
+            }
+            again = assert_exact(graph, router, source, destination)
+            assert again.cost == first.cost and again.path == first.path
+            assert {
+                name: shard["accepted"]
+                for name, shard in router.snapshot().items()
+                if name != "fleet"
+            } == accepted
+        finally:
+            router.shutdown()
+
+    def test_epoch_repricing_the_route_is_seen_by_the_same_od(self):
+        graph = make_paper_grid(8, "variance", seed=11)
+        router, feed = make_fleet(graph, 2, 2)
+        try:
+            source, destination = (0, 0), (7, 7)
+            before = assert_exact(graph, router, source, destination)
+            shard_of = router.partition.shard_of
+            inside = [
+                (a, b) for a, b in zip(before.path, before.path[1:])
+                if shard_of(a) == shard_of(b)
+            ]
+            a, b = inside[len(inside) // 2]
+            feed.apply([(a, b, graph.edge_cost(a, b) * 20.0)])
+            after = assert_exact(graph, router, source, destination)
+            assert after.fleet_version == before.fleet_version + 1
+            assert after.cost > before.cost
+        finally:
+            router.shutdown()
+
+
+    def test_tree_priced_before_a_racing_epoch_is_not_remembered(self):
+        # Chain 0-1-2-3 split {0,1} | {2,3}. An epoch raising every
+        # cost to 10 lands while the first attempt at 0 -> 1 computes
+        # the in-tree of 1, after the out-tree of 0 was priced at the
+        # old costs. The attempt is retried, and its stale out-tree
+        # must not be served from the table: a remembered one would
+        # answer 0 -> 1 with 1 and 0 -> 3 with 21.
+        graph = Graph(name="chain")
+        for index in range(4):
+            graph.add_node(index, float(index), 0.0)
+        for index in range(3):
+            graph.add_edge(index, index + 1, 1.0)
+        router, feed = make_fleet(graph, 1, 2)
+        worker = router.workers[router.partition.shard_of(1)].workers[0]
+        in_tree = worker.distances_from_boundary
+        fired = []
+
+        def racing(destination):
+            if not fired:
+                fired.append(True)
+                feed.apply([(i, i + 1, 10.0) for i in range(3)])
+            return in_tree(destination)
+
+        worker.distances_from_boundary = racing
+        try:
+            assert router.plan(0, 1).cost == 10.0
+            assert fired and router.plan_retries >= 1
+            assert router.plan(0, 1).cost == 10.0
+            assert router.plan(0, 3).cost == 30.0
+        finally:
+            router.shutdown()
+
+
 class TestBackpressure:
     def test_zero_capacity_sheds_with_flag(self):
         graph = make_paper_grid(6, "uniform", seed=1)
@@ -193,6 +269,51 @@ class TestEpochConsistency:
             router.shutdown()
         assert observed, "readers never served an answer"
         assert set(observed) <= {3.0, 30.0}, sorted(set(observed))
+
+    def test_concurrent_epochs_with_repeated_sources_never_mix_costs(self):
+        # The chain-flip race again, with every reader repeating the
+        # same few sources, so most trees come from the tree table: a
+        # tree priced at one version must never serve another.
+        graph = Graph(name="chain")
+        for index in range(4):
+            graph.add_node(index, float(index), 0.0)
+        for index in range(3):
+            graph.add_edge(index, index + 1, 1.0)
+        router, feed = make_fleet(graph, 1, 2)
+        legal = {(0, 3): {3.0, 30.0}, (0, 2): {2.0, 20.0}, (1, 3): {2.0, 20.0}}
+        observed = {od: set() for od in legal}
+        lock = threading.Lock()
+        done = threading.Event()
+
+        def writer():
+            cost = 10.0
+            while not done.is_set():
+                feed.apply([(i, i + 1, cost) for i in range(3)])
+                cost = 1.0 if cost == 10.0 else 10.0
+
+        def reader():
+            for _ in range(20):
+                for od in legal:
+                    result = router.plan(*od)
+                    if not result.shed:
+                        with lock:
+                            observed[od].add(result.cost)
+
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        flipper = threading.Thread(target=writer)
+        try:
+            flipper.start()
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            done.set()
+            flipper.join(timeout=30)
+            router.shutdown()
+        assert observed[(0, 3)], "readers never served an answer"
+        for od, costs in observed.items():
+            assert costs <= legal[od], (od, sorted(costs))
 
     def test_epoch_fans_out_to_shard_and_cut_tables(self):
         graph = Graph(name="chain")
