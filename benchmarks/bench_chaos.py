@@ -4,7 +4,7 @@ Replays the chaos workload — recurring OD pairs on the relational
 backend, update epochs between rounds, a ``plan_many`` batch per round
 — with a seeded :class:`FaultPlan` injecting transient I/O errors, torn
 pages and latency into every storage operation. Every served answer is
-audited: it must be exact (matches a fresh recomputation at its epoch)
+audited by :class:`repro.audit.Oracle`: it must be exact at its epoch
 or explicitly flagged ``degraded``.
 
 The acceptance bar: zero unflagged wrong answers, and a second run of

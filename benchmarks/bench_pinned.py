@@ -59,8 +59,8 @@ def test_accel():
     """cch beats the CSR tier by >= 1.3x; every epoch is incremental.
 
     Preprocess and full customize are billed outside the timed region
-    (as overheads), and every accelerated answer agrees with the
-    generic loop's Dijkstra before and after each epoch.
+    (as overheads), and every accelerated answer is exact by
+    :class:`repro.audit.Oracle` before and after each epoch.
     """
     report = _report("accel")
     config = report.config

@@ -4,7 +4,7 @@ Replays the identical mixed query/update workload — recurring OD pairs,
 one small update epoch between rounds, concurrent ``plan`` plus a
 ``plan_many`` batch per round — through two :class:`RouteService`
 instances that differ only in invalidation policy. Every served answer
-is audited against a fresh recomputation at its epoch, so the reported
+is audited by :class:`repro.audit.Oracle` at its epoch, so the reported
 hit counts are *correct* warm hits, not lucky stale ones.
 
 The acceptance bar: edge-granular invalidation must retain at least

@@ -17,21 +17,21 @@ Scenarios (each best of ``repetitions`` timed runs of the pair batch):
 
 Then ``epochs`` traffic epochs are applied; for each one the report
 records the accelerator's re-customization latency (incremental,
-riding the epoch's delta chain) and re-audits every pinned pair
-against the generic kernel loop's Dijkstra on the updated costs.
+riding the epoch's delta chain) and re-audits every pinned pair with
+:class:`repro.audit.Oracle` on the updated costs.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.audit import Oracle
 from repro.bench import BenchReport, pinned_epochs, pinned_grid
 from repro.graphs.graph import Graph
-from repro.kernel import accel, csr, search
+from repro.kernel import accel, csr
 from repro.traffic.feed import TrafficFeed
 
 
@@ -151,28 +151,6 @@ def pinned_pairs(config: AccelBenchConfig, graph: Graph) -> List[Tuple]:
     ]
 
 
-def _exact(cost_a: float, cost_b: float) -> bool:
-    return math.isclose(cost_a, cost_b, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def _audit(
-    graph: Graph, instance: accel.Accelerator, pairs: List[Tuple]
-) -> Tuple[int, int]:
-    """(checked, inexact) — accelerator answers vs generic-loop Dijkstra."""
-    inexact = 0
-    for source, destination in pairs:
-        run = instance.query(graph, source, destination)
-        ref = search(graph, source, destination, trace=True)
-        if run.found != ref.found:
-            inexact += 1
-        elif ref.found and not (
-            _exact(run.cost, ref.cost)
-            and _exact(graph.path_cost(run.path), run.cost)
-        ):
-            inexact += 1
-    return len(pairs), inexact
-
-
 def run_accel_bench(config: Optional[AccelBenchConfig] = None) -> AccelBenchReport:
     """Run the pinned scenarios and epoch sweeps and return the report."""
     config = config or AccelBenchConfig()
@@ -200,14 +178,26 @@ def run_accel_bench(config: Optional[AccelBenchConfig] = None) -> AccelBenchRepo
     report.arcs = instance.arc_count
     report.shortcuts = instance.shortcut_count
     report.time("query/cch", batch(instance.query))
-    report.pairs_checked, report.inexact = _audit(graph, instance, pairs)
+
+    oracle = Oracle(graph)
+
+    def audit() -> Tuple[int, int]:
+        """(checked, inexact): accelerator answers the oracle rejects."""
+        inexact = sum(
+            oracle.check(s, d, instance.query(graph, s, d)).kind != "exact"
+            for s, d in pairs
+        )
+        return len(pairs), inexact
+
+    report.pairs_checked, report.inexact = audit()
 
     feed = TrafficFeed(graph)
     feed.subscribe(instance)
     for number, updates in pinned_epochs(graph, config):
         before = instance.incremental_customizes
         epoch = feed.apply(updates)
-        checked, inexact = _audit(graph, instance, pairs)
+        oracle.observe_epoch()
+        checked, inexact = audit()
         report.epochs.append(
             EpochTiming(
                 number=number,

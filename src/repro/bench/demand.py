@@ -4,8 +4,8 @@ The demand subsystem's bargain: one one-to-all SSSP per origin prices a
 whole OD matrix, the retained trees answer select-link for free, and
 the assignment loop closes planning back into congestion. This bench
 measures the amortization and audits everything against the
-independent dict-of-dict :func:`~repro.kernel.loop.reference_sssp` —
-a report that is fast but wrong is not a report.
+:class:`repro.audit.Oracle`'s independent reference trees — a report
+that is fast but wrong is not a report.
 
 Scenarios (each best of ``repetitions`` timed runs):
 
@@ -35,13 +35,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.audit import Oracle
 from repro.bench import BenchReport, pinned_epochs, pinned_grid
 from repro.demand.assignment import AssignmentResult, assign
 from repro.demand.selectlink import SelectLinkResult, select_link
 from repro.demand.skim import SkimMatrix, skim
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr
-from repro.kernel.loop import reference_sssp
 from repro.traffic.feed import TrafficFeed
 
 Edge = Tuple[NodeId, NodeId]
@@ -269,31 +269,19 @@ def pinned_links(
     return rng.sample(used, min(config.links, len(used)))
 
 
-def _tree_path(
-    pred: Dict[NodeId, Optional[NodeId]], origin: NodeId, destination: NodeId
-) -> List[NodeId]:
-    path = [destination]
-    node = destination
-    while node != origin:
-        node = pred[node]
-        path.append(node)
-    path.reverse()
-    return path
-
-
-def audit_skim(graph: Graph, matrix: SkimMatrix) -> Tuple[int, int, int, int, int]:
+def audit_skim(oracle: Oracle, matrix: SkimMatrix) -> Tuple[int, int, int, int, int]:
     """Bit-exact audit of every cell (and retained path) of a skim.
 
     Returns ``(cells, inexact_cells, paths, inexact_paths,
-    unreachable)``. Cells compare with ``==`` against an independent
-    whole-graph :func:`reference_sssp` per origin — identical relaxation order
+    unreachable)``. Cells compare with ``==`` against the oracle's
+    whole-graph reference tree per origin — identical relaxation order
     makes the float sums identical, so approximate comparison would
     only hide bugs. Retained paths must re-price (left-to-right edge
     sum) to exactly the cell value.
     """
     cells = inexact_cells = paths = inexact_paths = unreachable = 0
     for i, origin in enumerate(matrix.origins):
-        ref, _ = reference_sssp(graph, origin)
+        ref, _ = oracle.tree(origin)
         for j, destination in enumerate(matrix.destinations):
             cells += 1
             expected = ref.get(destination, math.inf)
@@ -306,13 +294,13 @@ def audit_skim(graph: Graph, matrix: SkimMatrix) -> Tuple[int, int, int, int, in
             if matrix.trees is not None:
                 paths += 1
                 path = matrix.path(origin, destination)
-                if path is None or graph.path_cost(path) != got:
+                if path is None or oracle.graph.path_cost(path) != got:
                     inexact_paths += 1
     return cells, inexact_cells, paths, inexact_paths, unreachable
 
 
 def audit_select_link(
-    graph: Graph,
+    oracle: Oracle,
     result: SelectLinkResult,
     demand: Dict[Tuple[NodeId, NodeId], float],
     origins: List[NodeId],
@@ -320,20 +308,19 @@ def audit_select_link(
 ) -> Tuple[int, int]:
     """Brute-force re-derivation of every link's flow table.
 
-    For each origin an independent :func:`reference_sssp` tree is built; each
-    OD pair's tree path gives its link membership, and the reference
-    flow tables must match the analysed ones exactly — pair sets and
-    volumes both. Returns ``(links_checked, mismatched_links)``.
+    Each OD pair's path in the oracle's reference tree gives its link
+    membership, and the reference flow tables must match the analysed
+    ones exactly — pair sets and volumes both. Returns
+    ``(links_checked, mismatched_links)``.
     """
     reference: Dict[Edge, Dict[Tuple[NodeId, NodeId], float]] = {
         link: {} for link in result.links
     }
     for origin in origins:
-        dist, pred = reference_sssp(graph, origin)
         for destination in destinations:
-            if destination == origin or destination not in dist:
+            path = oracle.path(origin, destination)
+            if destination == origin or path is None:
                 continue
-            path = _tree_path(pred, origin, destination)
             edges = set(zip(path, path[1:]))
             volume = demand.get((origin, destination), 1.0)
             for link in result.links:
@@ -358,7 +345,7 @@ def _audit_assignment(
     """
 
     def auditor(iteration, g, m, aon_volumes) -> None:
-        _, bad_cells, _, bad_paths, _ = audit_skim(g, m)
+        _, bad_cells, _, bad_paths, _ = audit_skim(Oracle(g), m)
         audit.audited_iterations += 1
         audit.inexact_cells += bad_cells + bad_paths
 
@@ -421,6 +408,7 @@ def run_demand_bench(
     report.time("pointwise/csr", pointwise)
 
     # Pre-epoch audit: the production-tier matrix, paths retained.
+    oracle = Oracle(graph)
     matrix = skim(graph, origins, destinations, retain_paths=True)
     (
         report.cells_checked,
@@ -428,21 +416,22 @@ def run_demand_bench(
         report.paths_checked,
         report.inexact_paths,
         report.unreachable_cells,
-    ) = audit_skim(graph, matrix)
+    ) = audit_skim(oracle, matrix)
     links = pinned_links(config, matrix)
     flows = select_link(matrix, links, demand)
     report.links_checked, report.link_mismatches = audit_select_link(
-        graph, flows, demand, origins, destinations
+        oracle, flows, demand, origins, destinations
     )
 
     feed = TrafficFeed(graph)
     for number, updates in pinned_epochs(graph, config):
         epoch = feed.apply(updates)
+        oracle.observe_epoch()
         matrix = skim(graph, origins, destinations, retain_paths=True)
-        cells, bad_cells, paths, bad_paths, _ = audit_skim(graph, matrix)
+        cells, bad_cells, paths, bad_paths, _ = audit_skim(oracle, matrix)
         flows = select_link(matrix, links, demand)
         checked_links, bad_links = audit_select_link(
-            graph, flows, demand, origins, destinations
+            oracle, flows, demand, origins, destinations
         )
         report.epochs.append(
             EpochAudit(

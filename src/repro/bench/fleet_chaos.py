@@ -4,10 +4,10 @@
 replicated fleet while a :class:`~repro.faults.WorkerFaultPlan` injects
 transient errors, latency, and hung tasks into every shard replica, a
 kill schedule hard-kills replicas between rounds, and traffic epochs
-keep mutating the map underneath. Every non-shed answer is audited
-against whole-graph Dijkstra on the *current* parent state — and every
-inexact answer is additionally checked against the *previous* epoch's
-state, so a stale serve (right answer, wrong epoch) is distinguished
+keep mutating the map underneath. Every non-shed answer is audited by
+:class:`repro.audit.Oracle` against whole-graph Dijkstra on the
+*current* parent state, and its ``stale`` verdict (exact at the
+*previous* epoch only) tells a stale serve (right answer, wrong epoch)
 from a plain wrong answer. The serving contract under chaos is the
 same exact-or-flagged contract the storage tier keeps:
 
@@ -34,27 +34,19 @@ record.
 
 from __future__ import annotations
 
-import math
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.audit import Oracle
 from repro.bench import BenchReport, pinned_grid
 from repro.bench.fleet import run_entry, run_problems
 from repro.faults.workerplan import WorkerFaultPlan
-from repro.fleet.loadgen import (
-    ABS_TOL,
-    REL_TOL,
-    FleetLoadConfig,
-    FleetLoadReport,
-    epoch_rounds,
-)
+from repro.fleet.loadgen import FleetLoadConfig, FleetLoadReport, epoch_rounds
 from repro.fleet.partition import parse_layout, partition_graph
 from repro.fleet.replica import DeadlinePolicy, HealthPolicy
 from repro.fleet.router import FleetRouter
-from repro.graphs.graph import Graph, NodeId
-from repro.kernel import csr
 from repro.service.metrics import Snapshot
 from repro.traffic.feed import TrafficFeed
 
@@ -301,16 +293,14 @@ def run_chaos_replay(
     per_round, next_epoch = epoch_rounds(graph, load)
     records: List[Tuple] = []
     latencies: List[float] = []
-    previous_graph: Optional[Graph] = None
+    oracle = Oracle(graph)
 
     started = time.perf_counter()
     try:
         for round_index, round_pairs in enumerate(per_round):
             if round_index > 0 and config.epoch_edges > 0:
-                # Snapshot the pre-epoch state first: it is the only
-                # state a stale serve could have been computed against.
-                previous_graph = graph.copy()
                 feed.apply(next_epoch())
+                oracle.observe_epoch()
                 run.epochs_applied += 1
             for shard_id in kills_by_round.get(round_index, ()):
                 # Kill the highest replica index this run has — the
@@ -318,10 +308,6 @@ def run_chaos_replay(
                 # only copy; same failure, different redundancy.
                 router.kill_replica(shard_id, replicas - 1)
                 run.kills += 1
-
-            reference_cache: Dict[
-                Tuple[NodeId, NodeId], Tuple[bool, float]
-            ] = {}
             for source, destination in round_pairs:
                 result = router.plan(source, destination)
                 latencies.append(result.latency_s)
@@ -340,30 +326,13 @@ def run_chaos_replay(
                             round(result.cost, 9) if result.found else -1.0,
                         )
                     )
-                complaint = run.tally(graph, result, reference_cache)
-                if complaint is not None:
-                    if _is_stale(previous_graph, result):
-                        run.stale_serves += 1
-                        complaint = f"STALE {complaint}"
-                    run.flag(round_index, complaint)
+                if run.tally(oracle, result, round_index) == "stale":
+                    run.stale_serves += 1
     finally:
         router.shutdown()
     run.finish(started, latencies, router.snapshot())
     run.determinism_key = zlib.crc32(repr(tuple(records)).encode("utf-8"))
     return run
-
-
-def _is_stale(previous_graph: Optional[Graph], result) -> bool:
-    """True when an inexact answer matches the *previous* epoch's
-    optimum — i.e. it was served from pre-epoch state."""
-    if previous_graph is None or not result.found:
-        return False
-    reference = csr.uniform_cost(
-        previous_graph, result.source, result.destination
-    )
-    return reference.found and math.isclose(
-        result.cost, reference.cost, rel_tol=REL_TOL, abs_tol=ABS_TOL
-    )
 
 
 def run_fleet_chaos(

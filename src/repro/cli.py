@@ -245,7 +245,6 @@ def _cmd_bench_traffic(args) -> int:
         update_period=args.update_period,
         sample_mode=args.sample_mode,
         profile=profile,
-        verify=not args.no_verify,
         mid_round_updates=args.mid_round_updates,
         seed=args.seed,
     )
@@ -488,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_traffic.add_argument("--mid-round-updates", action="store_true",
                                help="land one epoch while each round's "
                                     "queries are in flight")
-    bench_traffic.add_argument("--no-verify", action="store_true",
-                               help="skip the per-answer staleness audit")
     bench_traffic.add_argument("--seed", type=int, default=1993)
     bench_traffic.set_defaults(func=_cmd_bench_traffic)
 

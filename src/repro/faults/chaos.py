@@ -7,8 +7,8 @@ a :class:`~repro.faults.FaultPlan` injecting transient I/O errors, torn
 pages and latency into every relational run, the service still never
 returns an **unflagged wrong route** — every served answer is either
 
-* *exact*: its cost equals a fresh in-memory recomputation on the cost
-  epoch it was served under, or
+* *exact*: :class:`repro.audit.Oracle` finds it optimal, path and
+  cost, on the cost epoch it was served under, or
 * *degraded*: explicitly flagged, with the fallback rung and root cause
   in ``degraded_reason``.
 
@@ -23,22 +23,19 @@ exposes the same loop from the command line.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.planner import RoutePlanner
+from repro.audit import Oracle
 from repro.exceptions import FaultError
 from repro.faults.plan import FaultPlan
 from repro.graphs.graph import Graph, NodeId
 from repro.service import RouteService
 from repro.traffic.feed import TrafficFeed
-
-EdgeKey = Tuple[NodeId, NodeId]
 
 
 @dataclass
@@ -139,36 +136,6 @@ def _degradation_rung(result: object) -> str:
     return reason.split(":", 1)[0] if reason else ""
 
 
-class _ExactnessAuditor:
-    """Fresh in-memory recomputation per (epoch, pair), memoised."""
-
-    def __init__(self, algorithm: str) -> None:
-        self._planner = RoutePlanner()
-        self._algorithm = algorithm
-        self._snapshots: List[Graph] = []
-        self._fresh: Dict[Tuple[int, NodeId, NodeId], float] = {}
-
-    def observe_epoch(self, graph: Graph) -> None:
-        self._snapshots.append(graph.copy())
-
-    def fresh_cost(self, source: NodeId, destination: NodeId) -> float:
-        index = len(self._snapshots) - 1
-        key = (index, source, destination)
-        if key not in self._fresh:
-            result = self._planner.plan(
-                self._snapshots[index], source, destination,
-                self._algorithm, "euclidean",
-            )
-            self._fresh[key] = result.cost
-        return self._fresh[key]
-
-    def is_exact(self, source: NodeId, destination: NodeId, cost: float) -> bool:
-        fresh = self.fresh_cost(source, destination)
-        return math.isclose(cost, fresh, rel_tol=1e-9, abs_tol=1e-9) or (
-            math.isinf(cost) and math.isinf(fresh)
-        )
-
-
 def run_chaos(
     graph: Graph,
     config: Optional[ChaosConfig] = None,
@@ -207,8 +174,7 @@ def run_chaos(
     base_edges = sorted(feed._base)
     sweep_size = max(1, int(round(config.update_fraction * len(base_edges))))
 
-    auditor = _ExactnessAuditor(config.algorithm)
-    auditor.observe_epoch(graph)
+    oracle = Oracle(graph)
 
     before = service.snapshot()
     records: List[Tuple] = []
@@ -238,7 +204,7 @@ def run_chaos(
                     for u, v in touched
                 ]
             )
-            auditor.observe_epoch(graph)
+            oracle.observe_epoch()
 
         round_queries = [
             rng.choice(pairs) for _ in range(config.queries_per_round)
@@ -261,14 +227,14 @@ def run_chaos(
                 )
 
         for (source, destination), result in answers:
-            if result is None:
+            verdict = oracle.check(source, destination, result).kind
+            if verdict == "dropped":
                 unserved += 1
                 records.append((round_index, source, destination, "unserved"))
                 continue
-            is_degraded = bool(getattr(result, "degraded", False))
-            if is_degraded:
+            if verdict == "flagged":
                 degraded += 1
-            elif auditor.is_exact(source, destination, result.cost):
+            elif verdict == "exact":
                 exact += 1
             else:
                 wrong_unflagged += 1
@@ -279,7 +245,7 @@ def run_chaos(
                     destination,
                     bool(result.found),
                     round(result.cost, 9) if result.found else None,
-                    is_degraded,
+                    verdict == "flagged",
                     _degradation_rung(result),
                 )
             )

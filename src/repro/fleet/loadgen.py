@@ -14,12 +14,11 @@ rounds. Between rounds the driver applies one traffic epoch to the
 every shard worker and the cut-cost table) while the pool is
 quiescent. This makes the audit airtight: every answer in a round was
 served against exactly one parent-graph state, so each non-shed answer
-is checked against whole-graph Dijkstra
-(:func:`repro.kernel.csr.uniform_cost`) on that state — cost equality
-*and* that the returned path is a real parent walk whose edge costs
-sum to the reported cost. Mid-epoch consistency (answers racing the
-fan-out) is exercised separately by the fleet test suite's
-chain-legality tests.
+is checked by :class:`repro.audit.Oracle` on that state — cost
+equality with whole-graph Dijkstra *and* that the returned path is a
+real parent walk whose edge costs sum to the reported cost. Mid-epoch
+consistency (answers racing the fan-out) is exercised separately by
+the fleet test suite's chain-legality tests.
 
 A run is **clean** when zero answers were inexact and every query was
 either answered or explicitly shed — nothing dropped.
@@ -27,7 +26,6 @@ either answered or explicitly shed — nothing dropped.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -35,18 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.audit import Oracle
 from repro.graphs.graph import Graph, NodeId
-from repro.kernel import csr
 from repro.service.metrics import Snapshot, percentile
 from repro.traffic.feed import TrafficFeed
 
 from repro.fleet.router import FleetResult, FleetRouter
-
-#: Cost-equality tolerance for the audit. Stitched sums add the same
-#: edge costs as the reference Dijkstra in a different order, so only
-#: float associativity noise is tolerated — never a model difference.
-REL_TOL = 1e-9
-ABS_TOL = 1e-9
 
 
 @dataclass
@@ -132,26 +124,21 @@ class FleetLoadReport:
             "clean": int(self.clean),
         }
 
-    def tally(
-        self,
-        graph: Graph,
-        result: FleetResult,
-        reference_cache: Dict[Tuple[NodeId, NodeId], Tuple[bool, float]],
-    ) -> Optional[str]:
-        """Count one answer and audit it against ``graph``'s current state.
+    def tally(self, oracle: Oracle, result: FleetResult, round_index: int) -> str:
+        """Count one answer and return the oracle's verdict on it.
 
-        Returns the audit complaint for an inexact answer (the caller
-        records it with :meth:`flag`), else None. Shed answers are
-        counted, not audited.
+        Shed answers are counted, not priced; a stale or inexact one is
+        recorded with :meth:`flag`.
         """
         self.queries += 1
         if result.hedged:
             self.hedged += 1
         self.failovers += result.failovers
         self.retries += result.retries
+        verdict = oracle.check(result.source, result.destination, result)
         if result.shed:
             self.shed += 1
-            return None
+            return verdict.kind
         self.answered += 1
         if result.found:
             self.found += 1
@@ -162,7 +149,9 @@ class FleetLoadReport:
         if result.stitched:
             self.stitched += 1
         self.audited += 1
-        return _audit_one(graph, result, reference_cache)
+        if verdict.kind != "exact":
+            self.flag(round_index, verdict.detail)
+        return verdict.kind
 
     def finish(
         self, started: float, latencies: List[float],
@@ -236,45 +225,6 @@ def epoch_rounds(
     return [pairs[index::rounds] for index in range(rounds)], next_epoch
 
 
-def _audit_one(
-    graph: Graph,
-    result: FleetResult,
-    reference_cache: Dict[Tuple[NodeId, NodeId], Tuple[bool, float]],
-) -> Optional[str]:
-    """None when ``result`` is exact on the *current* graph state.
-
-    Checks reachability agreement, cost equality against whole-graph
-    Dijkstra, and — for found answers — that the returned path is a
-    real parent walk from source to destination whose edge costs sum
-    to the reported cost.
-    """
-    key = (result.source, result.destination)
-    if key not in reference_cache:
-        reference = csr.uniform_cost(graph, result.source, result.destination)
-        reference_cache[key] = (reference.found, reference.cost)
-    ref_found, ref_cost = reference_cache[key]
-    if result.found != ref_found:
-        return (
-            f"{key}: found={result.found} but whole-graph Dijkstra "
-            f"says found={ref_found}"
-        )
-    if not result.found:
-        return None
-    if not math.isclose(result.cost, ref_cost, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-        return f"{key}: cost {result.cost!r} != optimal {ref_cost!r}"
-    path = result.path
-    if not path or path[0] != result.source or path[-1] != result.destination:
-        return f"{key}: path endpoints wrong ({path[:2]}...{path[-2:]})"
-    walked = 0.0
-    for here, there in zip(path, path[1:]):
-        if not graph.has_edge(here, there):
-            return f"{key}: path uses missing edge ({here!r} -> {there!r})"
-        walked += graph.edge_cost(here, there)
-    if not math.isclose(walked, result.cost, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-        return f"{key}: path walks {walked!r} but cost says {result.cost!r}"
-    return None
-
-
 def run_fleet_load(
     graph: Graph,
     router: FleetRouter,
@@ -297,6 +247,7 @@ def run_fleet_load(
     per_round, next_epoch = epoch_rounds(graph, config)
     latencies: List[float] = []
     lock = threading.Lock()
+    oracle = Oracle(graph)
 
     started = time.perf_counter()
     with ThreadPoolExecutor(
@@ -309,6 +260,7 @@ def run_fleet_load(
                 # round's futures, so this epoch defines the exact
                 # graph state every answer below is audited against.
                 feed.apply(next_epoch())
+                oracle.observe_epoch()
                 report.epochs_applied += 1
 
             def serve(pair: Tuple[NodeId, NodeId]) -> FleetResult:
@@ -317,12 +269,7 @@ def run_fleet_load(
                     latencies.append(result.latency_s)
                 return result
 
-            results = list(pool.map(serve, round_pairs))
-
-            reference_cache: Dict[Tuple[NodeId, NodeId], Tuple[bool, float]] = {}
-            for result in results:
-                complaint = report.tally(graph, result, reference_cache)
-                if complaint is not None:
-                    report.flag(round_index, complaint)
+            for result in list(pool.map(serve, round_pairs)):
+                report.tally(oracle, result, round_index)
     report.finish(started, latencies, router.snapshot())
     return report

@@ -958,7 +958,19 @@ class RouteService:
                 if algorithm == "dijkstra":
                     run = run_dijkstra(rgraph, source, destination)
                 elif algorithm == "astar":
-                    run = run_astar(rgraph, source, destination, version=version)
+                    # v1/v2's Euclidean estimator, scaled while the
+                    # epoch prices an edge below its length.
+                    estimator = None
+                    if version in ("v1", "v2"):
+                        planned = self._admissible_spec(
+                            graph, algorithm, "euclidean", "euclidean", key[0]
+                        )
+                        if not isinstance(planned, str):
+                            estimator = planned
+                    run = run_astar(
+                        rgraph, source, destination, version=version,
+                        estimator=estimator,
+                    )
                 else:
                     raise ValueError(
                         f"engine tier serves 'dijkstra' or 'astar', not {algorithm!r}"
@@ -967,9 +979,9 @@ class RouteService:
                 with self._traffic_lock:
                     self.plan_retries += 1
                 continue
-            # v1/v2 run euclidean (admissible), dijkstra needs none; v3's
-            # manhattan may overestimate, so its entries carry no
-            # provenance and fall back to evict-on-any-change.
+            # v1/v2 run euclidean (scaled to stay admissible), dijkstra
+            # needs none; v3's manhattan may overestimate, so its entries
+            # carry no provenance and fall back to evict-on-any-change.
             precise = algorithm == "dijkstra" or version in ("v1", "v2")
             edges = None
             if precise:

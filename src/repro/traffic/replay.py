@@ -5,14 +5,14 @@ clock through *rounds*: each round applies one update epoch (profile
 tick, random re-pricing sweep, or incident spike) and then fires a
 burst of concurrent ``plan`` calls — plus one ``plan_many`` batch — at
 the :class:`~repro.service.RouteService`. Between rounds it audits
-every served answer against a fresh recomputation, so the headline
+every served answer with :class:`repro.audit.Oracle`, so the headline
 numbers are trustworthy:
 
 * **hit rate** — warm cache hits surviving across epochs is exactly
   what edge-granular invalidation buys;
-* **stale serves** — answers whose cost differs from a fresh plan at
-  the epoch they were served under; the subsystem's contract is that
-  this is always **zero**, for either invalidation policy;
+* **stale serves** — answers the oracle does not find exact at the
+  epoch they were served under; the subsystem's contract is that this
+  is always **zero**, for either invalidation policy;
 * **p50/p95 latency** — the serving-side view of invalidation
   precision (an evicted answer is a cache miss is a full plan).
 
@@ -24,7 +24,6 @@ number the ROADMAP's "serve heavy traffic" goal actually cares about.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
@@ -32,13 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.planner import RoutePlanner
+from repro.audit import Oracle
 from repro.graphs.graph import Graph, NodeId
 from repro.service import RouteService
 from repro.service.metrics import percentile
 from repro.traffic.feed import TrafficFeed
-
-EdgeKey = Tuple[NodeId, NodeId]
 
 
 @dataclass
@@ -64,8 +61,6 @@ class ReplayConfig:
     profile: object = None
     minutes_start: float = 7 * 60.0
     minutes_step: float = 5.0
-    #: Audit every answer against a fresh recomputation.
-    verify: bool = True
     #: Apply one extra epoch concurrently with each round's queries.
     mid_round_updates: bool = False
     seed: int = 1993
@@ -106,56 +101,6 @@ class ReplayReport:
         ]
 
 
-class _StalenessAuditor:
-    """Check served answers against fresh plans on epoch snapshots.
-
-    Keeps a copy of the graph at every epoch boundary. An answer is
-    *clean* if its cost equals the fresh optimal cost on the snapshot
-    it was served under — by default only the **current** epoch counts
-    (quiesced rounds); with mid-round updates an answer may predate the
-    concurrent epoch, so the previous snapshot is accepted too, but a
-    cost matching *no* single epoch (mixed pricing) is always stale.
-    """
-
-    def __init__(self, service: RouteService) -> None:
-        self._planner = RoutePlanner()
-        self._algorithm = service.default_algorithm
-        self._estimator = service.default_estimator
-        self._snapshots: List[Graph] = []
-        self._fresh: Dict[Tuple[int, NodeId, NodeId], float] = {}
-
-    def observe_epoch(self, graph: Graph) -> None:
-        self._snapshots.append(graph.copy())
-
-    def _fresh_cost(self, index: int, source: NodeId, destination: NodeId) -> float:
-        key = (index, source, destination)
-        if key not in self._fresh:
-            result = self._planner.plan(
-                self._snapshots[index], source, destination,
-                self._algorithm, self._estimator,
-            )
-            self._fresh[key] = result.cost
-        return self._fresh[key]
-
-    def is_stale(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        cost: float,
-        accept_previous: bool = False,
-    ) -> bool:
-        candidates = [len(self._snapshots) - 1]
-        if accept_previous and len(self._snapshots) > 1:
-            candidates.append(len(self._snapshots) - 2)
-        for index in candidates:
-            fresh = self._fresh_cost(index, source, destination)
-            if math.isclose(cost, fresh, rel_tol=1e-9, abs_tol=1e-9) or (
-                math.isinf(cost) and math.isinf(fresh)
-            ):
-                return False
-        return True
-
-
 def run_replay(
     graph: Graph,
     config: Optional[ReplayConfig] = None,
@@ -185,9 +130,13 @@ def run_replay(
     base_edges = sorted(feed._base)
     sweep_size = max(1, int(round(config.update_fraction * len(base_edges))))
 
-    auditor = _StalenessAuditor(service) if config.verify else None
-    if auditor is not None:
-        auditor.observe_epoch(graph)
+    oracle = Oracle(graph)
+    # With mid-round updates an answer may predate the concurrent epoch,
+    # so exact-at-the-previous-epoch is accepted too; a cost matching no
+    # single epoch (mixed pricing) never is.
+    accepted = {"exact", "flagged"}
+    if config.mid_round_updates:
+        accepted.add("stale")
 
     before = service.snapshot()
     latencies: List[float] = []
@@ -209,8 +158,7 @@ def run_replay(
                 ],
                 minutes=clock,
             )
-        if auditor is not None:
-            auditor.observe_epoch(graph)
+        oracle.observe_epoch()
 
     def serve(query: Tuple[NodeId, NodeId]):
         t0 = time.perf_counter()
@@ -252,15 +200,9 @@ def run_replay(
             mid_epoch_thread.join()
             minutes += config.minutes_step
 
-        if auditor is not None:
-            for (source, destination), result in answers:
-                if auditor.is_stale(
-                    source,
-                    destination,
-                    result.cost,
-                    accept_previous=config.mid_round_updates,
-                ):
-                    stale_serves += 1
+        for (source, destination), result in answers:
+            if oracle.check(source, destination, result).kind not in accepted:
+                stale_serves += 1
 
     wall_s = time.perf_counter() - started
     after = service.snapshot()

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.audit import Oracle
+from repro.engine.relational_graph import RelationalGraph
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
 from repro.graphs.roadmap import make_minneapolis_map
@@ -165,13 +167,24 @@ class TestDecreases:
         assert service.metrics.cache_hits == hits_before
 
 
+def price_below_length(graph, feed, rng):
+    """One epoch pricing 600 edges at 0.3-1.0x, many below their length."""
+    edges = sorted((e.source, e.target) for e in graph.edges())
+    feed.apply(
+        (u, v, graph.edge_cost(u, v) * rng.uniform(0.3, 1.0))
+        for u, v in rng.sample(edges, 600)
+    )
+    assert csr.euclidean_scale(graph, graph.fingerprint) < 1.0
+
+
 class TestSubEuclideanEpochs:
     """An epoch that prices edges below their straight-line length.
 
     Plain Euclidean distance then overestimates some remaining costs:
-    unscaled, the default A*/euclidean returns inexact routes and the
-    cache's decrease bound keeps answers a cheaper edge has beaten.
-    Both must scale by the epoch's ``min(cost / length)``.
+    unscaled, the default A*/euclidean (and the engine tier's A* v1/v2)
+    returns inexact routes and the cache's decrease bound keeps answers
+    a cheaper edge has beaten. Both must scale by the epoch's
+    ``min(cost / length)``.
     """
 
     def test_plans_and_survivors_stay_exact(self):
@@ -196,12 +209,7 @@ class TestSubEuclideanEpochs:
         for source, destination in cached_before:
             service.plan(graph, source, destination)
 
-        edges = sorted((e.source, e.target) for e in graph.edges())
-        feed.apply(
-            (u, v, graph.edge_cost(u, v) * rng.uniform(0.3, 1.0))
-            for u, v in rng.sample(edges, 600)
-        )
-        assert csr.euclidean_scale(graph, graph.fingerprint) < 1.0
+        price_below_length(graph, feed, rng)
 
         reference = {s: reference_sssp(graph, s)[0] for s in sources}
         survivors = 0
@@ -219,6 +227,25 @@ class TestSubEuclideanEpochs:
             assert math.isclose(
                 run.cost, reference[source][destination], rel_tol=1e-9
             ), (source, destination)
+        assert service.cache.audit_index() == []
+
+    def test_engine_astar_stays_exact(self):
+        graph = make_minneapolis_map(1993).graph
+        rgraph = RelationalGraph(graph)
+        service = RouteService()
+        feed = TrafficFeed(graph)
+        feed.subscribe(service)
+        feed.subscribe(rgraph)
+        rng = random.Random(11)
+        price_below_length(graph, feed, rng)
+        oracle = Oracle(graph)
+        # Routes the unscaled estimator prices 0.8-2.2% above optimal.
+        for source, destination in [((7, 23), (27, 24)), ((32, 8), (8, 2))]:
+            for version in ("v1", "v2"):
+                run = service.plan_engine(rgraph, source, destination, version=version)
+                assert oracle.check(source, destination, run).kind == "exact", (
+                    version, source, destination,
+                )
         assert service.cache.audit_index() == []
 
     def test_decrease_bound_scales_with_the_epoch(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
+from repro.graphs.roadmap import make_minneapolis_map
 from repro.service import RouteService
 from repro.traffic import ReplayConfig, TrafficFeed, run_replay
 
@@ -280,12 +281,18 @@ class TestSingleEpochPricing:
         assert costs[(0, 1)] == 5.0 and costs[(1, 2)] == 6.0
 
     def test_quiesced_replay_serves_no_stale(self):
-        graph = make_paper_grid(10, "variance")
-        report = run_replay(
-            graph,
-            config=ReplayConfig(rounds=5, queries_per_round=20,
-                                distinct_pairs=16, seed=3),
-        )
-        assert report.stale_serves == 0
-        assert report.cache_hits > 0
-        assert report.epochs == 4
+        cases = [
+            (
+                make_paper_grid(10, "variance"),
+                ReplayConfig(rounds=5, queries_per_round=20,
+                             distinct_pairs=16, seed=3),
+            ),
+            # The default 0.6-2.5x sweeps price Minneapolis edges below
+            # their straight-line length, so the default A* runs scaled.
+            (make_minneapolis_map().graph, ReplayConfig()),
+        ]
+        for graph, config in cases:
+            report = run_replay(graph, config=config)
+            assert report.stale_serves == 0, graph.name
+            assert report.cache_hits > 0
+            assert report.epochs == config.rounds - 1
