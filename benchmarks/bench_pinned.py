@@ -141,7 +141,7 @@ def test_fleet_chaos():
         assert run.stale_serves == 0
         assert run.answered + run.shed == run.queries
     replicated = report.replicated
-    assert replicated.kills == len(config.kills)
+    assert replicated.snapshot["fleet"]["replica_kills"] == len(config.kills)
     # The fault mix must actually exercise the ladder, or the audit
     # proved nothing about fault tolerance.
     assert replicated.retries + replicated.failovers + replicated.hedged > 0

@@ -46,7 +46,7 @@ from repro.graphs import (
 )
 from repro.faults import ChaosConfig, FaultInjector, FaultPlan, run_chaos
 from repro.service import EstimatorPool, RouteCache, RouteService
-from repro.traffic import TrafficFeed, run_replay
+from repro.traffic import TrafficFeed
 from repro.demand import assign, select_link, skim  # after traffic: assign needs it
 
 __version__ = "1.0.0"
@@ -78,7 +78,6 @@ __all__ = [
     "RouteCache",
     "EstimatorPool",
     "TrafficFeed",
-    "run_replay",
     "skim",
     "select_link",
     "assign",

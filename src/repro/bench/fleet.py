@@ -55,6 +55,8 @@ def run_problems(name: str, run: FleetLoadReport) -> List[str]:
     out = []
     if run.inexact:
         out.append(f"{name}: {run.inexact} inexact answers")
+    if run.stale_serves:
+        out.append(f"{name}: {run.stale_serves} stale serves")
     if run.answered + run.shed != run.queries:
         out.append(f"{name}: silent drops")
     return out

@@ -34,20 +34,16 @@ record.
 
 from __future__ import annotations
 
-import time
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.audit import Oracle
 from repro.bench import BenchReport, pinned_grid
 from repro.bench.fleet import run_entry, run_problems
 from repro.faults.workerplan import WorkerFaultPlan
-from repro.fleet.loadgen import FleetLoadConfig, FleetLoadReport, epoch_rounds
+from repro.fleet.loadgen import FleetLoadConfig, FleetLoadReport, run_fleet_load
 from repro.fleet.partition import parse_layout, partition_graph
 from repro.fleet.replica import DeadlinePolicy, HealthPolicy
 from repro.fleet.router import FleetRouter
-from repro.service.metrics import Snapshot
 from repro.traffic.feed import TrafficFeed
 
 
@@ -107,6 +103,7 @@ class FleetChaosConfig:
             alpha=self.alpha,
             seed=self.seed,
             epoch_edges=self.epoch_edges,
+            kills=self.kills,
         )
 
     def deadline_policy(self) -> DeadlinePolicy:
@@ -129,35 +126,6 @@ class FleetChaosConfig:
         )
 
 
-@dataclass
-class FleetChaosRun(FleetLoadReport):
-    """One audited replay (replicated or baseline): the fleet load
-    report plus what only chaos measures."""
-
-    replicas: int = 1
-    #: Answers matching the previous epoch's cost but not the current
-    #: one — the failure mode version-pinned fan-out must prevent.
-    stale_serves: int = 0
-    kills: int = 0
-    #: CRC32 over the per-query outcome records; timing-independent.
-    determinism_key: int = 0
-
-    @property
-    def clean(self) -> bool:
-        """Exact-or-flagged held: nothing wrong, stale, or dropped."""
-        return super().clean and self.stale_serves == 0
-
-    def to_snapshot(self) -> Snapshot:
-        snap = super().to_snapshot()
-        snap.update(
-            replicas=self.replicas,
-            stale_serves=self.stale_serves,
-            kills=self.kills,
-            determinism_key=self.determinism_key,
-        )
-        return snap
-
-
 _RUNS = ("replicated", "baseline")
 
 
@@ -167,8 +135,8 @@ class FleetChaosReport(BenchReport):
 
     NAME = "fleet chaos"
 
-    replicated: Optional[FleetChaosRun] = None
-    baseline: Optional[FleetChaosRun] = None
+    replicated: Optional[FleetLoadReport] = None
+    baseline: Optional[FleetLoadReport] = None
 
     @property
     def missing(self) -> List[str]:
@@ -193,8 +161,6 @@ class FleetChaosReport(BenchReport):
         for name in _RUNS:
             run = getattr(self, name)
             out.extend(run_problems(name, run))
-            if run.stale_serves:
-                out.append(f"{name}: {run.stale_serves} stale serves")
         if self.config.kills and self.availability_gain <= 0:
             out.append("replication bought no availability over baseline")
         return out
@@ -216,8 +182,9 @@ class FleetChaosReport(BenchReport):
             if run is None:
                 lines.append(f"{name:10s} MISSING")
                 continue
+            replicas = cfg.replicas if name == "replicated" else 1
             lines.append(
-                f"{name:10s} replicas={run.replicas} "
+                f"{name:10s} replicas={replicas} "
                 f"availability={run.availability:7.2%} "
                 f"answered={run.answered} shed={run.shed} "
                 f"hedged={run.hedged} failovers={run.failovers} "
@@ -250,7 +217,7 @@ def run_chaos_replay(
     config: FleetChaosConfig,
     replicas: int,
     attach_plans: bool = True,
-) -> FleetChaosRun:
+) -> FleetLoadReport:
     """One serial audited replay with ``replicas`` workers per shard.
 
     ``attach_plans=False`` builds the fleet with **no** fault plans at
@@ -279,60 +246,10 @@ def run_chaos_replay(
     )
     feed = TrafficFeed(graph)
     feed.subscribe(router)
-    load = config.load_config()
-    run = FleetChaosRun(
-        config=load,
-        replicas=replicas,
-        shard_count=partition.shard_count,
-        cut_edges=len(partition.cut_edges),
-    )
-    kills_by_round: Dict[int, List[int]] = {}
-    for round_index, shard_id in config.kills:
-        kills_by_round.setdefault(round_index, []).append(shard_id)
-
-    per_round, next_epoch = epoch_rounds(graph, load)
-    records: List[Tuple] = []
-    latencies: List[float] = []
-    oracle = Oracle(graph)
-
-    started = time.perf_counter()
     try:
-        for round_index, round_pairs in enumerate(per_round):
-            if round_index > 0 and config.epoch_edges > 0:
-                feed.apply(next_epoch())
-                oracle.observe_epoch()
-                run.epochs_applied += 1
-            for shard_id in kills_by_round.get(round_index, ()):
-                # Kill the highest replica index this run has — the
-                # replicated run loses a spare, the baseline loses its
-                # only copy; same failure, different redundancy.
-                router.kill_replica(shard_id, replicas - 1)
-                run.kills += 1
-            for source, destination in round_pairs:
-                result = router.plan(source, destination)
-                latencies.append(result.latency_s)
-                if result.shed:
-                    records.append(
-                        (round_index, source, destination, 1, 0, -1.0)
-                    )
-                else:
-                    records.append(
-                        (
-                            round_index,
-                            source,
-                            destination,
-                            0,
-                            1 if result.found else 0,
-                            round(result.cost, 9) if result.found else -1.0,
-                        )
-                    )
-                if run.tally(oracle, result, round_index) == "stale":
-                    run.stale_serves += 1
+        return run_fleet_load(graph, router, feed, config.load_config())
     finally:
         router.shutdown()
-    run.finish(started, latencies, router.snapshot())
-    run.determinism_key = zlib.crc32(repr(tuple(records)).encode("utf-8"))
-    return run
 
 
 def run_fleet_chaos(

@@ -9,15 +9,10 @@ Commands
                rendered tables;
 ``report``     regenerate the full EXPERIMENTS.md content;
 ``info``       summarize a graph (size, degree stats, diameter);
-``bench-service`` replay a query workload through the cache-aware
-               RouteService (cold vs warm) and print its metrics
-               snapshot;
-``bench-traffic`` replay a mixed query/update workload through the
-               traffic subsystem, audit for stale serves, and compare
-               edge-granular vs whole-graph cache invalidation;
-``bench-chaos`` replay a query/update workload with deterministic
-               storage faults injected into the relational tier and
-               audit that every answer is exact or explicitly degraded;
+``bench-chaos`` replay a query/update workload through a RouteService
+               on either backend, with deterministic storage faults
+               injected into the relational tier, and audit that every
+               answer is exact or explicitly degraded;
 ``bench-recovery`` run the kill-at-op-N crash matrix: crash each
                workload at a sweep of operation indexes, recover from
                the write-ahead log, and audit committed-state survival
@@ -184,97 +179,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench_service(args) -> int:
-    import random
-    import time
-
-    from repro.service import RouteService
-
-    graph = _load_graph(args.graph)
-    rng = random.Random(args.seed)
-    node_ids = list(graph.node_ids())
-    queries = [
-        (rng.choice(node_ids), rng.choice(node_ids)) for _ in range(args.queries)
-    ]
-    service = RouteService(
-        cache_capacity=args.cache_capacity,
-        default_algorithm=args.algorithm,
-        default_estimator=args.estimator,
-    )
-
-    def replay() -> float:
-        started = time.perf_counter()
-        for _ in range(args.repeat):
-            service.plan_many(graph, queries)
-        return time.perf_counter() - started
-
-    cold = replay()
-    warm = replay()
-    snap = service.snapshot()
-    print(f"workload: {args.queries} queries x {args.repeat} repeat(s), "
-          f"graph {graph.name} ({graph.node_count} nodes)")
-    print(f"cold pass: {cold * 1e3:9.2f} ms")
-    if warm > 0:
-        print(f"warm pass: {warm * 1e3:9.2f} ms ({cold / warm:.1f}x speedup)")
-    else:
-        print("warm pass: ~0 ms")
-    print("service snapshot:")
-    for name, value in snap.items():
-        formatted = f"{value:.4f}" if isinstance(value, float) else value
-        print(f"  {name}: {formatted}")
-    return 0
-
-
-def _cmd_bench_traffic(args) -> int:
-    from repro.traffic import ReplayConfig, compare_invalidation, run_replay
-    from repro.traffic.profiles import RushHourProfile, TimeOfDayProfile
-
-    profile = None
-    if args.profile == "rush-hour":
-        profile = RushHourProfile()
-    elif args.profile == "time-of-day":
-        profile = TimeOfDayProfile()
-
-    config = ReplayConfig(
-        rounds=args.rounds,
-        queries_per_round=args.queries,
-        distinct_pairs=args.pairs,
-        concurrency=args.concurrency,
-        batch_size=args.batch_size,
-        update_fraction=args.update_fraction,
-        update_period=args.update_period,
-        sample_mode=args.sample_mode,
-        profile=profile,
-        mid_round_updates=args.mid_round_updates,
-        seed=args.seed,
-    )
-
-    if args.policy == "both":
-        outcome = compare_invalidation(lambda: _load_graph(args.graph), config)
-        for policy in ("edge", "graph"):
-            print(f"--- invalidation={policy} ---")
-            for line in outcome[policy].summary_lines():
-                print(f"  {line}")
-        ratio = outcome["retention_ratio"]
-        shown = "inf" if ratio == float("inf") else f"{ratio:.2f}"
-        print(f"warm-hit retention: edge-granular keeps {shown}x the "
-              f"whole-graph policy's hits")
-        stale = outcome["edge"].stale_serves + outcome["graph"].stale_serves
-        if stale:
-            print(f"STALE SERVES DETECTED: {stale}")
-            return 1
-        return 0
-
-    from repro.service import RouteService
-
-    graph = _load_graph(args.graph)
-    service = RouteService(invalidation=args.policy)
-    report = run_replay(graph, config=config, service=service)
-    for line in report.summary_lines():
-        print(line)
-    return 1 if report.stale_serves else 0
-
-
 def _cmd_bench_chaos(args) -> int:
     from repro.faults import ChaosConfig, run_chaos
 
@@ -285,6 +189,7 @@ def _cmd_bench_chaos(args) -> int:
         concurrency=args.concurrency,
         batch_size=args.batch_size,
         algorithm=args.algorithm,
+        backend=args.backend,
         update_period=args.update_period,
         update_fraction=args.update_fraction,
         seed=args.seed,
@@ -438,58 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--graph", default="grid:30:variance")
     info.set_defaults(func=_cmd_info)
 
-    bench_service = commands.add_parser(
-        "bench-service",
-        help="replay a random workload through the cache-aware RouteService",
-    )
-    bench_service.add_argument("--graph", default="grid:30:variance",
-                               help="grid:K[:model[:seed]] | minneapolis[:seed] | json:PATH")
-    bench_service.add_argument("--queries", type=int, default=50,
-                               help="distinct random queries per pass")
-    bench_service.add_argument("--repeat", type=int, default=1,
-                               help="times each pass replays the workload")
-    bench_service.add_argument("--algorithm", default="astar")
-    bench_service.add_argument("--estimator", default="euclidean")
-    bench_service.add_argument("--cache-capacity", type=int, default=1024)
-    bench_service.add_argument("--seed", type=int, default=1993)
-    bench_service.set_defaults(func=_cmd_bench_service)
-
-    bench_traffic = commands.add_parser(
-        "bench-traffic",
-        help="replay a mixed query/update workload and compare "
-             "invalidation policies",
-    )
-    bench_traffic.add_argument("--graph", default="grid:16:variance",
-                               help="grid:K[:model[:seed]] | minneapolis[:seed] | json:PATH")
-    bench_traffic.add_argument("--rounds", type=int, default=24,
-                               help="query rounds (one update epoch between each)")
-    bench_traffic.add_argument("--queries", type=int, default=32,
-                               help="queries per round")
-    bench_traffic.add_argument("--pairs", type=int, default=256,
-                               help="size of the recurring OD-pair pool")
-    bench_traffic.add_argument("--update-fraction", type=float, default=0.003,
-                               help="fraction of edges re-priced per epoch")
-    bench_traffic.add_argument("--update-period", type=int, default=1,
-                               help="apply an epoch before every Nth round")
-    bench_traffic.add_argument("--sample-mode", choices=("replace", "unique"),
-                               default="replace")
-    bench_traffic.add_argument("--profile",
-                               choices=("none", "rush-hour", "time-of-day"),
-                               default="none",
-                               help="drive epochs from a congestion profile "
-                                    "instead of random sweeps")
-    bench_traffic.add_argument("--policy", choices=("edge", "graph", "both"),
-                               default="both",
-                               help="invalidation policy to replay "
-                                    "('both' compares and prints the ratio)")
-    bench_traffic.add_argument("--concurrency", type=int, default=4)
-    bench_traffic.add_argument("--batch-size", type=int, default=8)
-    bench_traffic.add_argument("--mid-round-updates", action="store_true",
-                               help="land one epoch while each round's "
-                                    "queries are in flight")
-    bench_traffic.add_argument("--seed", type=int, default=1993)
-    bench_traffic.set_defaults(func=_cmd_bench_traffic)
-
     bench_chaos = commands.add_parser(
         "bench-chaos",
         help="replay a faulted query/update workload and audit that "
@@ -509,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_chaos.add_argument("--algorithm",
                              choices=("dijkstra", "astar", "iterative"),
                              default="dijkstra")
+    bench_chaos.add_argument("--backend", choices=("relational", "memory"),
+                             default="relational",
+                             help="execution tier the service plans on")
     bench_chaos.add_argument("--update-period", type=int, default=2,
                              help="apply an epoch before every Nth round "
                                   "(0 disables traffic)")

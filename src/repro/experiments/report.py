@@ -81,7 +81,9 @@ reorder adjacent points. Updates that bypass the feed are worse: they
 break the epoch chain and force a full drop-and-reload of S, a cost
 on the order of the initial load rather than the touched tuples. The
 figures below keep the paper's static-cost protocol; see
-`atis-repro bench-traffic` for the update-load measurements.
+perfbench's `relational` workload (engine runs before and after an
+incident) and `atis-repro bench-chaos` for the update-load
+measurements.
 """
 
 

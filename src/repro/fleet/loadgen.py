@@ -18,10 +18,14 @@ is checked by :class:`repro.audit.Oracle` on that state — cost
 equality with whole-graph Dijkstra *and* that the returned path is a
 real parent walk whose edge costs sum to the reported cost. Mid-epoch
 consistency (answers racing the fan-out) is exercised separately by
-the fleet test suite's chain-legality tests.
+the fleet test suite's chain-legality tests. A kill schedule can also
+hard-kill replicas between rounds (the chaos bench's failure pattern).
 
-A run is **clean** when zero answers were inexact and every query was
-either answered or explicitly shed — nothing dropped.
+A run is **clean** when zero answers were inexact or stale and every
+query was either answered or explicitly shed — nothing dropped. Each
+answer's outcome goes into an ordered record log whose CRC32 is the
+run's **determinism key**; with ``concurrency=1`` same-seed runs give
+identical keys.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -55,6 +60,9 @@ class FleetLoadConfig:
     seed: int = 1993
     #: Edges perturbed per inter-round epoch (multiplier in [0.5, 2]).
     epoch_edges: int = 32
+    #: ``(round_index, shard_id)``: before that round starts, the
+    #: shard's highest replica index is hard-killed.
+    kills: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -80,6 +88,11 @@ class FleetLoadReport:
     failovers: int = 0
     retries: int = 0
     epochs_applied: int = 0
+    #: Answers exact at the previous epoch only — the failure mode
+    #: version-pinned fan-out must prevent.
+    stale_serves: int = 0
+    #: CRC32 over :attr:`records`; timing-independent.
+    determinism_key: int = 0
     wall_s: float = 0.0
     throughput_qps: float = 0.0
     p50_latency_ms: float = 0.0
@@ -87,11 +100,17 @@ class FleetLoadReport:
     snapshot: Dict[str, Snapshot] = field(default_factory=dict)
     #: First few inexact answers, for diagnostics.
     inexact_samples: List[str] = field(default_factory=list)
+    #: Ordered per-answer log: (round, source, dest, shed, found, cost).
+    records: List[Tuple] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """Zero inexact answers and every query answered or shed."""
-        return self.inexact == 0 and self.answered + self.shed == self.queries
+        """Exact-or-flagged held: nothing wrong, stale, or dropped."""
+        return (
+            self.inexact == 0
+            and self.stale_serves == 0
+            and self.answered + self.shed == self.queries
+        )
 
     @property
     def availability(self) -> float:
@@ -115,6 +134,8 @@ class FleetLoadReport:
             "retries": self.retries,
             "availability": self.availability,
             "epochs_applied": self.epochs_applied,
+            "stale_serves": self.stale_serves,
+            "determinism_key": self.determinism_key,
             "shard_count": self.shard_count,
             "cut_edges": self.cut_edges,
             "wall_s": self.wall_s,
@@ -125,7 +146,7 @@ class FleetLoadReport:
         }
 
     def tally(self, oracle: Oracle, result: FleetResult, round_index: int) -> str:
-        """Count one answer and return the oracle's verdict on it.
+        """Count and record one answer; return the oracle's verdict.
 
         Shed answers are counted, not priced; a stale or inexact one is
         recorded with :meth:`flag`.
@@ -136,9 +157,13 @@ class FleetLoadReport:
         self.failovers += result.failovers
         self.retries += result.retries
         verdict = oracle.check(result.source, result.destination, result)
+        pair = (round_index, result.source, result.destination)
         if result.shed:
             self.shed += 1
+            self.records.append(pair + (1, 0, -1.0))
             return verdict.kind
+        cost = round(result.cost, 9) if result.found else -1.0
+        self.records.append(pair + (0, int(result.found), cost))
         self.answered += 1
         if result.found:
             self.found += 1
@@ -149,6 +174,8 @@ class FleetLoadReport:
         if result.stitched:
             self.stitched += 1
         self.audited += 1
+        if verdict.kind == "stale":
+            self.stale_serves += 1
         if verdict.kind != "exact":
             self.flag(round_index, verdict.detail)
         return verdict.kind
@@ -165,6 +192,7 @@ class FleetLoadReport:
         self.p50_latency_ms = percentile(latencies, 50) * 1e3
         self.p99_latency_ms = percentile(latencies, 99) * 1e3
         self.snapshot = snapshot
+        self.determinism_key = zlib.crc32(repr(tuple(self.records)).encode("utf-8"))
 
     def flag(self, round_index: int, complaint: str) -> None:
         """Record one inexact answer (keeping the first few as samples)."""
@@ -236,7 +264,9 @@ def run_fleet_load(
     ``feed`` must be a TrafficFeed over ``graph`` with ``router``
     subscribed — the run applies its inter-round epochs through it so
     the fleet sees exactly what a production traffic source would
-    deliver. The caller keeps ownership of the router (no shutdown).
+    deliver. ``config.kills`` kill the router's highest replica index
+    of a shard before a round. The caller keeps ownership of the
+    router (no shutdown).
     """
     config = config or FleetLoadConfig()
     report = FleetLoadReport(
@@ -262,6 +292,10 @@ def run_fleet_load(
                 feed.apply(next_epoch())
                 oracle.observe_epoch()
                 report.epochs_applied += 1
+            for kill_round, shard_id in config.kills:
+                if kill_round == round_index:
+                    replicas = router.workers[shard_id].replica_count
+                    router.kill_replica(shard_id, replicas - 1)
 
             def serve(pair: Tuple[NodeId, NodeId]) -> FleetResult:
                 result = router.plan(pair[0], pair[1])

@@ -119,28 +119,15 @@ class RouteCache:
     nothing is stored), mirroring the storage engine's ``capacity=0``
     pass-through buffer-pool semantics.
 
-    ``decrease_bound`` selects how cost *decreases* are handled:
-    ``"euclidean"`` (default) keeps entries whose cached cost the
-    cheaper edge provably cannot beat, using straight-line distance as
-    the admissible lower bound (sound whenever every edge costs at
-    least the distance between its endpoints — true for the paper's
-    uniform and variance grids and the Minneapolis map); ``None`` falls
-    back to evicting every entry of the graph on any decrease, which is
-    always sound (use it for skewed/sub-metric cost models).
+    A cost *decrease* keeps the entries whose cached cost the cheaper
+    edge provably cannot beat. Straight-line distance, scaled by the
+    epoch's :meth:`~repro.kernel.csr.CSRGraph.euclidean_scale`, is the
+    admissible lower bound, so the rule stays sound when edges are
+    priced below their length.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        decrease_bound: Optional[str] = "euclidean",
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         self.capacity = int(capacity)
-        if decrease_bound not in (None, "euclidean"):
-            raise ValueError(
-                f"unknown decrease_bound {decrease_bound!r}; "
-                "expected 'euclidean' or None"
-            )
-        self.decrease_bound = decrease_bound
         self._entries: "OrderedDict[SlotKey, CacheEntry]" = OrderedDict()
         #: (uid, u, v) -> entries whose path crosses the edge.
         self._edge_index: Dict[Tuple[int, NodeId, NodeId], Set[CacheEntry]] = {}
@@ -285,7 +272,7 @@ class RouteCache:
             previous_fingerprint = (uid, new_fp[1] - 1)
         decreases = [d for d in deltas if d.decreased]
         # Priced outside the lock: it may build the CSR snapshot.
-        bound = self._decrease_bound(graph, decreases, new_fp) if decreases else None
+        bound = self._bound_decreases(graph, decreases, new_fp) if decreases else None
         with self._lock:
             cached = self._by_uid.get(uid)
             if not cached:
@@ -319,7 +306,7 @@ class RouteCache:
                 self.rekeyed += survivors
             return InvalidationReport(len(affected), survivors)
 
-    def _decrease_bound(
+    def _bound_decreases(
         self, graph: Graph, decreases: List[CostDelta], new_fp: Tuple[int, int]
     ) -> Optional[_DecreaseBound]:
         """The :data:`_DecreaseBound` of one epoch's cheaper edges.
@@ -327,12 +314,9 @@ class RouteCache:
         ``scale`` makes straight-line distance a lower bound on every
         cost at ``new_fp`` (1.0 unless an edge is priced below its
         length; see :meth:`CSRGraph.euclidean_scale`). Endpoint
-        coordinates are looked up once per epoch. ``None`` when no
-        bound applies: the policy is off, or a delta's endpoints have
-        no coordinates.
+        coordinates are looked up once per epoch. ``None`` when a
+        delta's endpoints have no coordinates.
         """
-        if self.decrease_bound is None:
-            return None
         try:
             ends = [
                 graph.coordinates(d.source) + graph.coordinates(d.target)
@@ -347,8 +331,6 @@ class RouteCache:
         self, graph: Graph, entry: CacheEntry, bound: Optional[_DecreaseBound]
     ) -> bool:
         """True if no cheaper edge can possibly beat the cached cost."""
-        if self.decrease_bound is None:
-            return False
         if entry.cost == math.inf and entry.edges is not None:
             # A provenance-bearing "unreachable" answer: reachability is
             # structural, so no cost change can ever overturn it.

@@ -50,7 +50,6 @@ import threading
 import time
 from dataclasses import replace
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -61,10 +60,6 @@ from typing import (
     Union,
 )
 
-if TYPE_CHECKING:  # circular at runtime (traffic.replay imports us)
-    from repro.demand.selectlink import SelectLinkResult
-    from repro.demand.skim import SkimMatrix
-
 from repro.core.estimators import Estimator, ScaledEstimator, make_estimator
 from repro.core.planner import RoutePlanner
 from repro.kernel.result import PathResult
@@ -72,7 +67,7 @@ from repro.exceptions import FaultError, UnknownAlgorithmError
 from repro.kernel import accel as _accel
 from repro.kernel import csr as _csr
 from repro.engine.tracing import RequestTrace
-from repro.graphs.graph import CostDelta, Graph, NodeId
+from repro.graphs.graph import Graph, NodeId
 from repro.service.cache import (
     EdgeKey,
     InvalidationReport,
@@ -82,6 +77,9 @@ from repro.service.cache import (
 )
 from repro.service.metrics import QueryMetrics, ServiceMetrics, Snapshot
 from repro.service.pool import EstimatorPool
+from repro.traffic.feed import TrafficEpoch
+from repro.demand.selectlink import SelectLinkResult, link_flows
+from repro.demand.skim import SkimMatrix, skim as _skim
 
 #: A batch entry: ``(source, destination)`` with service defaults, or a
 #: dict with optional ``algorithm`` / ``estimator`` / ``weight`` /
@@ -109,11 +107,10 @@ _RELATIONAL_ALGORITHMS = ("astar", "dijkstra", "iterative")
 class RouteService:
     """Serve single-pair route queries with caching and reuse.
 
-    ``invalidation`` selects the traffic-epoch eviction policy:
-    ``"edge"`` (default) uses the cache's inverted edge index to evict
-    only affected answers and re-key the rest; ``"graph"`` restores the
-    pre-traffic behaviour of dropping every answer for the graph (kept
-    for comparison benchmarks and for workloads with no provenance).
+    Traffic epochs are absorbed edge by edge: the cache's inverted edge
+    index evicts only the answers an epoch can affect and re-keys the
+    rest (see :meth:`handle_epoch`). :meth:`invalidate` drops every
+    answer for a graph, for structural changes.
     """
 
     def __init__(
@@ -124,8 +121,6 @@ class RouteService:
         default_algorithm: str = "astar",
         default_estimator: str = "euclidean",
         default_backend: str = "memory",
-        invalidation: str = "edge",
-        decrease_bound: Optional[str] = "euclidean",
         clock=time.perf_counter,
         fault_plan=None,
         max_retries: int = 3,
@@ -134,11 +129,6 @@ class RouteService:
         recover_on_start: bool = False,
         accelerator: Optional[str] = None,
     ) -> None:
-        if invalidation not in ("edge", "graph"):
-            raise ValueError(
-                f"unknown invalidation policy {invalidation!r}; "
-                "expected 'edge' or 'graph'"
-            )
         for rung in degradation:
             if rung not in ("memory", "last-good"):
                 raise ValueError(
@@ -161,12 +151,11 @@ class RouteService:
         elif planner.estimator_pool is None:
             planner.estimator_pool = self.pool
         self.planner = planner
-        self.cache = RouteCache(cache_capacity, decrease_bound=decrease_bound)
+        self.cache = RouteCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_algorithm = default_algorithm
         self.default_estimator = default_estimator
         self.default_backend = default_backend
-        self.invalidation = invalidation
         self._clock = clock
         self._flight_lock = threading.Lock()
         self._in_flight: Dict[QueryKey, threading.Event] = {}
@@ -230,7 +219,7 @@ class RouteService:
         # are whole-epoch artifacts, so epoch handling drops them for
         # the graph rather than patching cells.
         self._skim_lock = threading.Lock()
-        self._skims: "Dict[Tuple, SkimMatrix]" = {}
+        self._skims: Dict[Tuple, SkimMatrix] = {}
         self._skim_capacity = 8
         self.skims_computed = 0
         self.skim_hits = 0
@@ -795,7 +784,7 @@ class RouteService:
         origins: Sequence[NodeId],
         destinations: Optional[Sequence[NodeId]] = None,
         retain_paths: bool = False,
-    ) -> "SkimMatrix":
+    ) -> SkimMatrix:
         """The dense OD cost matrix, served through the skim cache.
 
         Same contract as :func:`repro.demand.skim.skim` — single-epoch
@@ -806,11 +795,6 @@ class RouteService:
         :meth:`plan_many` over the same pairs with a cost-optimal
         algorithm — both price shortest paths at one fingerprint.
         """
-        # Imported here, not at module top: repro.demand sits above the
-        # traffic package, which imports this module for the replay
-        # driver — a top-level import would be circular.
-        from repro.demand.skim import skim as _skim
-
         origin_key = tuple(origins)
         dest_key = tuple(destinations) if destinations is not None else None
         while True:
@@ -852,7 +836,7 @@ class RouteService:
         origins: Optional[Sequence[NodeId]] = None,
         destinations: Optional[Sequence[NodeId]] = None,
         source: str = "skim",
-    ) -> "SelectLinkResult":
+    ) -> SelectLinkResult:
         """Which OD pairs traverse each link, and with what volume.
 
         ``source="skim"`` computes (or reuses) a path-retaining skim
@@ -865,8 +849,6 @@ class RouteService:
         :func:`~repro.demand.selectlink.link_flows` inversion, so the
         two sources differ only in which route set they describe.
         """
-        from repro.demand.selectlink import SelectLinkResult, link_flows
-
         if source not in ("skim", "cache"):
             raise ValueError(
                 f"unknown select-link source {source!r}; expected "
@@ -1002,11 +984,10 @@ class RouteService:
     def handle_epoch(self, epoch) -> InvalidationReport:
         """Absorb one :class:`~repro.traffic.feed.TrafficEpoch`.
 
-        Under the default ``"edge"`` policy this evicts only the cached
-        answers the epoch's deltas can affect and re-keys the rest to
-        the new fingerprint; under ``"graph"`` it drops everything for
-        the graph. Either way the estimator pool refreshes its stranded
-        landmark tables on the same signal, and a relational mirror
+        Evicts only the cached answers the epoch's deltas can affect
+        and re-keys the rest to the new fingerprint. The estimator pool
+        refreshes its stranded landmark tables on the same signal, and
+        a relational mirror
         owned for the graph records the dirtied adjacency lists so its
         next run re-fetches (and bills) exactly those blocks. Returns
         the invalidation report (``evicted`` / ``rekeyed`` counts).
@@ -1024,19 +1005,16 @@ class RouteService:
             # A graph receiving live epochs is current by definition;
             # never replay the journal on top of it.
             self._recovered_uids.add(graph.uid)
-        if self.invalidation == "edge":
-            # Survivors re-key to the fingerprint *this* epoch produced
-            # (not the live one, which may already be several epochs
-            # ahead): see ``invalidate_edges`` on why defaulting would
-            # let survivors leapfrog unanalysed deltas.
-            report = self.cache.invalidate_edges(
-                graph,
-                epoch.deltas,
-                epoch.previous_fingerprint,
-                new_fingerprint=epoch.fingerprint,
-            )
-        else:
-            report = InvalidationReport(self.cache.invalidate_graph(graph), 0)
+        # Survivors re-key to the fingerprint *this* epoch produced
+        # (not the live one, which may already be several epochs
+        # ahead): see ``invalidate_edges`` on why defaulting would let
+        # survivors leapfrog unanalysed deltas.
+        report = self.cache.invalidate_edges(
+            graph,
+            epoch.deltas,
+            epoch.previous_fingerprint,
+            new_fingerprint=epoch.fingerprint,
+        )
         self._drop_skims(graph.uid)
         self.pool.refresh(graph)
         self._customize_accel(graph, epoch)
@@ -1074,56 +1052,23 @@ class RouteService:
         """Apply one traffic update and invalidate affected answers.
 
         A convenience wrapper for callers without a
-        :class:`~repro.traffic.feed.TrafficFeed`: applies the
-        single-edge epoch, runs the configured invalidation policy and
-        refreshes the estimator pool. Returns the number of cache
-        entries evicted, so callers (and the replay driver) can assert
-        invalidation precision.
+        :class:`~repro.traffic.feed.TrafficFeed`: applies the update as
+        a single-edge epoch through :meth:`handle_epoch`. Returns the
+        number of cache entries evicted; an update that leaves the cost
+        unchanged is no epoch at all and returns 0.
         """
-        old_cost = graph.edge_cost(source, target)
         previous = graph.fingerprint
-        graph.update_edge_cost(source, target, cost)
-        applied = graph.fingerprint
-        new_cost = graph.edge_cost(source, target)
-        deltas = (
-            [CostDelta(source, target, old_cost, new_cost)]
-            if new_cost != old_cost
-            else []
+        deltas = graph.apply_cost_updates([(source, target, cost)])
+        if not deltas:
+            return 0
+        epoch = TrafficEpoch(
+            number=self.epochs_applied + 1,
+            graph=graph,
+            deltas=tuple(deltas),
+            previous_fingerprint=previous,
+            fingerprint=graph.fingerprint,
         )
-        with self._traffic_lock:
-            self._recovered_uids.add(graph.uid)
-        epoch = None
-        if deltas:
-            from repro.traffic.feed import TrafficEpoch
-
-            epoch = TrafficEpoch(
-                number=self.epochs_applied + 1,
-                graph=graph,
-                deltas=tuple(deltas),
-                previous_fingerprint=previous,
-                fingerprint=applied,
-            )
-        if self.wal is not None and epoch is not None:
-            self.wal.log_epoch(epoch)
-        if self.invalidation == "edge":
-            report = self.cache.invalidate_edges(
-                graph, deltas, previous, new_fingerprint=applied
-            )
-        else:
-            report = InvalidationReport(self.cache.invalidate_graph(graph), 0)
-        self._drop_skims(graph.uid)
-        self.pool.refresh(graph)
-        if epoch is not None:
-            self._customize_accel(graph, epoch)
-        with self._rgraph_lock:
-            rgraph = self._rgraphs.get(graph.uid)
-        if rgraph is not None and epoch is not None:
-            rgraph.handle_epoch(epoch)
-        with self._traffic_lock:
-            self.epochs_applied += 1
-            self.traffic_evicted += report.evicted
-            self.traffic_retained += report.rekeyed
-        return report.evicted
+        return self.handle_epoch(epoch).evicted
 
     # ------------------------------------------------------------------
     # durability (crash recovery)

@@ -1,4 +1,4 @@
-"""Live traffic updates: batched epochs, profiles, replay (post-paper).
+"""Live traffic updates: batched epochs and profiles (post-paper).
 
 The paper prices every edge once and never looks back; an ATIS in the
 field re-prices edges continuously. This package is the ingestion side
@@ -9,10 +9,10 @@ of that story:
   fingerprint bump per batch) and fans them out to the serving layers;
 * :mod:`repro.traffic.profiles` — time-of-day, rush-hour and incident
   congestion models layered multiplicatively over the paper's static
-  cost models;
-* :mod:`repro.traffic.replay` — a mixed query/update workload driver
-  that audits every served answer for staleness and compares the
-  edge-granular and whole-graph invalidation policies.
+  cost models.
+
+:func:`repro.faults.run_chaos` drives a mixed query/update workload
+through a feed and audits every served answer.
 """
 
 from repro.traffic.feed import TrafficEpoch, TrafficFeed
@@ -26,12 +26,6 @@ from repro.traffic.profiles import (
     TimeOfDayProfile,
     profile_cost_model,
 )
-from repro.traffic.replay import (
-    ReplayConfig,
-    ReplayReport,
-    compare_invalidation,
-    run_replay,
-)
 from repro.service.metrics import percentile
 
 __all__ = [
@@ -40,14 +34,10 @@ __all__ = [
     "ConstantProfile",
     "IncidentProfile",
     "ProfiledCostModel",
-    "ReplayConfig",
-    "ReplayReport",
     "RushHourProfile",
     "TimeOfDayProfile",
     "TrafficEpoch",
     "TrafficFeed",
-    "compare_invalidation",
     "percentile",
     "profile_cost_model",
-    "run_replay",
 ]

@@ -115,6 +115,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "trade-off" in out.lower()
 
+    def test_bench_chaos_memory_backend(self, capsys):
+        code = main([
+            "bench-chaos", "--graph", "grid:6:variance",
+            "--backend", "memory", "--algorithm", "astar", "--rounds", "3",
+        ])
+        assert code == 0
+        assert "unflagged wrong answers: 0" in capsys.readouterr().out
+
     def test_bench_recovery(self, tmp_path, capsys):
         import json
 

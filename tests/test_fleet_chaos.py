@@ -7,10 +7,10 @@ import pytest
 from repro.bench.fleet_chaos import (
     FleetChaosConfig,
     FleetChaosReport,
-    FleetChaosRun,
     run_chaos_replay,
     run_fleet_chaos,
 )
+from repro.fleet.loadgen import FleetLoadReport
 
 pytestmark = pytest.mark.fleetchaos
 
@@ -71,7 +71,8 @@ class TestChaosAudit:
             assert run.stale_serves == 0
             # Zero silent drops: every query answered or flagged.
             assert run.answered + run.shed == run.queries
-        assert chaos_report.replicated.kills == len(_CFG.kills)
+        replica_kills = chaos_report.replicated.snapshot["fleet"]["replica_kills"]
+        assert replica_kills == len(_CFG.kills)
 
     def test_replication_buys_availability_under_identical_failure(
         self, chaos_report
@@ -130,10 +131,8 @@ class TestDeterminism:
             assert run.availability == 1.0
 
 
-def _run(replicas, **counts):
-    return FleetChaosRun(
-        config=_QUIET.load_config(), replicas=replicas, **counts
-    )
+def _run(**counts):
+    return FleetLoadReport(config=_QUIET.load_config(), **counts)
 
 
 class TestReportGuards:
@@ -145,8 +144,8 @@ class TestReportGuards:
     def test_refuses_inexact_report(self):
         report = FleetChaosReport(
             config=_QUIET,
-            replicated=_run(2, queries=10, answered=10, inexact=1),
-            baseline=_run(1, queries=10, answered=10),
+            replicated=_run(queries=10, answered=10, inexact=1),
+            baseline=_run(queries=10, answered=10),
         )
         assert not report.clean
         with pytest.raises(ValueError, match="inexact"):
@@ -155,8 +154,8 @@ class TestReportGuards:
     def test_refuses_stale_report(self):
         report = FleetChaosReport(
             config=_QUIET,
-            replicated=_run(2, queries=10, answered=10),
-            baseline=_run(1, queries=10, answered=10, inexact=1,
+            replicated=_run(queries=10, answered=10),
+            baseline=_run(queries=10, answered=10, inexact=1,
                           stale_serves=1),
         )
         assert not report.baseline.clean
@@ -166,8 +165,8 @@ class TestReportGuards:
     def test_refuses_silent_drops(self):
         report = FleetChaosReport(
             config=_QUIET,
-            replicated=_run(2, queries=10, answered=9),
-            baseline=_run(1, queries=10, answered=10),
+            replicated=_run(queries=10, answered=9),
+            baseline=_run(queries=10, answered=10),
         )
         with pytest.raises(ValueError, match="silent drops"):
             report.to_json()
@@ -176,8 +175,8 @@ class TestReportGuards:
         config = FleetChaosConfig(kills=((1, 0),))
         report = FleetChaosReport(
             config=config,
-            replicated=_run(2, queries=10, answered=8, shed=2),
-            baseline=_run(1, queries=10, answered=8, shed=2),
+            replicated=_run(queries=10, answered=8, shed=2),
+            baseline=_run(queries=10, answered=8, shed=2),
         )
         with pytest.raises(ValueError, match="no availability"):
             report.to_json()

@@ -308,17 +308,3 @@ class TestObservability:
         assert payload["spans"][1]["detail"] == 1
         assert payload["spans"][1]["more"] == 2
 
-
-class TestCli:
-    def test_bench_service_smoke(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["bench-service", "--graph", "grid:8:uniform",
-             "--queries", "10", "--seed", "7"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cold pass" in out
-        assert "warm pass" in out
-        assert "cache_hit_rate" in out

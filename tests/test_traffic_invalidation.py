@@ -1,4 +1,4 @@
-"""Edge-granular cache invalidation: precision, re-keying, policies."""
+"""Edge-granular cache invalidation: precision, re-keying, counters."""
 
 import math
 import random
@@ -155,17 +155,6 @@ class TestDecreases:
         assert not again.found
         assert service.metrics.cache_hits == hits_before + 1
 
-    def test_conservative_mode_evicts_on_decrease(self):
-        graph = self.make_detour_graph()
-        service = RouteService(decrease_bound=None)
-        feed = TrafficFeed(graph)
-        feed.subscribe(service)
-        service.plan(graph, "a", "b")
-        feed.apply([("b", "z", 20.0)])
-        hits_before = service.metrics.cache_hits
-        service.plan(graph, "a", "b")
-        assert service.metrics.cache_hits == hits_before
-
 
 def price_below_length(graph, feed, rng):
     """One epoch pricing 600 edges at 0.3-1.0x, many below their length."""
@@ -272,22 +261,6 @@ class TestSubEuclideanEpochs:
 
 
 class TestPoliciesAndCounters:
-    def test_graph_policy_drops_everything(self):
-        graph = two_corridor_graph()
-        service = RouteService(invalidation="graph")
-        feed = TrafficFeed(graph)
-        feed.subscribe(service)
-        service.plan(graph, "a", "b")
-        service.plan(graph, "c", "d")
-        feed.apply([("a", "n1", 5.0)])
-        assert len(service.cache) == 0
-        assert service.traffic_evicted == 2
-        assert service.traffic_retained == 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            RouteService(invalidation="nuke-from-orbit")
-
     def test_update_edge_cost_returns_eviction_count(self):
         graph = two_corridor_graph()
         service = RouteService()
@@ -298,6 +271,18 @@ class TestPoliciesAndCounters:
         assert graph.edge_cost("a", "n1") == 4.0
         # A no-op update evicts nothing and bumps nothing.
         assert service.update_edge_cost(graph, "a", "n1", 4.0) == 0
+
+    def test_same_cost_update_is_no_epoch(self):
+        graph = two_corridor_graph()
+        service = RouteService()
+        service.plan(graph, "a", "b")
+        fingerprint = graph.fingerprint
+        assert service.update_edge_cost(graph, "a", "n1", 1.0) == 0
+        assert graph.fingerprint == fingerprint
+        assert service.epochs_applied == 0
+        hits_before = service.metrics.cache_hits
+        service.plan(graph, "a", "b")
+        assert service.metrics.cache_hits == hits_before + 1
 
     def test_epoch_counters_accumulate(self):
         graph = two_corridor_graph()

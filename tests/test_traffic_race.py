@@ -4,11 +4,12 @@ import threading
 
 import pytest
 
+from repro.faults import ChaosConfig, run_chaos
 from repro.graphs.graph import Graph
 from repro.graphs.grid import make_paper_grid
 from repro.graphs.roadmap import make_minneapolis_map
 from repro.service import RouteService
-from repro.traffic import ReplayConfig, TrafficFeed, run_replay
+from repro.traffic import TrafficFeed
 
 pytestmark = pytest.mark.traffic
 
@@ -20,6 +21,25 @@ def chain_graph(cost: float) -> Graph:
     for index in range(3):
         graph.add_edge(index, index + 1, cost)
     return graph
+
+
+def _replay_config(**overrides) -> ChaosConfig:
+    """A concurrent in-memory A* replay: an epoch of 0.6-2.5x sweeps
+    before every round, 40 queries per round over 24 recurring pairs."""
+    fields = dict(
+        backend="memory",
+        algorithm="astar",
+        rounds=8,
+        queries_per_round=40,
+        distinct_pairs=24,
+        concurrency=4,
+        batch_size=8,
+        update_period=1,
+        update_fraction=0.05,
+        update_factor_range=(0.6, 2.5),
+    )
+    fields.update(overrides)
+    return ChaosConfig(**fields)
 
 
 class TestSingleEpochPricing:
@@ -150,7 +170,7 @@ class TestSingleEpochPricing:
 
     def test_replay_with_mid_round_updates_serves_no_stale(self):
         graph = make_paper_grid(10, "variance")
-        config = ReplayConfig(
+        config = _replay_config(
             rounds=6,
             queries_per_round=24,
             distinct_pairs=20,
@@ -158,9 +178,9 @@ class TestSingleEpochPricing:
             mid_round_updates=True,
             seed=5,
         )
-        report = run_replay(graph, config=config)
+        report = run_chaos(graph, config=config)
         assert report.queries == 6 * 24
-        assert report.stale_serves == 0
+        assert report.wrong_unflagged == 0
 
     def test_faulting_listener_does_not_starve_later_subscribers(self):
         """Crash consistency of apply(): a handler that faults mid
@@ -284,15 +304,19 @@ class TestSingleEpochPricing:
         cases = [
             (
                 make_paper_grid(10, "variance"),
-                ReplayConfig(rounds=5, queries_per_round=20,
-                             distinct_pairs=16, seed=3),
+                _replay_config(rounds=5, queries_per_round=20,
+                               distinct_pairs=16, seed=3),
             ),
-            # The default 0.6-2.5x sweeps price Minneapolis edges below
-            # their straight-line length, so the default A* runs scaled.
-            (make_minneapolis_map().graph, ReplayConfig()),
+            # The 0.6-2.5x sweeps price Minneapolis edges below their
+            # straight-line length, so the default A* runs scaled.
+            (make_minneapolis_map().graph, _replay_config()),
         ]
         for graph, config in cases:
-            report = run_replay(graph, config=config)
-            assert report.stale_serves == 0, graph.name
-            assert report.cache_hits > 0
+            service = RouteService(
+                default_algorithm=config.algorithm,
+                default_backend=config.backend,
+            )
+            report = run_chaos(graph, config=config, service=service)
+            assert report.wrong_unflagged == 0, graph.name
+            assert service.metrics.cache_hits > 0
             assert report.epochs == config.rounds - 1
