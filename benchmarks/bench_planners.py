@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import kernel
 from repro.core.estimators import (
     EuclideanEstimator,
     LandmarkEstimator,
@@ -30,7 +31,6 @@ from repro.core.estimators import (
     ZeroEstimator,
 )
 from repro.core.planner import RoutePlanner
-from repro.core.astar import astar_search
 from repro.engine import RelationalGraph, run_dijkstra
 from repro.graphs.grid import make_paper_grid
 from repro.graphs.roadmap import make_minneapolis_map, road_queries
@@ -118,7 +118,7 @@ def test_bench_estimator_ablation_on_road_map(benchmark, road_map):
 
     def sweep():
         return {
-            name: astar_search(graph, source, destination, estimator).iterations
+            name: kernel.search(graph, source, destination, "astar", estimator).iterations
             for name, estimator in estimators.items()
         }
 
@@ -167,9 +167,7 @@ def test_bench_backend_parity(benchmark, grid30):
     """
 
     def sweep():
-        from repro.core.dijkstra import dijkstra_search
-
-        memory = dijkstra_search(grid30, (0, 0), (29, 29))
+        memory = kernel.search(grid30, (0, 0), (29, 29))
         rgraph = RelationalGraph(grid30)
         relational = run_dijkstra(rgraph, (0, 0), (29, 29))
         return memory, relational

@@ -83,9 +83,9 @@ def main() -> None:
     print(f"execution cost:     {stats.cost:.1f} Table 4A units")
 
     # Sanity: the in-memory planner agrees.
-    from repro.core.dijkstra import dijkstra_search
+    from repro import kernel
 
-    reference = dijkstra_search(graph, query.source, query.destination)
+    reference = kernel.search(graph, query.source, query.destination)
     print(f"\nin-memory Dijkstra: cost {reference.cost:.3f} over "
           f"{reference.iterations} iterations — "
           f"{'MATCH' if abs(reference.cost - cost) < 1e-9 else 'MISMATCH'}")

@@ -14,8 +14,7 @@ estimator, which restores optimality without geometry assumptions.
 Run:  python examples/estimator_tradeoffs.py
 """
 
-from repro import RoutePlanner
-from repro.core.astar import astar_search
+from repro import RoutePlanner, kernel
 from repro.core.estimators import (
     EuclideanEstimator,
     LandmarkEstimator,
@@ -57,7 +56,7 @@ def main() -> None:
             if estimator is None:
                 result = planner.plan(graph, s, d, "dijkstra")
             else:
-                result = astar_search(graph, s, d, estimator)
+                result = kernel.search(graph, s, d, "astar", estimator)
             expansions += result.stats.nodes_expanded
             gap = result.cost / optima[query_label].cost - 1.0
             worst_gap = max(worst_gap, gap)

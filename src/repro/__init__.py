@@ -20,14 +20,9 @@ from repro.core import (
     PathResult,
     RoutePlanner,
     SearchStats,
-    astar_search,
-    bidirectional_search,
-    dijkstra_search,
     diverse_alternatives,
     greedy_best_first_search,
-    iterative_search,
     k_shortest_paths,
-    plan_route,
 )
 from repro.core.estimators import (
     EuclideanEstimator,
@@ -55,14 +50,9 @@ __all__ = [
     "PathResult",
     "RoutePlanner",
     "SearchStats",
-    "astar_search",
-    "bidirectional_search",
-    "dijkstra_search",
     "greedy_best_first_search",
-    "iterative_search",
     "k_shortest_paths",
     "diverse_alternatives",
-    "plan_route",
     "EuclideanEstimator",
     "LandmarkEstimator",
     "ManhattanEstimator",

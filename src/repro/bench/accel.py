@@ -168,7 +168,7 @@ def run_accel_bench(config: Optional[AccelBenchConfig] = None) -> AccelBenchRepo
     csr.csr_for(graph)
     report.time("query/csr", batch(csr.uniform_cost))
 
-    instance = accel.make_accelerator("cch")
+    instance = accel.CCHAccelerator()
     started = time.perf_counter()
     instance.preprocess(graph)
     report.overheads["cch-preprocess"] = time.perf_counter() - started

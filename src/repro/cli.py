@@ -5,7 +5,7 @@ Commands
 ``route``      plan a single-pair route on a generated or loaded graph;
 ``compare``    run the paper's three algorithms on one query;
 ``alternatives`` list the K best (or diverse) routes;
-``experiment`` run one registered experiment (E1..E10) and print its
+``experiment`` run one registered experiment (E1..E11) and print its
                rendered tables;
 ``report``     regenerate the full EXPERIMENTS.md content;
 ``info``       summarize a graph (size, degree stats, diameter);
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     alternatives.set_defaults(func=_cmd_alternatives)
 
     experiment = commands.add_parser(
-        "experiment", help="run one registered experiment (E1..E10)"
+        "experiment", help="run one registered experiment (E1..E11)"
     )
     experiment.add_argument("experiment_id")
     experiment.set_defaults(func=_cmd_experiment)

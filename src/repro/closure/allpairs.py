@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
-from repro.core.dijkstra import dijkstra_sssp
 
 
 @dataclass

@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
+from repro import kernel
 from repro.exceptions import NodeNotFoundError, PlannerError
 from repro.graphs.graph import Graph, NodeId
-from repro.core.astar import astar_search
 from repro.core.estimators import Estimator, ZeroEstimator
 from repro.kernel.result import PathResult, SearchStats
 
@@ -50,7 +50,7 @@ def k_shortest_paths(
     working = graph.copy()
     estimator = estimator if estimator is not None else ZeroEstimator()
 
-    first = astar_search(working, source, destination, estimator)
+    first = kernel.search(working, source, destination, "astar", estimator)
     if not first.found:
         return []
     accepted: List[PathResult] = [first]
@@ -85,7 +85,7 @@ def k_shortest_paths(
                     removed_nodes.append((predecessor, node, cost))
                     working.remove_edge(predecessor, node)
 
-            spur = astar_search(working, spur_node, destination, estimator)
+            spur = kernel.search(working, spur_node, destination, "astar", estimator)
             if spur.found:
                 total_path = root_path[:-1] + spur.path
                 key = tuple(total_path)

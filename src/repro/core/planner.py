@@ -16,15 +16,14 @@ experiment harness without modifying it.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.exceptions import UnknownAlgorithmError
+from repro.exceptions import NodeNotFoundError, UnknownAlgorithmError
 from repro.graphs.graph import Graph, NodeId
-from repro.core.astar import astar_search, greedy_best_first_search
-from repro.core.bidirectional import bidirectional_search
-from repro.core.dijkstra import dijkstra_search
+from repro import kernel
 from repro.core.estimators import (
     Estimator,
     EuclideanEstimator,
@@ -33,32 +32,73 @@ from repro.core.estimators import (
     ZeroEstimator,
     make_estimator,
 )
-from repro.core.iterative import iterative_search
 from repro.core.kshortest import diverse_alternatives, k_shortest_paths
-from repro.kernel.result import PathResult
+from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 
 PlannerFunc = Callable[..., PathResult]
 
 
-def _plan_iterative(
-    graph: Graph, source: NodeId, destination: NodeId, estimator: Estimator,
-    **options,
+def greedy_best_first_search(
+    graph: Graph,
+    source: NodeId,
+    destination: NodeId,
+    estimator: Estimator,
 ) -> PathResult:
-    return iterative_search(graph, source, destination)
+    """Pure greedy best-first: select by ``f(u, d)`` alone, ignore g.
 
+    Included as the degenerate end of the speed/optimality spectrum —
+    it finds *a* path extremely fast but with no quality bound, a useful
+    baseline when the experiments quantify the trade-off the paper
+    leaves as future work. Not a kernel configuration: it keeps no cost
+    labels, so it falls outside the label-correcting protocol.
+    """
+    if source not in graph:
+        raise NodeNotFoundError(source)
+    if destination not in graph:
+        raise NodeNotFoundError(destination)
 
-def _plan_dijkstra(
-    graph: Graph, source: NodeId, destination: NodeId, estimator: Estimator,
-    **options,
-) -> PathResult:
-    return dijkstra_search(graph, source, destination)
+    estimator.prepare(graph, destination)
+    stats = SearchStats()
+    predecessor: Dict[NodeId, NodeId] = {}
+    visited = {source}
+    counter = 0
+    heap = [(estimator.estimate(graph, source, destination), counter, source)]
+    stats.frontier_inserts += 1
+    found = False
 
+    while heap:
+        _, _, u = heapq.heappop(heap)
+        if u == destination:
+            found = True
+            break
+        stats.iterations += 1
+        stats.nodes_expanded += 1
+        stats.observe_frontier(len(heap))
+        for v, _cost in graph.neighbors(u):
+            stats.edges_relaxed += 1
+            if v not in visited:
+                visited.add(v)
+                predecessor[v] = u
+                counter += 1
+                heapq.heappush(
+                    heap, (estimator.estimate(graph, v, destination), counter, v)
+                )
+                stats.frontier_inserts += 1
 
-def _plan_astar(
-    graph: Graph, source: NodeId, destination: NodeId, estimator: Estimator,
-    **options,
-) -> PathResult:
-    return astar_search(graph, source, destination, estimator=estimator)
+    result = PathResult(
+        source=source,
+        destination=destination,
+        algorithm="greedy",
+        estimator=estimator.name,
+        stats=stats,
+    )
+    if found:
+        path = reconstruct_path(predecessor, source, destination)
+        assert path is not None
+        result.path = path
+        result.cost = graph.path_cost(path)
+        result.found = True
+    return result
 
 
 def _plan_greedy(
@@ -68,11 +108,16 @@ def _plan_greedy(
     return greedy_best_first_search(graph, source, destination, estimator)
 
 
-def _plan_bidirectional(
-    graph: Graph, source: NodeId, destination: NodeId, estimator: Estimator,
-    **options,
-) -> PathResult:
-    return bidirectional_search(graph, source, destination)
+def _plan_kernel(algorithm: str) -> PlannerFunc:
+    """The registry entry for one in-memory kernel configuration."""
+
+    def plan(
+        graph: Graph, source: NodeId, destination: NodeId, estimator: Estimator,
+        **options,
+    ) -> PathResult:
+        return kernel.search(graph, source, destination, algorithm, estimator)
+
+    return plan
 
 
 def _ranked_result(
@@ -155,11 +200,9 @@ class RoutePlanner:
         self._registry: Dict[str, PlannerFunc] = {}
         self._lock = threading.RLock()
         self.estimator_pool = estimator_pool
-        self.register("iterative", _plan_iterative)
-        self.register("dijkstra", _plan_dijkstra)
-        self.register("astar", _plan_astar)
+        for algorithm in kernel.IN_MEMORY_ALGORITHMS:
+            self.register(algorithm, _plan_kernel(algorithm))
         self.register("greedy", _plan_greedy)
-        self.register("bidirectional", _plan_bidirectional)
         self.register("kshortest", _plan_kshortest)
         self.register("diverse_alternatives", _plan_diverse)
 
@@ -254,27 +297,3 @@ class RoutePlanner:
                 graph, source, destination, "astar", estimator="manhattan"
             ),
         }
-
-
-_DEFAULT_PLANNER: Optional[RoutePlanner] = None
-
-
-def default_planner() -> RoutePlanner:
-    """A lazily created module-level planner for one-liner use."""
-    global _DEFAULT_PLANNER
-    if _DEFAULT_PLANNER is None:
-        _DEFAULT_PLANNER = RoutePlanner()
-    return _DEFAULT_PLANNER
-
-
-def plan_route(
-    graph: Graph,
-    source: NodeId,
-    destination: NodeId,
-    algorithm: str = "astar",
-    estimator: "str | Estimator | None" = None,
-) -> PathResult:
-    """Convenience wrapper around :meth:`RoutePlanner.plan`."""
-    return default_planner().plan(
-        graph, source, destination, algorithm=algorithm, estimator=estimator
-    )

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro import kernel
 from repro.closure.allpairs import floyd_warshall_paths, repeated_dijkstra_paths
 from repro.closure.reachability import dfs_closure, seminaive_closure
-from repro.core.astar import astar_search
 from repro.core.estimators import ManhattanEstimator
 from repro.graphs.grid import make_paper_grid, paper_queries
 from repro.experiments.spec import ExperimentResult, ExperimentSpec, register
@@ -44,8 +44,8 @@ def run(k: int = 15, seed: int = 1993, cross_check: bool = True) -> ExperimentRe
     # relaxations over the three canonical queries).
     single_pair_ops: List[int] = []
     for query in queries:
-        result = astar_search(
-            graph, query.source, query.destination, ManhattanEstimator()
+        result = kernel.search(
+            graph, query.source, query.destination, "astar", ManhattanEstimator()
         )
         single_pair_ops.append(result.stats.edges_relaxed)
     per_query = sum(single_pair_ops) / len(single_pair_ops)

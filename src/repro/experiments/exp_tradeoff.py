@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.astar import astar_search, greedy_best_first_search
+from repro import kernel
 from repro.core.estimators import (
     EuclideanEstimator,
     LandmarkEstimator,
     ManhattanEstimator,
     ScaledEstimator,
 )
-from repro.core.planner import RoutePlanner
+from repro.core.planner import RoutePlanner, greedy_best_first_search
 from repro.graphs.roadmap import make_minneapolis_map, road_queries
 from repro.experiments.spec import ExperimentResult, ExperimentSpec, register
 from repro.experiments.tables import render_table
@@ -62,7 +62,7 @@ def run(seed: int = 1993, cross_check: bool = True) -> ExperimentResult:
                     graph, source, destination, EuclideanEstimator()
                 )
             else:
-                result = astar_search(graph, source, destination, estimator)
+                result = kernel.search(graph, source, destination, "astar", estimator)
             expansions[name][label] = result.stats.nodes_expanded
             gaps[name][label] = 100.0 * (result.cost / optima[label] - 1.0)
 

@@ -171,7 +171,6 @@ class ReplicaSet:
         threads: int = 2,
         cache_capacity: int = 2048,
         clock=time.perf_counter,
-        accelerator: Optional[str] = None,
         fault_plans: Optional[Dict[int, WorkerFaultPlan]] = None,
         health: Optional[HealthPolicy] = None,
         sleeper: Callable[[float], None] = time.sleep,
@@ -191,7 +190,6 @@ class ReplicaSet:
                 threads=threads,
                 cache_capacity=cache_capacity,
                 clock=clock,
-                accelerator=accelerator,
                 graph=spec.graph if index == 0 else spec.graph.copy(),
                 replica_index=index,
                 fault_plan=plans.get(index),
@@ -460,7 +458,7 @@ class ReplicaSet:
         merged: Snapshot = dict(snaps[0])
         for snap in snaps[1:]:
             for key, value in snap.items():
-                if key in _SUM_KEYS or key.startswith("accel_"):
+                if key in _SUM_KEYS:
                     merged[key] = merged.get(key, 0) + value
                 elif key in _MAX_KEYS:
                     merged[key] = max(merged.get(key, 0), value)

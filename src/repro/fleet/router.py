@@ -204,7 +204,6 @@ class FleetRouter:
         cache_capacity: int = 2048,
         max_retries: int = 8,
         clock=time.perf_counter,
-        accelerator: Optional[str] = None,
         replicas: int = 1,
         fault_plans: Optional[Dict[Tuple[int, int], WorkerFaultPlan]] = None,
         deadline: Optional[DeadlinePolicy] = None,
@@ -214,7 +213,6 @@ class FleetRouter:
         self.partition = partition
         self._clock = clock
         self._max_retries = max_retries
-        self.accelerator = accelerator
         self.deadline = deadline if deadline is not None else DeadlinePolicy()
         #: ``fault_plans`` is keyed by ``(shard_id, replica_index)``;
         #: a worker without an entry runs fault-free.
@@ -227,7 +225,6 @@ class FleetRouter:
                 threads=threads,
                 cache_capacity=cache_capacity,
                 clock=clock,
-                accelerator=accelerator,
                 fault_plans={
                     replica: plan
                     for (shard, replica), plan in plans.items()
@@ -471,7 +468,7 @@ class FleetRouter:
 
         Raises :class:`~repro.exceptions.NodeNotFoundError` for nodes
         the partition does not cover. Returns ``shed=True`` when any
-        involved worker's queue is full.
+        involved worker's queue is full or the router is shut down.
         """
         started = self._clock()
         deadline = started + self.deadline.total_s
@@ -481,6 +478,22 @@ class FleetRouter:
             self.queries += 1
             if source_shard != target_shard:
                 self.cross_shard_queries += 1
+            shut_down = self._shutdown
+        if shut_down:
+            # The memoized trees could still answer, but a stopped
+            # fleet serves nothing: every query sheds with the reason.
+            result = self._mark_shed(
+                FleetResult(
+                    source=source,
+                    destination=destination,
+                    source_shard=source_shard,
+                    target_shard=target_shard,
+                    cross_shard=source_shard != target_shard,
+                ),
+                "router shut down",
+            )
+            result.latency_s = self._clock() - started
+            return result
 
         for attempt in range(self._max_retries):
             with self._state_lock:
@@ -749,7 +762,6 @@ class FleetRouter:
                 "overlay_degraded": (
                     1 if overlay is not None and overlay.degraded else 0
                 ),
-                "accelerated": 1 if self.accelerator is not None else 0,
                 "replicas_per_shard": next(
                     iter(self.workers.values())
                 ).replica_count,

@@ -131,7 +131,6 @@ class ShardWorker:
         cache_capacity: int = 2048,
         latency_window: int = 4096,
         clock=time.perf_counter,
-        accelerator: Optional[str] = None,
         graph: Optional[Graph] = None,
         replica_index: int = 0,
         fault_plan: Optional[WorkerFaultPlan] = None,
@@ -144,7 +143,6 @@ class ShardWorker:
         self.spec = spec
         self.max_queue = max_queue
         self._clock = clock
-        self.accelerator = accelerator
         #: The graph this worker serves: the spec's subgraph for the
         #: primary replica, an independent copy (fresh uid) for peers.
         self.graph = graph if graph is not None else spec.graph
@@ -153,16 +151,12 @@ class ShardWorker:
         self._sleep = sleeper
         # Dijkstra + zero estimator: always cost-optimal answers with
         # path provenance, so the shard cache retains warm entries
-        # across epochs that miss the cached routes. With
-        # ``accelerator`` set the service hosts a per-shard
-        # preprocess → customize → query instance that serves
-        # :meth:`plan` and is re-customized by forwarded epochs. The
-        # router's query path reads shard trees, not this service.
+        # across epochs that miss the cached routes. The router's
+        # query path reads shard trees, not this service.
         self.service = RouteService(
             cache_capacity=cache_capacity,
             default_algorithm="dijkstra",
             default_estimator="zero",
-            accelerator=accelerator,
         )
         self.feed = TrafficFeed(self.graph)
         self.feed.subscribe(self.service)
@@ -422,18 +416,6 @@ class ShardWorker:
         snap["cache_hit_rate"] = metrics.cache_hit_rate
         snap["cache_hits"] = metrics.cache_hits
         snap["shard_epochs_applied"] = self.service.epochs_applied
-        if self.accelerator is not None:
-            accel = self.service.accelerator_instance(self.graph)
-            for name, value in accel.snapshot().items():
-                if name in (
-                    "preprocesses",
-                    "customizes",
-                    "incremental_customizes",
-                    "queries",
-                    "preprocess_time_s",
-                    "customize_time_s",
-                ):
-                    snap[f"accel_{name}"] = value
         return snap
 
     def shutdown(self) -> None:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
-from repro.core.dijkstra import dijkstra_sssp
+from repro.kernel import csr
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def hop_diameter(graph: Graph, sample: Optional[int] = None) -> int:
 def cost_radius(graph: Graph, source: NodeId) -> float:
     """Maximum shortest-path cost from ``source`` (inf if unreachable
     nodes exist is NOT signalled — only reachable nodes count)."""
-    distances = dijkstra_sssp(graph, source)
+    distances = csr.sssp(graph, source)
     return max(distances.values()) if distances else 0.0
 
 

@@ -34,14 +34,7 @@ from typing import Optional
 from repro.exceptions import UnknownAlgorithmError
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import accel, csr
-from repro.kernel.accel import (
-    ACCELERATORS,
-    Accelerator,
-    CCHAccelerator,
-    OneStageAccelerator,
-    accelerator_for,
-    make_accelerator,
-)
+from repro.kernel.accel import Accelerator, CCHAccelerator
 from repro.kernel.csr import CSRGraph, csr_for
 from repro.kernel.backends import (
     InMemoryBackend,
@@ -64,15 +57,6 @@ from repro.kernel.result import (
 #: Algorithms :func:`search` accepts (the in-memory tier's kernel points).
 IN_MEMORY_ALGORITHMS = ("dijkstra", "astar", "iterative", "bidirectional")
 
-#: Fused tiers :func:`search` can dispatch an untraced run to. ``cch``
-#: routes through the preprocess → customize → query accelerator
-#: pipeline (:mod:`repro.kernel.accel`) and serves Dijkstra-exact
-#: answers only.
-FASTPATH_TIERS = ("csr", "cch")
-
-sssp = csr.sssp
-sssp_tree = csr.sssp_tree
-
 
 def search(
     graph: Graph,
@@ -82,7 +66,6 @@ def search(
     estimator=None,
     max_iterations: Optional[int] = None,
     trace: bool = False,
-    tier: str = "csr",
 ) -> RunResult:
     """Run one in-memory single-pair search through the kernel.
 
@@ -92,8 +75,7 @@ def search(
     defaults to zero, i.e. Dijkstra-equivalent expansion), and
     ``"iterative"`` the wave policy. With ``trace=False`` (the default)
     the CSR fused loops run on the cached flat-array form — this is the
-    production path; ``tier="cch"`` serves Dijkstra through the
-    accelerator instead. With ``trace=True`` the generic loop runs
+    production path. With ``trace=True`` the generic loop runs
     (the reference every fused loop is held to) and the result carries
     per-iteration :class:`IterationRecord` entries (including the
     selected labels), which is what the cross-backend equivalence tests
@@ -101,25 +83,6 @@ def search(
     """
     if algorithm not in IN_MEMORY_ALGORITHMS:
         raise UnknownAlgorithmError(algorithm, IN_MEMORY_ALGORITHMS)
-    if tier not in FASTPATH_TIERS:
-        raise ValueError(
-            f"unknown fastpath tier {tier!r}; expected one of "
-            f"{', '.join(FASTPATH_TIERS)}"
-        )
-    if tier == "cch":
-        if trace:
-            raise ValueError(
-                "the cch tier has no traced realisation; use tier='csr' "
-                "with trace=True"
-            )
-        if algorithm != "dijkstra":
-            raise ValueError(
-                f"the cch tier serves cost-exact shortest paths only "
-                f"(algorithm='dijkstra'); got algorithm={algorithm!r}"
-            )
-        return accel.accelerator_for(graph, "cch").query(
-            graph, source, destination
-        )
     if algorithm == "bidirectional":
         if trace:
             raise ValueError(
@@ -194,16 +157,11 @@ def search(
 
 
 __all__ = [
-    "ACCELERATORS",
     "Accelerator",
     "CCHAccelerator",
     "CSRGraph",
-    "FASTPATH_TIERS",
     "IN_MEMORY_ALGORITHMS",
-    "OneStageAccelerator",
     "accel",
-    "accelerator_for",
-    "make_accelerator",
     "HeapFrontierPolicy",
     "InMemoryBackend",
     "IterationRecord",
@@ -223,6 +181,4 @@ __all__ = [
     "reference_sssp",
     "run_search",
     "search",
-    "sssp",
-    "sssp_tree",
 ]

@@ -3,14 +3,14 @@
 ROADMAP item 2 asks for a preprocessing tier whose precomputed state a
 TrafficFeed epoch *re-weights* instead of invalidating. Customizable
 contraction hierarchies (Strasser & Zeitz, PAPERS.md) give the shape:
-split every planner into three stages with sharply different change
+split a planner into three stages with sharply different change
 frequencies —
 
 * ``preprocess(graph)`` — **topology-only**. Runs once per graph
   structure (node/edge sets), never per cost change. For CCH this
-  builds the contraction order and the shortcut overlay; for the
-  classic planners it is (almost) a no-op. Cached per graph ``uid``
-  with the structure checked on reuse, mirroring ``csr_for``.
+  builds the contraction order and the shortcut overlay. Cached per
+  graph ``uid`` with the structure checked on reuse, mirroring
+  ``csr_for``.
 * ``customize(graph, epoch=None)`` — **metric-dependent but cheap**.
   Re-prices the preprocessed state for the graph's current edge
   costs. Given a :class:`~repro.traffic.feed.TrafficEpoch` that
@@ -24,12 +24,13 @@ frequencies —
   since the last customization — an accelerator can therefore never
   serve a stale answer.
 
-Every in-memory algorithm is a configuration of this protocol: the
-existing dijkstra/astar/iterative/bidirectional planners are trivial
-**one-stage** accelerators (their "customized state" is the cached CSR
-flattening; all real work happens in ``query``), and
-:class:`CCHAccelerator` is the first accelerator with a genuinely
-three-stage life cycle.
+:class:`CCHAccelerator` is the one accelerator. The classic planners
+have no topology-only state and their only metric state is the cached
+CSR flattening, so they run straight through
+:func:`repro.kernel.search`; a service enables CCH with
+``RouteService(accelerator="cch")`` and builds one instance per served
+graph. :class:`Accelerator` keeps the stage wrappers (timing,
+staleness, the epoch hook) apart from the overlay itself.
 
 CCH-lite, concretely
 --------------------
@@ -81,7 +82,6 @@ import heapq
 import math
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import NodeNotFoundError
@@ -91,11 +91,6 @@ from repro.kernel.result import RunResult, SearchStats
 
 _INF = math.inf
 
-#: Accelerator names :func:`make_accelerator` accepts. The first four
-#: are the classic planners as one-stage configurations; ``cch`` is the
-#: three-stage overlay tier.
-ACCELERATORS = ("dijkstra", "astar", "iterative", "bidirectional", "cch")
-
 
 class Accelerator:
     """Base class: shared counters + the three-stage protocol.
@@ -103,18 +98,14 @@ class Accelerator:
     Subclasses implement :meth:`_preprocess`, :meth:`_customize` and
     :meth:`_query`; the public methods wrap them with timing, staleness
     tracking and the epoch-listener hook. One instance serves one
-    graph ``uid`` at a time (the process-wide :func:`accelerator_for`
-    cache keys instances that way); all three public entry points are
-    serialized by a per-instance lock so a customization can never be
-    observed half-applied by a concurrent query.
+    graph ``uid`` at a time (``RouteService`` keeps one per served
+    graph); all three public entry points are serialized by a
+    per-instance lock so a customization can never be observed
+    half-applied by a concurrent query.
     """
 
-    #: Registry name of this configuration.
+    #: Name of this configuration.
     name = "accelerator"
-    #: The kernel algorithm whose answers the accelerator reproduces
-    #: (what ``RouteService`` uses to decide which queries to route
-    #: through it).
-    serves = "dijkstra"
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
@@ -265,49 +256,6 @@ class Accelerator:
         )
 
 
-class OneStageAccelerator(Accelerator):
-    """A classic planner expressed as a (trivial) pipeline configuration.
-
-    ``preprocess`` has nothing topology-only to build; ``customize``
-    warms the fingerprint-keyed CSR flattening (the only metric-derived
-    state these planners consume), and ``query`` runs the fused loop.
-    Expressing them this way is what lets every serving layer treat
-    "accelerated" uniformly — the equivalence suite proves each
-    configuration answers identically to its direct fused loop.
-    """
-
-    def __init__(self, algorithm: str, estimator=None) -> None:
-        super().__init__()
-        if algorithm not in ("dijkstra", "astar", "iterative", "bidirectional"):
-            raise ValueError(
-                f"unknown one-stage accelerator algorithm {algorithm!r}"
-            )
-        self.name = algorithm
-        self.serves = algorithm
-        self._estimator = estimator
-
-    def _preprocess(self, graph: Graph) -> None:
-        pass  # no topology-only state
-
-    def _customize(self, graph: Graph, epoch) -> bool:
-        _csr.csr_for(graph)  # warm/refresh the flat metric state
-        return False
-
-    def _query(self, graph: Graph, source: NodeId, destination: NodeId) -> RunResult:
-        if self.name == "dijkstra":
-            return _csr.uniform_cost(graph, source, destination)
-        if self.name == "astar":
-            estimator = self._estimator
-            if estimator is None:
-                from repro.core.estimators import ZeroEstimator
-
-                estimator = self._estimator = ZeroEstimator()
-            return _csr.best_first(graph, source, destination, estimator)
-        if self.name == "bidirectional":
-            return _csr.bidirectional(graph, source, destination)
-        return _csr.wave(graph, source, destination)
-
-
 class CCHAccelerator(Accelerator):
     """CCH-lite: contraction-order overlay with cheap re-customization.
 
@@ -320,7 +268,6 @@ class CCHAccelerator(Accelerator):
     """
 
     name = "cch"
-    serves = "dijkstra"
 
     #: Cells at or below this size stop the bisection recursion.
     _LEAF = 8
@@ -978,90 +925,3 @@ class CCHAccelerator(Accelerator):
         snap["shortcuts"] = self.shortcut_count
         snap["arcs_recomputed"] = self.arcs_recomputed
         return snap
-
-
-def make_accelerator(name: str, **kwargs) -> Accelerator:
-    """Instantiate an accelerator configuration by registry name.
-
-    Mirrors :func:`repro.core.estimators.make_estimator`: an unknown
-    name raises ``ValueError`` listing every valid option. ``kwargs``
-    are forwarded to the configuration (only the one-stage ``astar``
-    accepts any: ``estimator=``).
-    """
-    if name == "cch":
-        if kwargs:
-            raise TypeError(
-                f"cch accelerator takes no options; got {sorted(kwargs)}"
-            )
-        return CCHAccelerator()
-    if name in ("dijkstra", "astar", "iterative", "bidirectional"):
-        if name != "astar" and kwargs:
-            raise TypeError(
-                f"{name} accelerator takes no options; got {sorted(kwargs)}"
-            )
-        return OneStageAccelerator(name, **kwargs)
-    raise ValueError(
-        f"unknown accelerator {name!r}; expected one of "
-        f"{', '.join(ACCELERATORS)}"
-    )
-
-
-# ----------------------------------------------------------------------
-# process-wide instance cache (mirrors csr.csr_for)
-# ----------------------------------------------------------------------
-_cache_lock = threading.Lock()
-_cache: "OrderedDict[Tuple[int, str], Accelerator]" = OrderedDict()
-_cache_capacity = 16
-_stats = {"hits": 0, "misses": 0, "builds": 0, "evictions": 0}
-
-
-def accelerator_for(graph: Graph, name: str) -> Accelerator:
-    """The shared accelerator instance for ``(graph.uid, name)``.
-
-    Like :func:`repro.kernel.csr.csr_for` this is the process-wide
-    front door: ``kernel.search(tier="cch")`` and ad-hoc callers reuse
-    one preprocessed overlay per graph instead of rebuilding per call.
-    (The instance keeps itself current — staleness is its own concern —
-    so unlike the CSR cache there is nothing to invalidate here.)
-    """
-    if name not in ACCELERATORS:
-        raise ValueError(
-            f"unknown accelerator {name!r}; expected one of "
-            f"{', '.join(ACCELERATORS)}"
-        )
-    key = (graph.uid, name)
-    with _cache_lock:
-        entry = _cache.get(key)
-        if entry is not None:
-            _cache.move_to_end(key)
-            _stats["hits"] += 1
-            return entry
-        _stats["misses"] += 1
-        _stats["builds"] += 1
-        built = make_accelerator(name)
-        _cache[key] = built
-        while len(_cache) > _cache_capacity:
-            _cache.popitem(last=False)
-            _stats["evictions"] += 1
-    return built
-
-
-def clear_accelerator_cache() -> None:
-    """Drop every cached accelerator instance (cold-start benchmarks)."""
-    with _cache_lock:
-        _cache.clear()
-
-
-def accelerator_cache_stats() -> Dict[str, int]:
-    """Counter view of the instance cache (hits/misses/builds/...)."""
-    with _cache_lock:
-        snap = dict(_stats)
-        snap["entries"] = len(_cache)
-    return snap
-
-
-def reset_accelerator_stats() -> None:
-    """Zero the instance-cache counters (entries are untouched)."""
-    with _cache_lock:
-        for key in _stats:
-            _stats[key] = 0

@@ -359,7 +359,24 @@ def reset_stats() -> None:
 # flat-array fused loops
 # ----------------------------------------------------------------------
 def uniform_cost(graph: Graph, source: NodeId, destination: NodeId) -> RunResult:
-    """Dijkstra's single-pair search on the CSR tier (Figure 2)."""
+    """Dijkstra's single-pair search on the CSR tier (Figure 2).
+
+    The paper's *partial transitive closure* representative: each
+    iteration selects and expands one minimum-cost frontier node, and
+    the search stops as soon as the destination is selected (Lemma 2).
+    With no lookahead it expands uniformly in all directions, so its
+    iteration count approaches |N| - 1 on diagonal grid queries
+    (Table 5). An *iteration* is one select-and-remove whose node is
+    expanded; the destination's final selection ends the loop and is
+    not counted, matching the paper's counts (899 iterations on a
+    900-node grid).
+
+    Duplicates are *avoided*: a node enters the frontier once, and a
+    label improvement for a frontier node is a decrease-key, realised
+    by lazy deletion (stale heap entries are skipped on pop, which
+    leaves the expansion sequence identical to true decrease-key).
+    Requires non-negative edge costs.
+    """
     if source not in graph:
         raise NodeNotFoundError(source)
     if destination not in graph:
@@ -449,6 +466,20 @@ def best_first(
     max_iterations: Optional[int] = None,
 ) -> RunResult:
     """A* on the CSR tier (Figure 3): frontier-only duplicate test.
+
+    The paper's *single-pair* representative: each iteration selects
+    the frontier node minimising ``C(s,u) + f(u,d)``. With an
+    admissible estimator the first selection of the destination is
+    optimal (Lemma 3); an inadmissible one (manhattan on the
+    Minneapolis map) finds a good path fast with no optimality
+    guarantee. The duplicate test is against the **frontier only**
+    (``not_in(v, frontierSet)``): an explored node whose label improves
+    is re-inserted (*reopened*), which a consistent estimator never
+    triggers. Ties on ``g + h`` go to the smaller ``h`` (deepest
+    progress towards the goal), then FIFO, which keeps uniform-cost
+    grids cheap (the Table 7 uniform-vs-variance contrast). Iterations
+    count like :func:`uniform_cost`'s. The default bound of |N|^2
+    expansions only guards against pathological reopening cascades.
 
     Estimates are memoised per dense node index — estimators are pure
     per (graph state, node, destination), so the memo changes no result,
@@ -577,6 +608,18 @@ def wave(
     max_iterations: Optional[int] = None,
 ) -> RunResult:
     """The Iterative algorithm on the CSR tier (Figure 1).
+
+    The paper's *transitive closure* representative: each iteration
+    expands the **entire** frontier as one wave, and the search ends
+    only when a wave improves nothing, i.e. after the whole reachable
+    graph is labelled. One iteration is one wave, as the paper counts
+    it, so the count is insensitive to path length (2k - 1 waves on a
+    k x k grid whatever the query; Tables 5-8). With costs that vary
+    between edges a node can re-enter a later wave after its label
+    improves (the paper's *backtracking*), which inflates per-wave cost
+    without changing the wave count much. The default bound of
+    4|N| + 4 waves is a safety valve; non-negative costs need at most
+    |N|.
 
     The wave bound is enforced before a wave begins: a run raises with
     exactly ``limit`` waves performed, never ``limit + 1``.

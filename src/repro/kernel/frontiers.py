@@ -30,11 +30,11 @@ Every policy implements the same protocol the kernel loop drives:
     write path/cost/found onto the result and release any per-run
     resources.
 
-The counter placement in these policies mirrors the historical
-``core.dijkstra`` / ``core.astar`` / ``core.iterative`` loops exactly
-(tests/test_kernel.py holds the equivalence proofs), so the fused
-fast paths in :mod:`repro.kernel.csr` and this generic form
-produce identical :class:`~repro.kernel.result.SearchStats`.
+The counter placement in these policies mirrors the fused loops in
+:mod:`repro.kernel.csr` (``uniform_cost`` / ``best_first`` /
+``wave``) exactly, so the two forms produce identical
+:class:`~repro.kernel.result.SearchStats`; tests/test_kernel.py
+holds the equivalence proofs.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class WaveFrontierPolicy:
 
     One selection is one whole wave; the kernel loop never closes or
     early-terminates it — the search runs until a wave produces no
-    improvements, exactly like the historical ``iterative_search``.
+    improvements, exactly like :func:`repro.kernel.csr.wave`.
     Within a wave, labels propagate sequentially (a node later in the
     wave expands from a cost an earlier wave-member just improved),
     which is the in-memory loop's historical behaviour; the relational

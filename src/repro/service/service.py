@@ -140,10 +140,10 @@ class RouteService:
                 f"unknown backend {default_backend!r}; "
                 f"expected one of {', '.join(_BACKENDS)}"
             )
-        if accelerator is not None and accelerator not in _accel.ACCELERATORS:
+        if accelerator not in (None, "cch"):
             raise ValueError(
-                f"unknown accelerator {accelerator!r}; expected one of "
-                f"{', '.join(_accel.ACCELERATORS)} (or None to disable)"
+                f"unknown accelerator {accelerator!r}; expected 'cch' "
+                "(or None to disable)"
             )
         self.pool = estimator_pool if estimator_pool is not None else EstimatorPool()
         if planner is None:
@@ -200,9 +200,9 @@ class RouteService:
         self.recover_on_start = recover_on_start
         self._recovered_uids: set = set()
         self.epochs_recovered = 0
-        # Acceleration: with ``accelerator`` set, eligible memory-backend
-        # queries route through a per-graph
-        # :class:`~repro.kernel.accel.Accelerator` (preprocess →
+        # Acceleration: with ``accelerator="cch"``, memory-backend
+        # Dijkstra queries route through a per-graph
+        # :class:`~repro.kernel.accel.CCHAccelerator` (preprocess →
         # customize → query) instead of the planner registry, and
         # traffic epochs re-*customize* the accelerated state — the
         # topology-only preprocess survives every cost update — instead
@@ -330,7 +330,9 @@ class RouteService:
                                 graph, source, destination, algorithm,
                                 planned_spec, estimator_name, weight, fault,
                             )
-                    elif self._accel_serves(algorithm, backend, weight):
+                    # CCH answers the cost-exact Dijkstra contract only;
+                    # A* keeps its estimator resolution in the planner.
+                    elif self.accelerator is not None and algorithm == "dijkstra":
                         result = self.accelerator_instance(graph).query(
                             graph, source, destination
                         )
@@ -411,9 +413,8 @@ class RouteService:
         """The service-owned accelerator for ``graph`` (built on demand).
 
         ``None`` when the service was constructed without an
-        ``accelerator``. Exposed so co-located layers (the fleet's
-        :class:`~repro.fleet.worker.ShardWorker` SLO snapshot) read the
-        *same* customized state the serving path uses, instead of
+        ``accelerator``. Exposed so a caller can subscribe the *same*
+        customized state the serving path uses to a feed, instead of
         building a second instance.
         """
         if self.accelerator is None:
@@ -421,29 +422,9 @@ class RouteService:
         with self._accel_lock:
             instance = self._accels.get(graph.uid)
             if instance is None:
-                instance = _accel.make_accelerator(self.accelerator)
+                instance = _accel.CCHAccelerator()
                 self._accels[graph.uid] = instance
             return instance
-
-    def _accel_serves(self, algorithm: str, backend: str, weight: float) -> bool:
-        """Whether the configured accelerator answers this query shape.
-
-        The cch tier serves cost-exact shortest paths, i.e. the
-        ``dijkstra`` contract; a one-stage accelerator serves exactly
-        its own algorithm. A* is excluded even at ``weight == 1``
-        because its estimator resolution (pool checkout, weighting)
-        lives in the planner, and relational queries always take the
-        engine path — acceleration is an in-memory serving tier.
-        """
-        if self.accelerator is None or backend != "memory":
-            return False
-        if self.accelerator == "cch":
-            return algorithm == "dijkstra"
-        return self.accelerator == algorithm and algorithm in (
-            "dijkstra",
-            "iterative",
-            "bidirectional",
-        ) and weight == 1.0
 
     # ------------------------------------------------------------------
     # relational backend plumbing

@@ -1,13 +1,12 @@
 """Accelerator-pipeline kernel tests (preprocess → customize → query).
 
-The equivalence suite is the pipeline's contract: every accelerator
-configuration — the four one-stage planners and the CCH-lite overlay —
+The equivalence suite is the pipeline's contract: the CCH-lite overlay
 must return cost-exact answers (with a consistent path) against the
 generic kernel loop's Dijkstra, on grids and random sparse directed graphs,
-*across traffic epochs*. The epoch tests assert the stronger property
-the ISSUE names: customize-then-query equals rebuild-then-query, down
-to the overlay arrays. Hypothesis drives the customize-idempotence
-property; the guard tests pin the unknown-name error messages.
+*across traffic epochs*. The epoch tests assert the stronger property:
+customize-then-query equals rebuild-then-query, down to the overlay
+arrays. Hypothesis drives the customize-idempotence property; the guard
+tests pin the kernel's error messages.
 """
 
 from __future__ import annotations
@@ -55,12 +54,13 @@ def _assert_matches_dijkstra(instance, graph, pairs):
 
 
 class TestEquivalenceAcrossEpochs:
-    """Every configuration, cost/path-exact vs Dijkstra, epoch after epoch."""
+    """CCH, cost/path-exact vs Dijkstra, epoch after epoch."""
 
-    @pytest.mark.parametrize("name", accel.ACCELERATORS)
+    @pytest.mark.parametrize("name", ["cch"])
     def test_grid_across_epochs(self, name):
         graph = make_paper_grid(7, seed=21)
-        instance = accel.make_accelerator(name)
+        instance = accel.CCHAccelerator()
+        assert instance.name == name
         pairs = _pairs(graph, stride=4)
         feed = TrafficFeed(graph)
         feed.subscribe(instance)
@@ -79,7 +79,7 @@ class TestEquivalenceAcrossEpochs:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cch_random_sparse(self, seed):
         graph = random_sparse_directed(30, 60, seed=seed)
-        instance = accel.make_accelerator("cch")
+        instance = accel.CCHAccelerator()
         pairs = _pairs(graph, stride=4)
         _assert_matches_dijkstra(instance, graph, pairs)
 
@@ -90,7 +90,7 @@ class TestEquivalenceAcrossEpochs:
         graph.add_edge(0, 1, 1.0)
         graph.add_edge(1, 2, 1.0)
         graph.add_edge(3, 4, 1.0)
-        instance = accel.make_accelerator("cch")
+        instance = accel.CCHAccelerator()
         run = instance.query(graph, 0, 4)
         assert not run.found
         # Scratch state must reset cleanly after a miss.
@@ -100,7 +100,7 @@ class TestEquivalenceAcrossEpochs:
     def test_customize_then_query_equals_rebuild_then_query(self):
         """The epoch path and a cold rebuild land on identical overlays."""
         graph = make_paper_grid(8, seed=5)
-        live = accel.make_accelerator("cch")
+        live = accel.CCHAccelerator()
         feed = TrafficFeed(graph)
         feed.subscribe(live)
         live.query(graph, (0, 0), (7, 7))
@@ -114,7 +114,7 @@ class TestEquivalenceAcrossEpochs:
             ]
             feed.apply(updates)
         assert live.incremental_customizes >= 3
-        fresh = accel.make_accelerator("cch")
+        fresh = accel.CCHAccelerator()
         fresh.preprocess(graph)
         fresh.customize(graph)
         assert live._fw == fresh._fw
@@ -132,7 +132,7 @@ class TestEquivalenceAcrossEpochs:
 class TestResultBilling:
     def test_first_query_bills_pipeline_phases(self):
         graph = make_grid(5)
-        instance = accel.make_accelerator("cch")
+        instance = accel.CCHAccelerator()
         first = instance.query(graph, (0, 0), (4, 4))
         assert first.preprocess_cost > 0
         assert first.customize_cost > 0
@@ -142,7 +142,7 @@ class TestResultBilling:
 
     def test_epoch_query_bills_customize_only(self):
         graph = make_grid(5)
-        instance = accel.make_accelerator("cch")
+        instance = accel.CCHAccelerator()
         instance.query(graph, (0, 0), (4, 4))
         graph.update_edge_cost((0, 0), (0, 1), 9.0)
         after = instance.query(graph, (0, 0), (4, 4))
@@ -151,7 +151,7 @@ class TestResultBilling:
 
     def test_cch_result_identity(self):
         graph = make_grid(4)
-        run = kernel.search(graph, (0, 0), (3, 3), tier="cch")
+        run = accel.CCHAccelerator().query(graph, (0, 0), (3, 3))
         assert run.algorithm == "dijkstra"
         assert run.variant == "cch"
 
@@ -196,7 +196,7 @@ class TestCustomizeIdempotence:
         arrays, middles included, and re-customizing on unchanged costs
         is a no-op fixpoint."""
         graph, epochs = case
-        live = accel.make_accelerator("cch")
+        live = accel.CCHAccelerator()
         feed = TrafficFeed(graph)
         feed.subscribe(live)
         live.preprocess(graph)
@@ -217,7 +217,7 @@ class TestCustomizeIdempotence:
         live.customize(graph)
         assert (live._fw, live._bw, live._mid_fw, live._mid_bw) == after
         # And the overlay equals a cold full customization.
-        fresh = accel.make_accelerator("cch")
+        fresh = accel.CCHAccelerator()
         fresh.preprocess(graph)
         fresh.customize(graph)
         assert live._fw == fresh._fw
@@ -227,36 +227,11 @@ class TestCustomizeIdempotence:
 
 
 class TestGuards:
-    def test_make_accelerator_unknown_name_lists_options(self):
-        with pytest.raises(ValueError) as excinfo:
-            accel.make_accelerator("warp-drive")
-        message = str(excinfo.value)
-        for name in accel.ACCELERATORS:
-            assert name in message
-
-    def test_search_unknown_tier_lists_tiers(self):
-        graph = make_grid(3)
-        with pytest.raises(ValueError) as excinfo:
-            kernel.search(graph, (0, 0), (2, 2), tier="gpu")
-        message = str(excinfo.value)
-        for tier in kernel.FASTPATH_TIERS:
-            assert tier in message
-
     def test_search_unknown_algorithm_lists_bidirectional(self):
         graph = make_grid(3)
         with pytest.raises(UnknownAlgorithmError) as excinfo:
             kernel.search(graph, (0, 0), (2, 2), algorithm="teleport")
         assert "bidirectional" in str(excinfo.value)
-
-    def test_cch_tier_rejects_non_dijkstra(self):
-        graph = make_grid(3)
-        with pytest.raises(ValueError, match="cch"):
-            kernel.search(graph, (0, 0), (2, 2), algorithm="astar", tier="cch")
-
-    def test_cch_tier_rejects_trace(self):
-        graph = make_grid(3)
-        with pytest.raises(ValueError, match="trace"):
-            kernel.search(graph, (0, 0), (2, 2), tier="cch", trace=True)
 
     def test_bidirectional_rejects_trace(self):
         graph = make_grid(3)
@@ -267,24 +242,15 @@ class TestGuards:
 
 
 class TestAcceleratorCache:
-    def test_keyed_by_graph_and_name(self):
-        accel.clear_accelerator_cache()
-        accel.reset_accelerator_stats()
-        graph = make_grid(4)
-        other = make_grid(4)
-        first = accel.accelerator_for(graph, "cch")
-        assert accel.accelerator_for(graph, "cch") is first
-        assert accel.accelerator_for(other, "cch") is not first
-        assert accel.accelerator_for(graph, "dijkstra") is not first
-        stats = accel.accelerator_cache_stats()
-        assert stats["builds"] == 3
-        assert stats["hits"] == 1
-
     def test_search_cch_tier_serves_exact(self):
+        """One instance keeps its overlay across queries and stays exact."""
         graph = make_paper_grid(5, seed=2)
+        instance = accel.CCHAccelerator()
         for pair in _pairs(graph, stride=3):
-            run = kernel.search(graph, *pair, tier="cch")
+            run = instance.query(graph, *pair)
             ref = kernel.search(graph, *pair, trace=True)
             assert run.found == ref.found
             if ref.found:
                 assert _exact(run.cost, ref.cost)
+        assert instance.preprocesses == 1
+        assert instance.full_customizes == 1

@@ -5,10 +5,10 @@ isolation; this one proves the plumbing: RouteService routes eligible
 queries through its per-graph accelerator and re-*customizes* on
 traffic epochs (never serving stale answers, never re-preprocessing),
 the TrafficFeed classifies accelerators as customize listeners and the
-service as an invalidate listener, the estimator pool bills its
-preparation time along the same phase boundary, and a fleet of
-accelerated shard workers answers boundary cliques with point queries
-while staying cost-exact against whole-graph Dijkstra.
+service as an invalidate listener, and the estimator pool bills its
+preparation time along the same phase boundary. The fleet cases hold
+the router and its shard-local ``plan_direct`` cost-exact against
+Dijkstra across epochs; the fleet takes no accelerator.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def _epoch_updates(graph, number, stride=9):
 
 class TestServiceAccel:
     def test_bad_accelerator_name_rejected(self):
-        with pytest.raises(ValueError) as excinfo:
-            RouteService(accelerator="warp-drive")
-        message = str(excinfo.value)
-        assert "cch" in message and "dijkstra" in message
+        # CCH is the one accelerator; the classic planners are not.
+        for name in ("warp-drive", "dijkstra"):
+            with pytest.raises(ValueError) as excinfo:
+                RouteService(accelerator=name)
+            assert "cch" in str(excinfo.value)
 
     def test_accelerated_dijkstra_exact_across_epochs(self):
         graph = make_paper_grid(7, seed=11)
@@ -87,18 +88,6 @@ class TestServiceAccel:
         service.plan(graph, (0, 0), (4, 4), algorithm="iterative")
         assert service.snapshot()["accel_queries_served"] == 0
         service.plan(graph, (0, 0), (4, 4), algorithm="dijkstra")
-        assert service.snapshot()["accel_queries_served"] == 1
-
-    def test_one_stage_serves_own_algorithm_only(self):
-        graph = make_paper_grid(5, seed=3)
-        service = RouteService(
-            accelerator="bidirectional", default_estimator="zero"
-        )
-        service.plan(graph, (0, 0), (4, 4), algorithm="dijkstra")
-        assert service.snapshot()["accel_queries_served"] == 0
-        served = service.plan(graph, (0, 0), (4, 4), algorithm="bidirectional")
-        ref = kernel.search(graph, (0, 0), (4, 4), trace=True)
-        assert _exact(served.cost, ref.cost)
         assert service.snapshot()["accel_queries_served"] == 1
 
     def test_feed_listener_kinds(self):
@@ -167,12 +156,14 @@ class TestFleetAccel:
     def test_accelerated_fleet_exact_across_epochs(self):
         graph = make_paper_grid(8, "variance", seed=17)
         partition = partition_graph(graph, 2, 2)
-        router = FleetRouter(partition, accelerator="cch")
+        router = FleetRouter(partition)
         feed = TrafficFeed(graph)
         feed.subscribe(router)
         try:
             rng = random.Random(9)
             nodes = list(graph.node_ids())
+            spec = router.partition.shards[0]
+            replica_set = router.workers[spec.shard_id]
 
             def check_round():
                 for _ in range(25):
@@ -183,26 +174,20 @@ class TestFleetAccel:
                     assert result.found == ref.found
                     if ref.found:
                         assert _exact(result.cost, ref.cost)
+                # Shard-local plans are priced on the forwarded epochs.
+                source, destination = spec.nodes[0], spec.nodes[-1]
+                local = replica_set.plan_direct(source, destination)
+                ref = kernel.search(spec.graph, source, destination)
+                assert local.found == ref.found
+                if ref.found:
+                    assert _exact(local.cost, ref.cost)
 
             check_round()
             for number in range(1, 4):
                 feed.apply(_epoch_updates(graph, number, stride=11))
                 check_round()
-            snap = router.snapshot()
-            assert snap["fleet"]["accelerated"] == 1
-            # Queries read shard trees; the shard accelerator is off
-            # the query path and serves shard-local plans only.
-            assert snap["shard_0"]["accel_queries"] == 0
-            spec = router.partition.shards[0]
-            source, destination = spec.nodes[0], spec.nodes[-1]
-            local = router.workers[spec.shard_id].plan_direct(source, destination)
-            ref = kernel.search(spec.graph, source, destination)
-            assert local.found == ref.found
-            if ref.found:
-                assert _exact(local.cost, ref.cost)
             shard = router.snapshot()[f"shard_{spec.shard_id}"]
-            assert shard["accel_preprocesses"] == 1
-            assert shard["accel_queries"] >= 1
+            assert shard["shard_epochs_applied"] == 3
         finally:
             router.shutdown()
 
@@ -213,8 +198,7 @@ class TestFleetAccel:
         try:
             router.plan((0, 0), (5, 5))
             snap = router.snapshot()
-            assert snap["fleet"]["accelerated"] == 0
             assert snap["shard_0"]["queries"] == 0
-            assert "accel_preprocesses" not in snap["shard_0"]
+            assert not any(key.startswith("accel") for key in snap["shard_0"])
         finally:
             router.shutdown()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.exceptions import NodeNotFoundError
-from repro.core.astar import astar_search, greedy_best_first_search
-from repro.core.dijkstra import dijkstra_search
+from repro import kernel
+from repro.core.planner import greedy_best_first_search
 from repro.core.estimators import (
     EuclideanEstimator,
     ManhattanEstimator,
@@ -16,53 +16,53 @@ from repro.graphs.grid import make_grid, make_paper_grid
 
 class TestCorrectness:
     def test_finds_shortest_path_with_euclidean(self, tiny_graph):
-        result = astar_search(tiny_graph, "a", "e", EuclideanEstimator())
+        result = kernel.search(tiny_graph, "a", "e", "astar", EuclideanEstimator())
         assert result.found
         assert result.cost == pytest.approx(4.0)
 
     def test_zero_estimator_matches_dijkstra_cost(self, grid10_variance):
-        a = astar_search(grid10_variance, (0, 0), (9, 9), ZeroEstimator())
-        d = dijkstra_search(grid10_variance, (0, 0), (9, 9))
+        a = kernel.search(grid10_variance, (0, 0), (9, 9), "astar", ZeroEstimator())
+        d = kernel.search(grid10_variance, (0, 0), (9, 9))
         assert a.cost == pytest.approx(d.cost)
 
     def test_default_estimator_is_zero(self, tiny_graph):
-        result = astar_search(tiny_graph, "a", "e")
+        result = kernel.search(tiny_graph, "a", "e", "astar")
         assert result.estimator == "zero"
         assert result.cost == pytest.approx(4.0)
 
     def test_source_equals_destination(self, tiny_graph):
-        result = astar_search(tiny_graph, "a", "a", EuclideanEstimator())
+        result = kernel.search(tiny_graph, "a", "a", "astar", EuclideanEstimator())
         assert result.found and result.path == ["a"]
 
     def test_unreachable(self, disconnected_graph):
-        result = astar_search(
-            disconnected_graph, "a", "z", EuclideanEstimator()
+        result = kernel.search(
+            disconnected_graph, "a", "z", "astar", EuclideanEstimator()
         )
         assert not result.found
 
     def test_missing_nodes_raise(self, tiny_graph):
         with pytest.raises(NodeNotFoundError):
-            astar_search(tiny_graph, "a", "nope", ZeroEstimator())
+            kernel.search(tiny_graph, "a", "nope", "astar", ZeroEstimator())
 
     def test_manhattan_optimal_on_uniform_grid(self):
         """Lemma 3 applies: manhattan is admissible on uniform grids."""
         graph = make_grid(9)
-        a = astar_search(graph, (0, 0), (8, 8), ManhattanEstimator())
-        d = dijkstra_search(graph, (0, 0), (8, 8))
+        a = kernel.search(graph, (0, 0), (8, 8), "astar", ManhattanEstimator())
+        d = kernel.search(graph, (0, 0), (8, 8))
         assert a.cost == pytest.approx(d.cost)
 
 
 class TestFocusing:
     def test_manhattan_explores_fewer_nodes_than_dijkstra(self):
         graph = make_paper_grid(15, "variance")
-        a = astar_search(graph, (0, 0), (0, 14), ManhattanEstimator())
-        d = dijkstra_search(graph, (0, 0), (0, 14))
+        a = kernel.search(graph, (0, 0), (0, 14), "astar", ManhattanEstimator())
+        d = kernel.search(graph, (0, 0), (0, 14))
         assert a.iterations < d.iterations / 3
 
     def test_uniform_grid_straight_line_is_cheap(self):
         """Tie-breaking toward the goal keeps uniform grids cheap."""
         graph = make_grid(20)
-        result = astar_search(graph, (0, 0), (19, 19), ManhattanEstimator())
+        result = kernel.search(graph, (0, 0), (19, 19), "astar", ManhattanEstimator())
         assert result.iterations <= 2 * 2 * 19  # ~path length, not ~n
 
     def test_estimator_quality_ordering(self):
@@ -70,9 +70,9 @@ class TestFocusing:
         <= zero on a uniform grid)."""
         graph = make_grid(12)
         query = ((0, 0), (11, 11))
-        zero = astar_search(graph, *query, ZeroEstimator()).iterations
-        euclid = astar_search(graph, *query, EuclideanEstimator()).iterations
-        manhattan = astar_search(graph, *query, ManhattanEstimator()).iterations
+        zero = kernel.search(graph, *query, "astar", ZeroEstimator()).iterations
+        euclid = kernel.search(graph, *query, "astar", EuclideanEstimator()).iterations
+        manhattan = kernel.search(graph, *query, "astar", ManhattanEstimator()).iterations
         assert manhattan <= euclid <= zero
 
 
@@ -81,20 +81,21 @@ class TestInadmissible:
         self, grid10_variance
     ):
         heavy = ScaledEstimator(ManhattanEstimator(), 3.0)
-        result = astar_search(grid10_variance, (0, 0), (9, 9), heavy)
-        optimal = dijkstra_search(grid10_variance, (0, 0), (9, 9))
+        result = kernel.search(grid10_variance, (0, 0), (9, 9), "astar", heavy)
+        optimal = kernel.search(grid10_variance, (0, 0), (9, 9))
         assert result.found
         assert result.cost >= optimal.cost - 1e-9
         assert grid10_variance.is_valid_path(result.path)
 
     def test_weighted_astar_is_faster(self, grid20_variance):
-        exact = astar_search(
-            grid20_variance, (0, 0), (19, 19), ManhattanEstimator()
+        exact = kernel.search(
+            grid20_variance, (0, 0), (19, 19), "astar", ManhattanEstimator()
         )
-        weighted = astar_search(
+        weighted = kernel.search(
             grid20_variance,
             (0, 0),
             (19, 19),
+            "astar",
             ScaledEstimator(ManhattanEstimator(), 2.0),
         )
         assert weighted.iterations < exact.iterations
@@ -103,17 +104,18 @@ class TestInadmissible:
         graph = minneapolis.graph
         source = minneapolis.landmark("A")
         destination = minneapolis.landmark("B")
-        fast = astar_search(graph, source, destination, ManhattanEstimator())
-        optimal = dijkstra_search(graph, source, destination)
+        fast = kernel.search(graph, source, destination, "astar", ManhattanEstimator())
+        optimal = kernel.search(graph, source, destination)
         assert fast.found
         assert fast.cost >= optimal.cost - 1e-9
 
     def test_iteration_guard(self, grid10_variance):
         with pytest.raises(RuntimeError):
-            astar_search(
+            kernel.search(
                 grid10_variance,
                 (0, 0),
                 (9, 9),
+                "astar",
                 ZeroEstimator(),
                 max_iterations=3,
             )
@@ -139,8 +141,8 @@ class TestGreedy:
         greedy = greedy_best_first_search(
             grid20_variance, (0, 0), (19, 19), ManhattanEstimator()
         )
-        exact = astar_search(
-            grid20_variance, (0, 0), (19, 19), ManhattanEstimator()
+        exact = kernel.search(
+            grid20_variance, (0, 0), (19, 19), "astar", ManhattanEstimator()
         )
         assert greedy.iterations <= exact.iterations
 

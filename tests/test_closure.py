@@ -106,10 +106,10 @@ class TestAllPairs:
     def test_floyd_warshall_matches_dijkstra_costs(self):
         graph = make_paper_grid(5, "variance")
         table = floyd_warshall_paths(graph)
-        from repro.core.dijkstra import dijkstra_sssp
+        from repro.kernel import csr
 
         for source in [(0, 0), (2, 3)]:
-            distances = dijkstra_sssp(graph, source)
+            distances = csr.sssp(graph, source)
             for destination, expected in distances.items():
                 assert table.cost(source, destination) == pytest.approx(expected)
 
@@ -161,12 +161,12 @@ class TestAllPairs:
 class TestAblationNumbers:
     def test_single_pair_is_far_cheaper_than_any_closure(self):
         """The paper's motivation, as a hard assertion."""
-        from repro.core.astar import astar_search
+        from repro import kernel
         from repro.core.estimators import ManhattanEstimator
 
         graph = make_paper_grid(10, "variance")
-        single = astar_search(
-            graph, (0, 0), (9, 9), ManhattanEstimator()
+        single = kernel.search(
+            graph, (0, 0), (9, 9), "astar", ManhattanEstimator()
         ).stats.edges_relaxed
         for builder in (floyd_warshall_paths, repeated_dijkstra_paths):
             assert builder(graph).operations > 20 * single

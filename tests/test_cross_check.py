@@ -83,9 +83,9 @@ class TestCrossCheckCatchesCorruption:
     def test_suboptimal_astar_v1_is_tolerated(self, grid, monkeypatch):
         """v1's euclidean estimator may legitimately return a dearer
         path; the cross-check must NOT reject that."""
-        from repro.core.dijkstra import dijkstra_search
+        from repro import kernel
 
-        optimum = dijkstra_search(grid, (0, 0), (4, 4)).cost
+        optimum = kernel.search(grid, (0, 0), (4, 4)).cost
 
         def slightly_suboptimal(graph, source, destination, algorithm, rgraph=None):
             run = _fake_run(source, destination, cost=optimum * 1.05)

@@ -160,8 +160,8 @@ class TestBuildCache:
         graph = make_paper_grid(5, "variance", seed=3)
         from repro.kernel import search
 
-        search(graph, (0, 0), (4, 4), tier="csr")
-        search(graph, (4, 4), (0, 0), tier="csr")
+        search(graph, (0, 0), (4, 4))
+        search(graph, (4, 4), (0, 0))
         stats = csr.cache_stats()
         assert stats["builds"] == 1
         assert stats["hits"] >= 1

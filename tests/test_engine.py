@@ -4,7 +4,7 @@ implementations, and the three algorithm runners)."""
 import pytest
 
 from repro.exceptions import PlannerError
-from repro.core.dijkstra import dijkstra_search
+from repro import kernel
 from repro.core.estimators import ManhattanEstimator
 from repro.engine import (
     RelationalGraph,
@@ -72,7 +72,7 @@ class TestEngineCorrectness:
         ["iterative", "dijkstra", "astar-v1", "astar-v2", "astar-v3"],
     )
     def test_engine_finds_optimal_grid_paths(self, grid8, rgraph8, algorithm):
-        reference = dijkstra_search(grid8, (0, 0), (7, 7))
+        reference = kernel.search(grid8, (0, 0), (7, 7))
         run = run_relational(grid8, (0, 0), (7, 7), algorithm, rgraph=rgraph8)
         assert run.found
         assert run.cost == pytest.approx(reference.cost)
@@ -82,14 +82,12 @@ class TestEngineCorrectness:
     def test_engine_iterations_match_core_tier(self, grid8, rgraph8):
         """The two tiers implement the same algorithms: identical
         iteration counts for deterministic-tie-free runs."""
-        from repro.core.iterative import iterative_search
-
-        core = iterative_search(grid8, (0, 0), (7, 7))
+        core = kernel.search(grid8, (0, 0), (7, 7), "iterative")
         engine = run_iterative(rgraph8, (0, 0), (7, 7))
         assert engine.iterations == core.iterations
 
     def test_dijkstra_engine_iteration_count(self, grid8, rgraph8):
-        core = dijkstra_search(grid8, (0, 0), (7, 7))
+        core = kernel.search(grid8, (0, 0), (7, 7))
         engine = run_dijkstra(rgraph8, (0, 0), (7, 7))
         assert engine.iterations == core.iterations
 

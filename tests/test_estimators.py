@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.dijkstra import dijkstra_sssp
+from repro.kernel import csr
 from repro.core.estimators import (
     EuclideanEstimator,
     LandmarkEstimator,
@@ -47,7 +47,7 @@ class TestEuclidean:
         """Euclidean never overestimates grid shortest paths."""
         graph = make_grid(8)
         destination = (7, 7)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         estimator = EuclideanEstimator()
         estimator.prepare(graph, destination)
         for node in graph.nodes():
@@ -66,7 +66,7 @@ class TestManhattan:
         """The paper: manhattan is a *perfect* estimate on uniform grids."""
         graph = make_grid(7)
         destination = (6, 6)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         estimator = ManhattanEstimator()
         estimator.prepare(graph, destination)
         for node in graph.nodes():
@@ -88,7 +88,7 @@ class TestManhattan:
         """The paper's caveat: manhattan is NOT admissible on the map."""
         graph = minneapolis.graph
         destination = minneapolis.landmark("B")
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         estimator = ManhattanEstimator()
         estimator.prepare(graph, destination)
         overestimates = sum(
@@ -129,7 +129,7 @@ class TestLandmark:
     def test_admissible_on_grid(self):
         graph = make_grid(7)
         destination = (6, 6)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         estimator = LandmarkEstimator([(0, 0), (6, 0), (0, 6)])
         estimator.prepare(graph, destination)
         for node in graph.nodes():
@@ -140,7 +140,7 @@ class TestLandmark:
         """Unlike manhattan, ALT stays admissible on the road map."""
         graph = minneapolis.graph
         destination = minneapolis.landmark("B")
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         estimator = LandmarkEstimator(
             [minneapolis.landmark("A"), minneapolis.landmark("D")]
         )
@@ -157,7 +157,7 @@ class TestLandmark:
         destination = (5, 5)
         estimator = LandmarkEstimator([destination])
         estimator.prepare(graph, destination)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         for node in graph.nodes():
             h = estimator.estimate(graph, node.node_id, destination)
             assert h == pytest.approx(distances[node.node_id])
@@ -198,7 +198,7 @@ class TestFarthestSeeding:
         destination = (5, 5)
         estimator = LandmarkEstimator("farthest:4")
         estimator.prepare(graph, destination)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         for node in graph.nodes():
             h = estimator.estimate(graph, node.node_id, destination)
             assert h <= distances[node.node_id] + 1e-9
@@ -212,7 +212,7 @@ class TestFarthestSeeding:
         assert graph.fingerprint != before
         destination = (4, 4)
         estimator.prepare(graph, destination)
-        distances = dijkstra_sssp(graph.reversed(), destination)
+        distances = csr.sssp(graph.reversed(), destination)
         for node in graph.nodes():
             h = estimator.estimate(graph, node.node_id, destination)
             assert h <= distances[node.node_id] + 1e-9

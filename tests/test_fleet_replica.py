@@ -318,3 +318,14 @@ class TestFleetReplication:
         router.shutdown()
         result = router.plan((0, 0), (3, 3))
         assert result.shed
+
+    def test_router_shutdown_sheds_memoized_queries(self):
+        """A stopped router must not keep answering from its tree table."""
+        graph = make_paper_grid(6, "uniform", seed=1)
+        _partition, router, _feed = make_replicated_fleet(graph, 1, 2)
+        warm = router.plan((0, 0), (5, 5))
+        assert warm.found and not warm.shed
+        router.shutdown()
+        result = router.plan((0, 0), (5, 5))
+        assert result.shed and not result.found
+        assert "shut down" in result.shed_reason

@@ -30,14 +30,11 @@ import math
 
 import pytest
 
-from repro.core.astar import astar_search
-from repro.core.dijkstra import dijkstra_search, dijkstra_sssp
 from repro.core.estimators import (
     EuclideanEstimator,
     ManhattanEstimator,
     ZeroEstimator,
 )
-from repro.core.iterative import iterative_search
 from repro.kernel.result import PathResult, SearchStats, reconstruct_path
 from repro.engine import RelationalGraph
 from repro.engine.rel_bestfirst import run_best_first, run_dijkstra
@@ -225,7 +222,7 @@ class TestKernelMatchesReference:
     def test_dijkstra(self, graph):
         source, destination = _corner_pair(graph)
         _assert_same_run(
-            dijkstra_search(graph, source, destination),
+            search(graph, source, destination),
             _reference_dijkstra(graph, source, destination),
         )
 
@@ -236,7 +233,7 @@ class TestKernelMatchesReference:
     def test_astar(self, graph, estimator_cls):
         source, destination = _corner_pair(graph)
         _assert_same_run(
-            astar_search(graph, source, destination, estimator=estimator_cls()),
+            search(graph, source, destination, "astar", estimator=estimator_cls()),
             _reference_astar(graph, source, destination, estimator_cls()),
         )
 
@@ -244,22 +241,22 @@ class TestKernelMatchesReference:
     def test_iterative(self, graph):
         source, destination = _corner_pair(graph)
         _assert_same_run(
-            iterative_search(graph, source, destination),
+            search(graph, source, destination, "iterative"),
             _reference_iterative(graph, source, destination),
         )
 
     def test_unreachable(self, disconnected_graph):
-        for runner in (dijkstra_search, astar_search, iterative_search):
-            result = runner(disconnected_graph, "a", "z")
+        for algorithm in ("dijkstra", "astar", "iterative"):
+            result = search(disconnected_graph, "a", "z", algorithm)
             assert not result.found
             assert result.path == []
 
     def test_sssp_matches_dijkstra_labels(self):
         graph = GRAPH_CASES[0]
         source, _ = _corner_pair(graph)
-        distances = dijkstra_sssp(graph, source)
+        distances = csr.sssp(graph, source)
         for node in graph.node_ids():
-            single = dijkstra_search(graph, source, node)
+            single = search(graph, source, node)
             if single.found:
                 assert distances[node] == pytest.approx(single.cost)
 
@@ -391,18 +388,11 @@ class TestCSRTierEquivalence:
                 algorithm=algorithm, estimator=estimator, **kwargs,
             )
 
-        _assert_same_run(run(tier="csr"), run(trace=True))
-
-    def test_unknown_tier_rejected(self, tiny_graph):
-        for tier in ("numpy", "dict"):
-            with pytest.raises(ValueError, match="unknown fastpath tier"):
-                search(tiny_graph, "a", "e", tier=tier)
+        _assert_same_run(run(), run(trace=True))
 
     def test_csr_unreachable(self, disconnected_graph):
         for algorithm in ("dijkstra", "astar", "iterative"):
-            result = search(
-                disconnected_graph, "a", "z", algorithm=algorithm, tier="csr"
-            )
+            result = search(disconnected_graph, "a", "z", algorithm=algorithm)
             assert not result.found
             assert result.path == []
             assert result.cost == math.inf
@@ -410,9 +400,9 @@ class TestCSRTierEquivalence:
     def test_csr_missing_nodes_raise_eagerly(self, tiny_graph):
         for algorithm in ("dijkstra", "astar", "iterative"):
             with pytest.raises(NodeNotFoundError):
-                search(tiny_graph, "nope", "e", algorithm=algorithm, tier="csr")
+                search(tiny_graph, "nope", "e", algorithm=algorithm)
             with pytest.raises(NodeNotFoundError):
-                search(tiny_graph, "a", "nope", algorithm=algorithm, tier="csr")
+                search(tiny_graph, "a", "nope", algorithm=algorithm)
 
     def test_sssp_csr_matches_reference(self):
         for graph in GRAPH_CASES:
@@ -439,12 +429,10 @@ class TestCSRTierEquivalence:
         estimator = EuclideanEstimator() if algorithm == "astar" else None
 
         def run(max_iterations):
-            kwargs = (
-                {"trace": True} if tier == "generic" else {"tier": tier}
-            )
             return search(
                 grid10_variance, source, destination, algorithm=algorithm,
-                estimator=estimator, max_iterations=max_iterations, **kwargs,
+                estimator=estimator, max_iterations=max_iterations,
+                trace=tier == "generic",
             )
 
         need = run(None).stats.iterations

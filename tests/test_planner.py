@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import kernel
 from repro.exceptions import UnknownAlgorithmError
-from repro.core.estimators import ManhattanEstimator
-from repro.core.planner import RoutePlanner, default_planner, plan_route
+from repro.core.estimators import ManhattanEstimator, ScaledEstimator, make_estimator
+from repro.core.planner import RoutePlanner
 from repro.kernel.result import PathResult
+from repro.service.pool import EstimatorPool
 
 
 class TestDispatch:
@@ -34,6 +36,35 @@ class TestDispatch:
         with pytest.raises(UnknownAlgorithmError) as info:
             planner.plan(tiny_graph, "a", "e", "quantum")
         assert "dijkstra" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "algorithm,estimator,weight,pooled",
+        [
+            ("dijkstra", "euclidean", 1.0, False),
+            ("iterative", "euclidean", 1.0, False),
+            ("bidirectional", "euclidean", 1.0, False),
+            ("astar", "euclidean", 1.0, False),
+            ("astar", "manhattan", 1.0, False),
+            ("astar", "euclidean", 1.5, True),
+        ],
+    )
+    def test_registry_is_the_kernel(
+        self, grid10_variance, algorithm, estimator, weight, pooled
+    ):
+        """A registered kernel algorithm is exactly one kernel.search."""
+        planner = RoutePlanner(estimator_pool=EstimatorPool() if pooled else None)
+        planned = planner.plan(
+            grid10_variance, (0, 0), (9, 9), algorithm, estimator, weight
+        )
+        resolved = make_estimator(estimator)
+        if weight != 1.0:
+            resolved = ScaledEstimator(resolved, weight)
+        direct = kernel.search(grid10_variance, (0, 0), (9, 9), algorithm, resolved)
+        assert planned.path == direct.path
+        assert planned.cost == direct.cost
+        assert planned.iterations == direct.iterations
+        assert planned.estimator == direct.estimator
+        assert planned.stats == direct.stats
 
 
 class TestEstimatorResolution:
@@ -89,10 +120,3 @@ class TestSuiteAndModuleHelpers:
         assert set(suite) == {"iterative", "dijkstra", "astar-v3"}
         costs = {result.cost for result in suite.values()}
         assert len(costs) == 1  # all optimal on a grid
-
-    def test_plan_route_shortcut(self, tiny_graph):
-        result = plan_route(tiny_graph, "a", "e", algorithm="dijkstra")
-        assert result.cost == pytest.approx(4.0)
-
-    def test_default_planner_is_cached(self):
-        assert default_planner() is default_planner()

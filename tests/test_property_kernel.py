@@ -111,9 +111,7 @@ _SETTINGS = settings(
 @_SETTINGS
 def test_tiers_agree_counter_for_counter(case, estimator_factory):
     graph, source, destination = case
-    csr_run, csr_seen = _observed(
-        graph, source, destination, estimator_factory, tier="csr"
-    )
+    csr_run, csr_seen = _observed(graph, source, destination, estimator_factory)
     generic_run, generic_seen = _observed(
         graph, source, destination, estimator_factory, trace=True
     )
@@ -153,7 +151,7 @@ def test_reopening_parity_on_deterministic_case():
     graph.add_edge("a", "t", 10.0)
     make = lambda: TableEstimator({"a": 0.0, "b": 15.0, "t": 0.0})
 
-    csr_run, csr_seen = _observed(graph, "s", "t", make, tier="csr")
+    csr_run, csr_seen = _observed(graph, "s", "t", make)
     generic_run, generic_seen = _observed(graph, "s", "t", make, trace=True)
     assert csr_run.stats.nodes_reopened > 0
     assert csr_run.found and csr_run.cost == 13.0

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.astar import astar_search
-from repro.core.bidirectional import bidirectional_search
-from repro.core.dijkstra import dijkstra_search, dijkstra_sssp
+from repro import kernel
+from repro.kernel import csr
 from repro.core.estimators import EuclideanEstimator, ZeroEstimator
-from repro.core.iterative import iterative_search
 from repro.graphs.graph import Graph
 
 # ----------------------------------------------------------------------
@@ -78,7 +76,7 @@ _SETTINGS = settings(
 def test_dijkstra_matches_networkx(case):
     graph, source, destination = case
     expected = _reference_cost(graph, source, destination)
-    result = dijkstra_search(graph, source, destination)
+    result = kernel.search(graph, source, destination)
     if expected is None:
         assert not result.found
     else:
@@ -91,7 +89,7 @@ def test_dijkstra_matches_networkx(case):
 def test_iterative_matches_networkx(case):
     graph, source, destination = case
     expected = _reference_cost(graph, source, destination)
-    result = iterative_search(graph, source, destination)
+    result = kernel.search(graph, source, destination, "iterative")
     if expected is None:
         assert not result.found
     else:
@@ -104,7 +102,7 @@ def test_iterative_matches_networkx(case):
 def test_astar_zero_estimator_matches_networkx(case):
     graph, source, destination = case
     expected = _reference_cost(graph, source, destination)
-    result = astar_search(graph, source, destination, ZeroEstimator())
+    result = kernel.search(graph, source, destination, "astar", ZeroEstimator())
     if expected is None:
         assert not result.found
     else:
@@ -117,7 +115,7 @@ def test_astar_zero_estimator_matches_networkx(case):
 def test_bidirectional_matches_networkx(case):
     graph, source, destination = case
     expected = _reference_cost(graph, source, destination)
-    result = bidirectional_search(graph, source, destination)
+    result = kernel.search(graph, source, destination, "bidirectional")
     if expected is None:
         assert not result.found
     else:
@@ -132,8 +130,8 @@ def test_bidirectional_matches_networkx(case):
 @_SETTINGS
 def test_found_paths_are_valid_and_costed(case):
     graph, source, destination = case
-    for search in (dijkstra_search, iterative_search, bidirectional_search):
-        result = search(graph, source, destination)
+    for algorithm in ("dijkstra", "iterative", "bidirectional"):
+        result = kernel.search(graph, source, destination, algorithm)
         if result.found:
             assert result.path[0] == source
             assert result.path[-1] == destination
@@ -151,7 +149,7 @@ def test_euclidean_astar_never_beats_optimum(case):
     cost can never be below the true optimum."""
     graph, source, destination = case
     expected = _reference_cost(graph, source, destination)
-    result = astar_search(graph, source, destination, EuclideanEstimator())
+    result = kernel.search(graph, source, destination, "astar", EuclideanEstimator())
     if expected is None:
         assert not result.found
     else:
@@ -164,7 +162,7 @@ def test_euclidean_astar_never_beats_optimum(case):
 @_SETTINGS
 def test_sssp_is_consistent_with_single_pair(case):
     graph, source, _destination = case
-    distances = dijkstra_sssp(graph, source)
+    distances = csr.sssp(graph, source)
     # Triangle inequality over edges: settled labels admit no relaxation.
     for edge in graph.edges():
         if edge.source in distances:

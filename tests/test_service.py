@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.core.dijkstra import dijkstra_search
+from repro import kernel
 from repro.core.planner import RoutePlanner
 from repro.engine import RelationalGraph
 from repro.graphs.grid import make_grid, make_paper_grid
@@ -58,7 +58,7 @@ class TestCorrectness:
 
     def test_pooled_landmark_service_is_optimal(self, grid):
         service = RouteService(default_estimator="landmark")
-        optimum = dijkstra_search(grid, (0, 0), (9, 9)).cost
+        optimum = kernel.search(grid, (0, 0), (9, 9)).cost
         for _ in range(2):
             result = service.plan(grid, (0, 0), (9, 9))
             assert result.cost == pytest.approx(optimum)
@@ -78,7 +78,7 @@ class TestInvalidation:
         after = service.plan(graph, (0, 0), (0, 4), algorithm="dijkstra",
                              estimator="zero")
         assert after.cost == pytest.approx(
-            dijkstra_search(graph, (0, 0), (0, 4)).cost
+            kernel.search(graph, (0, 0), (0, 4)).cost
         )
         assert after.cost != pytest.approx(before.cost)
         assert service.cache.invalidations >= 1
@@ -91,7 +91,7 @@ class TestInvalidation:
         graph.update_edge_cost((0, 0), (0, 1), 10.0)  # bypasses the service
         replay = service.plan(graph, (0, 0), (0, 4))
         assert replay.cost == pytest.approx(
-            dijkstra_search(graph, (0, 0), (0, 4)).cost
+            kernel.search(graph, (0, 0), (0, 4)).cost
         )
 
 

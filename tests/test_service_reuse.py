@@ -18,7 +18,8 @@ import math
 
 import pytest
 
-from repro.core.dijkstra import dijkstra_search, dijkstra_sssp
+from repro import kernel
+from repro.kernel import csr
 from repro.core.estimators import (
     LandmarkEstimator,
     ScaledEstimator,
@@ -91,7 +92,7 @@ class TestEstimatorReuseAcrossDestinations:
         planner = RoutePlanner()
         planner.plan(graph, (0, 0), (11, 11), "astar", shared)
         second = planner.plan(graph, (11, 0), (0, 0), "astar", shared)
-        optimum = dijkstra_search(graph, (11, 0), (0, 0)).cost
+        optimum = kernel.search(graph, (11, 0), (0, 0)).cost
         assert second.cost == pytest.approx(optimum)
 
 
@@ -136,7 +137,7 @@ class TestLandmarkFingerprintKeying:
             graph.update_edge_cost(edge.source, edge.target, edge.cost / 3.0)
         planner = RoutePlanner()
         result = planner.plan(graph, (0, 0), (7, 7), "astar", estimator)
-        optimum = dijkstra_search(graph, (0, 0), (7, 7)).cost
+        optimum = kernel.search(graph, (0, 0), (7, 7)).cost
         assert result.cost == pytest.approx(optimum)
         assert estimator._prepared_for == graph.fingerprint
         after = estimator._from_landmark[(0, 0)]
@@ -148,7 +149,7 @@ class TestLandmarkFingerprintKeying:
         estimator.prepare(graph, (5, 5))
         for edge in list(graph.edges()):
             graph.update_edge_cost(edge.source, edge.target, edge.cost / 2.0)
-        distances = dijkstra_sssp(graph.reversed(), (5, 5))
+        distances = csr.sssp(graph.reversed(), (5, 5))
         for node in graph.nodes():
             h = estimator.estimate(graph, node.node_id, (5, 5))
             assert h <= distances[node.node_id] + 1e-9
@@ -195,7 +196,7 @@ class TestSeparateFrontierSelectBest:
         euclidean is admissible, v1 must be optimal)."""
         grid = make_grid(k)
         rgraph = RelationalGraph(grid)
-        reference = dijkstra_search(grid, (0, 0), (k - 1, k - 1))
+        reference = kernel.search(grid, (0, 0), (k - 1, k - 1))
         run = run_astar(rgraph, (0, 0), (k - 1, k - 1), version="v1")
         assert run.found
         assert run.cost == pytest.approx(reference.cost)

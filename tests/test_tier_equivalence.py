@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.astar import astar_search
-from repro.core.dijkstra import dijkstra_search
+from repro import kernel
 from repro.core.estimators import EuclideanEstimator, ManhattanEstimator
-from repro.core.iterative import iterative_search
 from repro.engine import RelationalGraph, run_relational
 from repro.graphs.costmodels import VarianceCostModel
 from repro.graphs.grid import make_grid
@@ -28,7 +26,7 @@ def test_grid_costs_agree_across_tiers(k, seed):
     graph = make_grid(k, VarianceCostModel(seed=seed))
     rgraph = RelationalGraph(graph)
     source, destination = (0, 0), (k - 1, k - 1)
-    reference = dijkstra_search(graph, source, destination)
+    reference = kernel.search(graph, source, destination)
     for algorithm in ("iterative", "dijkstra", "astar-v3"):
         run = run_relational(graph, source, destination, algorithm, rgraph=rgraph)
         assert run.found == reference.found
@@ -43,8 +41,8 @@ def test_grid_iterations_agree_across_tiers(k, seed):
     source, destination = (0, 0), (k - 1, k - 1)
 
     core_counts = {
-        "iterative": iterative_search(graph, source, destination).iterations,
-        "dijkstra": dijkstra_search(graph, source, destination).iterations,
+        "iterative": kernel.search(graph, source, destination, "iterative").iterations,
+        "dijkstra": kernel.search(graph, source, destination).iterations,
     }
     for algorithm, expected in core_counts.items():
         run = run_relational(graph, source, destination, algorithm, rgraph=rgraph)
@@ -56,7 +54,7 @@ def test_grid_iterations_agree_across_tiers(k, seed):
 def test_sparse_directed_graphs_agree(seed):
     graph = random_sparse_directed(15, 25, seed=seed)
     rgraph = RelationalGraph(graph)
-    reference = dijkstra_search(graph, 0, 8)
+    reference = kernel.search(graph, 0, 8)
     for algorithm in ("iterative", "dijkstra"):
         run = run_relational(graph, 0, 8, algorithm, rgraph=rgraph)
         assert run.found == reference.found
@@ -71,7 +69,7 @@ def test_astar_versions_never_beat_optimum(k, seed):
     graph = make_grid(k, VarianceCostModel(seed=seed))
     rgraph = RelationalGraph(graph)
     source, destination = (0, 0), (0, k - 1)
-    optimum = dijkstra_search(graph, source, destination).cost
+    optimum = kernel.search(graph, source, destination).cost
     for version in ("astar-v1", "astar-v2", "astar-v3"):
         run = run_relational(graph, source, destination, version, rgraph=rgraph)
         assert run.found
@@ -85,7 +83,7 @@ def test_engine_astar_expansion_counts_match_core_on_grid():
     of core A*-manhattan on the benchmark grid."""
     graph = make_grid(10, VarianceCostModel(seed=1993))
     rgraph = RelationalGraph(graph)
-    core = astar_search(graph, (0, 0), (9, 9), ManhattanEstimator())
+    core = kernel.search(graph, (0, 0), (9, 9), "astar", ManhattanEstimator())
     engine = run_relational(graph, (0, 0), (9, 9), "astar-v3", rgraph=rgraph)
     assert abs(engine.iterations - core.iterations) <= max(
         3, core.iterations // 20
