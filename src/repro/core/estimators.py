@@ -98,8 +98,10 @@ class ManhattanEstimator:
 
     Perfect on uniform-cost grids; *may overestimate* on general road
     maps (the paper's Minneapolis caveat), in which case A* can return
-    sub-optimal paths — the planners surface this via the
-    ``admissible`` flag on the estimator.
+    sub-optimal paths. Such an answer is not flagged: no estimator
+    declares whether it is a lower bound, and the planners return and
+    cache the sub-optimal path as they would an exact one (ROADMAP
+    item 2 tracks this).
     """
 
     name = "manhattan"

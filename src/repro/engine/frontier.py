@@ -29,7 +29,8 @@ Both implement the same protocol:
 ``relax(node_id, new_cost, predecessor)``
     conditional improvement — returns True if the label improved;
 ``select_best()``
-    the open tuple minimising ``key_of(tuple)`` (None when empty);
+    the open tuple minimising ``key_of(node_id, path_cost)`` — the
+    first minimum in (page, slot) order — or None when empty;
 ``close(tuple)``
     move the selected tuple to the explored set;
 ``size()``
@@ -80,8 +81,8 @@ def frontier_schema() -> Schema:
 class StatusAttributeFrontier:
     """Frontier as R.status = 'open' (versions 2 and 3).
 
-    ``key_of`` maps an R tuple to the selection key: ``path_cost`` for
-    Dijkstra, ``path_cost + f(node, d)`` for A*.
+    ``key_of(node_id, path_cost)`` is the selection key: ``path_cost``
+    for Dijkstra, ``path_cost + f(node, d)`` for A*.
     """
 
     name = "status-attribute"
@@ -90,7 +91,7 @@ class StatusAttributeFrontier:
         self,
         R: Relation,
         stats: IOStatistics,
-        key_of: Callable[[dict], float],
+        key_of: Callable[[NodeId, float], float],
     ) -> None:
         if R.isam is None:
             raise PlannerError("status-attribute frontier needs R's ISAM index")
@@ -147,18 +148,27 @@ class StatusAttributeFrontier:
         return True
 
     def select_best(self) -> Optional[dict]:
-        """Scan R for the open tuple minimising the selection key."""
-        best: Optional[dict] = None
+        """Scan R for the open tuple minimising the selection key.
+
+        Rows stay positional during the scan; only the winner becomes
+        a dict. Strict ``<`` keeps the first minimum in scan order.
+        """
+        position = self.R.schema.position
+        status, node_id = position("status"), position("node_id")
+        path_cost = position("path_cost")
+        best_row = None
         best_key = math.inf
         best_rid = None
-        for rid, values in self.R.scan():
-            if values["status"] != STATUS_OPEN:
+        for rid, row in self.R.heap.scan_rows():
+            if row[status] != STATUS_OPEN:
                 continue
-            key = self.key_of(values)
+            key = self.key_of(row[node_id], row[path_cost])
             if key < best_key:
-                best, best_key, best_rid = dict(values), key, rid
-        if best is not None:
-            best["_rid"] = best_rid
+                best_row, best_key, best_rid = row, key, rid
+        if best_row is None:
+            return None
+        best = self.R.schema.as_dict(best_row)
+        best["_rid"] = best_rid
         return best
 
     def close(self, node_tuple: dict) -> None:
@@ -192,7 +202,7 @@ class SeparateRelationFrontier:
         R: Relation,
         graph: Graph,
         stats: IOStatistics,
-        key_of: Callable[[dict], float],
+        key_of: Callable[[NodeId, float], float],
     ) -> None:
         self.R = R
         self.graph = graph
@@ -283,7 +293,7 @@ class SeparateRelationFrontier:
         rid = self.F.insert(
             {
                 "node_id": node_id,
-                "f_cost": self.key_of(values),
+                "f_cost": self.key_of(node_id, values["path_cost"]),
                 "path_cost": values["path_cost"],
             }
         )
@@ -303,19 +313,19 @@ class SeparateRelationFrontier:
         the protocol. The R lookup is charged at version 1's unindexed
         rate, one heap scan (see :meth:`_read_node`).
         """
-        best_entry: Optional[dict] = None
+        f_cost = self.F.schema.position("f_cost")
+        best_entry = None
         best_key = math.inf
-        for _rid, entry in self.F.scan():
-            if entry["f_cost"] < best_key:
-                best_key = entry["f_cost"]
-                best_entry = dict(entry)
+        for _rid, entry in self.F.heap.scan_rows():
+            if entry[f_cost] < best_key:
+                best_key = entry[f_cost]
+                best_entry = entry
         if best_entry is None:
             return None
-        label = self._read_node(best_entry["node_id"])
+        node_id = best_entry[self.F.schema.position("node_id")]
+        label = self._read_node(node_id)
         if label is None:
-            raise PlannerError(
-                f"frontier node {best_entry['node_id']!r} missing from R"
-            )
+            raise PlannerError(f"frontier node {node_id!r} missing from R")
         # Membership in F *is* the open status in version 1; R's status
         # column is never rewritten on close, so assert it here.
         label["status"] = STATUS_OPEN

@@ -88,10 +88,8 @@ def run_best_first(
     estimator = estimator if estimator is not None else ZeroEstimator()
 
     def make_policy(backend, stats, dest):
-        def key_of(node_tuple: dict) -> float:
-            return node_tuple["path_cost"] + estimator.estimate(
-                graph, node_tuple["node_id"], dest
-            )
+        def key_of(node_id: NodeId, path_cost: float) -> float:
+            return path_cost + estimator.estimate(graph, node_id, dest)
 
         if frontier_kind == "status-attribute":
             R = rgraph.fresh_node_relation(populate=True)  # C1-C3

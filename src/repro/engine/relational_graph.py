@@ -237,18 +237,19 @@ class RelationalGraph:
                 for edge in self.graph.edges()
             }
             seen = set()
+            position = self.S.schema.position
+            begin, end, cost = position("begin"), position("end"), position("cost")
             for page in self.S.heap.pages:
                 for _slot, row in page.rows():
-                    values = self.S.schema.as_dict(row)
-                    key = (values["begin"], values["end"])
+                    key = (row[begin], row[end])
                     if key not in edges:
                         raise StorageError(
                             f"S tuple {key} is not an edge of "
                             f"{self.graph.name!r}"
                         )
-                    if values["cost"] != edges[key]:
+                    if row[cost] != edges[key]:
                         raise StorageError(
-                            f"S tuple {key} carries cost {values['cost']!r}, "
+                            f"S tuple {key} carries cost {row[cost]!r}, "
                             f"graph says {edges[key]!r}"
                         )
                     seen.add(key)

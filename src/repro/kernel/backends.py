@@ -275,10 +275,11 @@ class RelationalWavePolicy:
 
     def select(self) -> Optional[List[dict]]:
         # Step 5: fetch all current nodes (scan of R).
+        status = self.R.schema.position("status")
         current = [
-            dict(values)
-            for _rid, values in self.R.scan()
-            if values["status"] == STATUS_CURRENT
+            self.R.schema.as_dict(row)
+            for _rid, row in self.R.heap.scan_rows()
+            if row[status] == STATUS_CURRENT
         ]
         return current or None
 
@@ -330,10 +331,11 @@ class RelationalWavePolicy:
         self.R.heap.batch_update(flip)
 
         # Step 8: scan R to count current nodes (termination test).
+        status = self.R.schema.position("status")
         count = sum(
             1
-            for _rid, values in self.R.scan()
-            if values["status"] == STATUS_CURRENT
+            for _rid, row in self.R.heap.scan_rows()
+            if row[status] == STATUS_CURRENT
         )
 
         return {

@@ -100,6 +100,8 @@ class NestedLoopJoin(JoinStrategy):
 
     def execute(self, outer, outer_key, inner, inner_key, inputs, stats):
         stats.charge_read(inputs.outer_blocks)
+        key = inner.schema.position(inner_key)
+        as_dict = inner.schema.as_dict
         result: List[Dict[str, object]] = []
         outer_block_count = max(1, inputs.outer_blocks)
         per_block = max(1, -(-len(outer) // outer_block_count))
@@ -107,11 +109,12 @@ class NestedLoopJoin(JoinStrategy):
             chunk = outer[start : start + per_block]
             if not chunk and start > 0:
                 break
-            # One full scan of the inner per outer block (charged by scan()).
-            for _rid, inner_values in inner.scan():
+            # One full scan of the inner per outer block (charged by
+            # scan_rows()).
+            for _rid, row in inner.heap.scan_rows():
                 for outer_values in chunk:
-                    if outer_values[outer_key] == inner_values[inner_key]:
-                        result.append(_merge(outer_values, inner_values))
+                    if outer_values[outer_key] == row[key]:
+                        result.append(_merge(outer_values, as_dict(row)))
         stats.charge_write(inputs.result_blocks)
         return result
 
@@ -133,10 +136,14 @@ class HashJoin(JoinStrategy):
         table: Dict[object, List[Mapping[str, object]]] = {}
         for outer_values in outer:
             table.setdefault(repr(outer_values[outer_key]), []).append(outer_values)
+        key = inner.schema.position(inner_key)
         result: List[Dict[str, object]] = []
-        for _rid, inner_values in inner.scan():  # charges inner reads
-            for outer_values in table.get(repr(inner_values[inner_key]), ()):
-                result.append(_merge(outer_values, inner_values))
+        for _rid, row in inner.heap.scan_rows():  # charges inner reads
+            matches = table.get(repr(row[key]))
+            if matches:
+                inner_values = inner.schema.as_dict(row)
+                for outer_values in matches:
+                    result.append(_merge(outer_values, inner_values))
         stats.charge_write(inputs.result_blocks)
         return result
 
@@ -169,16 +176,17 @@ class SortMergeJoin(JoinStrategy):
         self._sort_charge(inputs.outer_blocks, stats)
         self._sort_charge(inputs.inner_blocks, stats)
         stats.charge_read(inputs.outer_blocks)
+        key = inner.schema.position(inner_key)
         outer_sorted = sorted(outer, key=lambda t: repr(t[outer_key]))
         inner_sorted = sorted(
-            (dict(v) for _rid, v in inner.scan()),
-            key=lambda t: repr(t[inner_key]),
+            (row for _rid, row in inner.heap.scan_rows()),
+            key=lambda row: repr(row[key]),
         )
         result: List[Dict[str, object]] = []
         i = j = 0
         while i < len(outer_sorted) and j < len(inner_sorted):
             left_key = repr(outer_sorted[i][outer_key])
-            right_key = repr(inner_sorted[j][inner_key])
+            right_key = repr(inner_sorted[j][key])
             if left_key < right_key:
                 i += 1
             elif left_key > right_key:
@@ -194,12 +202,13 @@ class SortMergeJoin(JoinStrategy):
                 j_end = j
                 while (
                     j_end < len(inner_sorted)
-                    and repr(inner_sorted[j_end][inner_key]) == left_key
+                    and repr(inner_sorted[j_end][key]) == left_key
                 ):
                     j_end += 1
+                inner_run = [inner.schema.as_dict(row) for row in inner_sorted[j:j_end]]
                 for oi in range(i, i_end):
-                    for jj in range(j, j_end):
-                        result.append(_merge(outer_sorted[oi], inner_sorted[jj]))
+                    for inner_values in inner_run:
+                        result.append(_merge(outer_sorted[oi], inner_values))
                 i, j = i_end, j_end
         stats.charge_write(inputs.result_blocks)
         return result

@@ -58,9 +58,10 @@ class HashIndex:
 
     def build(self) -> None:
         """Scan the heap and hash every tuple into its bucket chain."""
-        entries: List[Tuple[object, RecordId]] = []
-        for record_id, values in self.heap.scan():
-            entries.append((values[self.key_field], record_id))
+        key = self.heap.schema.position(self.key_field)
+        entries: List[Tuple[object, RecordId]] = [
+            (row[key], record_id) for record_id, row in self.heap.scan_rows()
+        ]
         bucket_count = self._requested_buckets
         if bucket_count <= 0:
             # Aim for ~one page per bucket at build time.
@@ -159,10 +160,10 @@ class HashIndex:
                     marker = (repr(key), rid)
                     index_entries[marker] = index_entries.get(marker, 0) + 1
         heap_entries: Dict[Tuple[str, RecordId], int] = {}
+        key = self.heap.schema.position(self.key_field)
         for page in self.heap.pages:
             for slot, row in page.rows():
-                values = self.heap.schema.as_dict(row)
-                marker = (repr(values[self.key_field]), (page.page_no, slot))
+                marker = (repr(row[key]), (page.page_no, slot))
                 heap_entries[marker] = heap_entries.get(marker, 0) + 1
         if index_entries != heap_entries:
             missing = set(heap_entries) - set(index_entries)

@@ -199,7 +199,11 @@ class HeapFile:
         for page in self.pages:
             self.buffer_pool.access(self.name, page)
             page_modified = False
-            for slot, row in list(page.rows()):
+            # In-place overwrites keep the slot list's length, so it is
+            # iterated directly, each slot read before it is replaced.
+            for slot, row in enumerate(page.slots):
+                if row is None:
+                    continue
                 new_values = updater(self.schema.as_dict(row))
                 if new_values is not None:
                     new_row = self.schema.validate(new_values)
@@ -217,12 +221,27 @@ class HeapFile:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def scan(self) -> Iterator[Tuple[RecordId, Mapping[str, object]]]:
-        """Full scan: reads every allocated page through the pool."""
+    def scan_rows(self) -> Iterator[Tuple[RecordId, Row]]:
+        """Full scan: reads every allocated page through the pool.
+
+        Yields ``(record_id, row)`` with the row positional, in (page,
+        slot) order; read fields with :meth:`Schema.position`. This is
+        the heap's one page loop: each allocated page is one buffered
+        access, charged before its first row is yielded, whatever the
+        caller does with the rows.
+        """
         for page in self.pages:
             self.buffer_pool.access(self.name, page)
-            for slot, row in page.rows():
-                yield (page.page_no, slot), self.schema.as_dict(row)
+            page_no = page.page_no
+            for slot, row in enumerate(page.slots):
+                if row is not None:
+                    yield (page_no, slot), row
+
+    def scan(self) -> Iterator[Tuple[RecordId, Mapping[str, object]]]:
+        """Full scan yielding field-name mappings (see :meth:`scan_rows`)."""
+        as_dict = self.schema.as_dict
+        for record_id, row in self.scan_rows():
+            yield record_id, as_dict(row)
 
     def scan_filter(
         self, predicate: Callable[[Mapping[str, object]], bool]

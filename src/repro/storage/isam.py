@@ -56,9 +56,10 @@ class ISAMIndex:
     # ------------------------------------------------------------------
     def build(self) -> None:
         """Scan the heap and build the static index over current keys."""
-        entries: List[Tuple[object, RecordId]] = []
-        for record_id, values in self.heap.scan():
-            entries.append((values[self.key_field], record_id))
+        key = self.heap.schema.position(self.key_field)
+        entries: List[Tuple[object, RecordId]] = [
+            (row[key], record_id) for record_id, row in self.heap.scan_rows()
+        ]
         entries.sort(key=lambda pair: pair[0])
         keys = [k for k, _ in entries]
         if len(set(map(repr, keys))) != len(keys):
@@ -223,10 +224,10 @@ class ISAMIndex:
                 )
             seen[marker] = rid
         heap_keys: Dict[str, RecordId] = {}
+        key = self.heap.schema.position(self.key_field)
         for page in self.heap.pages:
             for slot, row in page.rows():
-                values = self.heap.schema.as_dict(row)
-                heap_keys[repr(values[self.key_field])] = (page.page_no, slot)
+                heap_keys[repr(row[key])] = (page.page_no, slot)
         for marker, rid in seen.items():
             if marker not in heap_keys:
                 raise IndexError_(

@@ -68,6 +68,7 @@ class Schema:
             raise SchemaError(f"schema {name!r} has duplicate field names")
         self.name = name
         self.fields: Tuple[Field, ...] = tuple(fields)
+        self._names: Tuple[str, ...] = tuple(names)
         self._by_name: Dict[str, Field] = {f.name: f for f in fields}
         self._positions: Dict[str, int] = {f.name: i for i, f in enumerate(fields)}
 
@@ -78,7 +79,7 @@ class Schema:
 
     @property
     def field_names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+        return self._names
 
     def field(self, name: str) -> Field:
         try:
@@ -137,7 +138,7 @@ class Schema:
                 f"schema {self.name!r}: row arity {len(row)} != "
                 f"{len(self.fields)}"
             )
-        return {f.name: v for f, v in zip(self.fields, row)}
+        return dict(zip(self._names, row))
 
     def join_with(self, other: "Schema", name: str) -> "Schema":
         """Concatenated schema of a join result (fields prefixed on clash)."""

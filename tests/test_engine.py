@@ -155,7 +155,7 @@ class TestFrontierBehaviour:
     def _status_frontier(self, rgraph):
         R = rgraph.fresh_node_relation(populate=True)
         return R, StatusAttributeFrontier(
-            R, rgraph.stats, key_of=lambda t: t["path_cost"]
+            R, rgraph.stats, key_of=lambda node_id, path_cost: path_cost
         )
 
     def test_status_select_best_min_and_close(self, rgraph8):
@@ -169,6 +169,16 @@ class TestFrontierBehaviour:
         assert frontier.select_best()["node_id"] == (0, 0)
         rgraph8.drop_node_relation(R)
 
+    def test_status_select_best_tie_takes_earlier_rid(self, rgraph8):
+        R, frontier = self._status_frontier(rgraph8)
+        late, early = sorted([(0, 0), (5, 5)], key=R.isam.probe, reverse=True)
+        frontier.open_node(late, 3.0, None)
+        frontier.open_node(early, 3.0, None)
+        best = frontier.select_best()
+        assert best["node_id"] == early
+        assert best["_rid"] == R.isam.probe(early) < R.isam.probe(late)
+        rgraph8.drop_node_relation(R)
+
     def test_status_relax_only_improves(self, rgraph8):
         R, frontier = self._status_frontier(rgraph8)
         frontier.open_node((2, 2), 4.0, None)
@@ -180,7 +190,7 @@ class TestFrontierBehaviour:
     def test_status_requires_isam(self, rgraph8):
         R = rgraph8.fresh_node_relation(populate=False)
         with pytest.raises(PlannerError):
-            StatusAttributeFrontier(R, rgraph8.stats, key_of=lambda t: 0.0)
+            StatusAttributeFrontier(R, rgraph8.stats, key_of=lambda node_id, path_cost: 0.0)
         rgraph8.drop_node_relation(R)
 
     def _separate_frontier(self, rgraph):
@@ -190,7 +200,7 @@ class TestFrontierBehaviour:
             R,
             rgraph.graph,
             rgraph.stats,
-            key_of=lambda t: t["path_cost"],
+            key_of=lambda node_id, path_cost: path_cost,
         )
         return R, frontier
 

@@ -66,6 +66,49 @@ def test_heapfile_agrees_with_dict_model(operations):
 
 @settings(max_examples=50, deadline=None)
 @given(
+    operations=_OPS,
+    capacity=st.integers(0, 4),
+    rescans=st.integers(1, 3),
+)
+def test_scan_rows_and_scan_agree_row_and_charge(operations, capacity, rescans):
+    """The positional scan and its dict view yield the same tuples and
+    leave the same ledger: the same page accesses in the same order."""
+    heaps = []
+    for _ in range(2):
+        stats = IOStatistics()
+        pool = BufferPool(stats, capacity=capacity)
+        schema = Schema("t", [Field("k", ANY, 8), Field("v", FLOAT, 8)])
+        heap = HeapFile("t", schema, pool, stats, block_size=64)
+        rids = []
+        for op, key, value in operations:
+            if op == "insert":
+                rids.append(heap.insert({"k": key, "v": value}))
+            elif op == "update" and rids:
+                rid = rids[key % len(rids)]
+                if heap.pages[rid[0]].slots[rid[1]] is not None:
+                    heap.update(rid, {"k": key, "v": value})
+            elif op == "delete" and rids:
+                rid = rids[key % len(rids)]
+                if heap.pages[rid[0]].slots[rid[1]] is not None:
+                    heap.delete(rid)
+        heaps.append(heap)
+    positional, named = heaps
+    for _ in range(rescans):
+        rows = list(positional.scan_rows())
+        dicts = list(named.scan())
+        assert [rid for rid, _row in rows] == [rid for rid, _values in dicts]
+        assert [positional.schema.as_dict(row) for _rid, row in rows] == [
+            values for _rid, values in dicts
+        ]
+    assert positional.stats.snapshot() == named.stats.snapshot()
+    def counters(pool):
+        return pool.hits, pool.misses, pool.evictions
+
+    assert counters(positional.buffer_pool) == counters(named.buffer_pool)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
     keys=st.lists(st.integers(0, 500), min_size=1, max_size=80, unique=True),
     probes=st.lists(st.integers(0, 500), max_size=20),
     fanout=st.integers(2, 12),

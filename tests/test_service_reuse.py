@@ -158,7 +158,7 @@ class TestLandmarkFingerprintKeying:
 class TestSeparateFrontierSelectBest:
     """A* version 1's select_best must carry the predecessor from R."""
 
-    def _frontier(self, rgraph, key_of=lambda values: values["path_cost"]):
+    def _frontier(self, rgraph, key_of=lambda node_id, path_cost: path_cost):
         R = rgraph.fresh_node_relation(populate=False)
         return SeparateRelationFrontier(
             rgraph.db.create_relation, R, rgraph.graph, rgraph.stats, key_of
