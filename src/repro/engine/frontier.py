@@ -22,6 +22,11 @@ relation, and as an attribute in the nodes relation."
   R. R is fully initialized (and indexed) up front, which costs more
   before the first iteration but keeps per-operation cost flat.
 
+Both charge a selection as the paper's plan does, a full scan of the
+frontier's relation, but do the Python work only for the rows a step
+can return: the status frontier keeps a heap of its open rows, and
+version 1 locates R's tuples through a record-id directory.
+
 Both implement the same protocol:
 
 ``open_node(node_id, path_cost, predecessor)``
@@ -39,11 +44,13 @@ Both implement the same protocol:
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import PlannerError
 from repro.graphs.graph import Graph, NodeId
+from repro.storage.heapfile import RecordId
 from repro.storage.iostats import IOStatistics
 from repro.storage.relation import Relation
 from repro.storage.schema import (
@@ -82,7 +89,14 @@ class StatusAttributeFrontier:
     """Frontier as R.status = 'open' (versions 2 and 3).
 
     ``key_of(node_id, path_cost)`` is the selection key: ``path_cost``
-    for Dijkstra, ``path_cost + f(node, d)`` for A*.
+    for Dijkstra, ``path_cost + f(node, d)`` for A*. It is evaluated
+    once per label, when a row is opened or relaxed.
+
+    The frontier records its open rows itself, ``{rid: key}`` plus a
+    heap of ``(key, rid)`` with lazy deletion, so a selection reads
+    only the winning row. R must hold no open row when the frontier is
+    built (a fresh R from ``fresh_node_relation``); every later status
+    change goes through this object.
     """
 
     name = "status-attribute"
@@ -98,10 +112,11 @@ class StatusAttributeFrontier:
         self.R = R
         self.stats = stats
         self.key_of = key_of
-        self._open_count = 0
+        self._open: Dict[RecordId, float] = {}
+        self._heap: List[Tuple[float, RecordId]] = []
 
     def size(self) -> int:
-        return self._open_count
+        return len(self._open)
 
     def open_node(
         self, node_id: NodeId, path_cost: float, predecessor: Optional[NodeId]
@@ -138,37 +153,40 @@ class StatusAttributeFrontier:
         old = dict(self.R.read(rid))  # charges the data-page access
         if conditional and old["path_cost"] <= new_cost:
             return False
-        was_open = old["status"] == STATUS_OPEN
         old["path_cost"] = new_cost
         old["path"] = predecessor
         old["status"] = STATUS_OPEN
         self.R.heap.update(rid, old)  # charges t_update
-        if not was_open:
-            self._open_count += 1
+        key = self.key_of(old["node_id"], new_cost)
+        self._open[rid] = key
+        # A key that is not < inf (inf, NaN) is never selected, so it
+        # stays off the heap.
+        if key < math.inf:
+            heapq.heappush(self._heap, (key, rid))
         return True
 
     def select_best(self) -> Optional[dict]:
-        """Scan R for the open tuple minimising the selection key.
+        """Charge a scan of R, then take the open row minimising the key.
 
-        Rows stay positional during the scan; only the winner becomes
-        a dict. Strict ``<`` keeps the first minimum in scan order.
+        The scan is the paper's step 5 and is charged page by page
+        whatever it finds. The winner is the heap's least live
+        ``(key, rid)``: rids order as (page, slot), so it is the first
+        minimum in scan order, the row a strict ``<`` over the scan
+        keeps. Only the winner becomes a dict.
         """
-        position = self.R.schema.position
-        status, node_id = position("status"), position("node_id")
-        path_cost = position("path_cost")
-        best_row = None
-        best_key = math.inf
-        best_rid = None
-        for rid, row in self.R.heap.scan_rows():
-            if row[status] != STATUS_OPEN:
-                continue
-            key = self.key_of(row[node_id], row[path_cost])
-            if key < best_key:
-                best_row, best_key, best_rid = row, key, rid
-        if best_row is None:
+        for _page in self.R.heap.scan_pages():
+            pass
+        heap, open_keys = self._heap, self._open
+        while heap:
+            key, rid = heap[0]
+            if open_keys.get(rid) == key:
+                break
+            heapq.heappop(heap)  # closed, or relaxed since it was pushed
+        else:
             return None
-        best = self.R.schema.as_dict(best_row)
-        best["_rid"] = best_rid
+        page_no, slot = rid
+        best = self.R.schema.as_dict(self.R.heap.pages[page_no].slots[slot])
+        best["_rid"] = rid
         return best
 
     def close(self, node_tuple: dict) -> None:
@@ -179,7 +197,7 @@ class StatusAttributeFrontier:
         row = {k: v for k, v in node_tuple.items() if k != "_rid"}
         row["status"] = STATUS_CLOSED
         self.R.heap.update(rid, row)  # located by the selection scan
-        self._open_count -= 1
+        self._open.pop(rid, None)
 
 
 class SeparateRelationFrontier:

@@ -109,12 +109,20 @@ class NestedLoopJoin(JoinStrategy):
             chunk = outer[start : start + per_block]
             if not chunk and start > 0:
                 break
+            # The block's tuples by key, in outer order: each inner row
+            # meets its matches with one lookup instead of a comparison
+            # with every outer tuple.
+            block: Dict[object, List[Mapping[str, object]]] = {}
+            for outer_values in chunk:
+                block.setdefault(outer_values[outer_key], []).append(outer_values)
             # One full scan of the inner per outer block (charged by
             # scan_rows()).
             for _rid, row in inner.heap.scan_rows():
-                for outer_values in chunk:
-                    if outer_values[outer_key] == row[key]:
-                        result.append(_merge(outer_values, as_dict(row)))
+                matches = block.get(row[key])
+                if matches:
+                    inner_values = as_dict(row)
+                    for outer_values in matches:
+                        result.append(_merge(outer_values, inner_values))
         stats.charge_write(inputs.result_blocks)
         return result
 

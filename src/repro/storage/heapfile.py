@@ -180,12 +180,14 @@ class HeapFile:
 
     def batch_update(
         self,
-        updater: Callable[[Mapping[str, object]], Optional[Mapping[str, object]]],
+        updater: Callable[[Row], Optional[Mapping[str, object]]],
     ) -> int:
         """Set-oriented update pass over the whole file.
 
-        ``updater`` receives each live tuple and returns the replacement
-        values (or None to leave the tuple untouched). Charges one read
+        ``updater`` receives each live tuple as its positional row (read
+        fields with :meth:`Schema.position`) and returns the replacement
+        values as a mapping, or None to leave the tuple untouched; every
+        replacement is validated against the schema. Charges one read
         per page scanned and ``2 * t_update`` per *modified page* — the
         block-level batch-REPLACE cost the paper's Table 2 charges as
         C7 = 2 * B_r * t_update, an order cheaper than per-tuple keyed
@@ -196,15 +198,14 @@ class HeapFile:
         """
         modified = 0
         journal: List[Tuple[RecordId, Row]] = []
-        for page in self.pages:
-            self.buffer_pool.access(self.name, page)
+        for page in self.scan_pages():
             page_modified = False
             # In-place overwrites keep the slot list's length, so it is
             # iterated directly, each slot read before it is replaced.
             for slot, row in enumerate(page.slots):
                 if row is None:
                     continue
-                new_values = updater(self.schema.as_dict(row))
+                new_values = updater(row)
                 if new_values is not None:
                     new_row = self.schema.validate(new_values)
                     page.update(slot, new_row)
@@ -221,17 +222,26 @@ class HeapFile:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def scan_rows(self) -> Iterator[Tuple[RecordId, Row]]:
-        """Full scan: reads every allocated page through the pool.
+    def scan_pages(self) -> Iterator[Page]:
+        """Full pass: reads every allocated page through the pool.
 
-        Yields ``(record_id, row)`` with the row positional, in (page,
-        slot) order; read fields with :meth:`Schema.position`. This is
-        the heap's one page loop: each allocated page is one buffered
-        access, charged before its first row is yielded, whatever the
-        caller does with the rows.
+        This is the heap's one page loop: each allocated page, in
+        order, is one buffered access, charged before the page is
+        yielded, whatever the caller then reads of it. A caller that
+        already knows which rows it needs pays the paper's full scan
+        here and reads only those rows.
         """
         for page in self.pages:
             self.buffer_pool.access(self.name, page)
+            yield page
+
+    def scan_rows(self) -> Iterator[Tuple[RecordId, Row]]:
+        """Full scan yielding ``(record_id, row)`` in (page, slot) order.
+
+        Rows are positional; read fields with :meth:`Schema.position`.
+        Pages are charged by :meth:`scan_pages`.
+        """
+        for page in self.scan_pages():
             page_no = page.page_no
             for slot, row in enumerate(page.slots):
                 if row is not None:

@@ -127,9 +127,12 @@ class TestBatchUpdate:
         for i in range(5):
             heap.insert({"k": i, "v": 0.0})
 
-        def bump_even(values):
-            if values["k"] % 2 == 0:
-                return {"k": values["k"], "v": 1.0}
+        k = heap.schema.position("k")
+
+        def bump_even(row):
+            # The updater reads the positional row, returns a mapping.
+            if row[k] % 2 == 0:
+                return {"k": row[k], "v": 1.0}
             return None
 
         assert heap.batch_update(bump_even) == 3
@@ -140,7 +143,8 @@ class TestBatchUpdate:
         heap, stats = make_heap(block_size=64)  # bf 4
         heap.bulk_load({"k": i, "v": 0.0} for i in range(8))  # 2 pages
         stats.reset()
-        heap.batch_update(lambda t: {"k": t["k"], "v": 1.0})
+        k = heap.schema.position("k")
+        assert heap.batch_update(lambda row: {"k": row[k], "v": 1.0}) == 8
         # 2 page reads + 2 updates per modified page (2 pages).
         assert stats.block_reads == 2
         assert stats.tuple_updates == 4

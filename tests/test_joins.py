@@ -24,8 +24,8 @@ from repro.storage.iostats import IOStatistics
 from repro.storage.schema import ANY, FLOAT, Field, Schema
 
 
-def make_edge_relation(edges, with_hash=True):
-    db = Database()
+def make_edge_relation(edges, with_hash=True, **database_options):
+    db = Database(**database_options)
     schema = Schema(
         "s",
         [Field("begin", ANY, 12), Field("end", ANY, 12), Field("cost", FLOAT, 8)],
@@ -92,6 +92,51 @@ class TestStrategyEquivalence:
         inputs = make_inputs([], 256, relation, 0, 86)
         for strategy in (NestedLoopJoin, HashJoin, SortMergeJoin):
             assert strategy().execute([], "node_id", relation, "begin", inputs, stats) == []
+
+
+    def test_nested_loop_keeps_block_scan_order_and_charges(self):
+        """Several outer blocks, duplicate outer keys within and across
+        blocks, an inner whose keys interleave: the join returns the
+        rows of a comparison of every inner row with every outer tuple,
+        in its order (per outer block, inner scan order, then outer
+        order), and charges the same reads and writes."""
+        edges = [(u, (3 * u + d) % 8, float(d)) for d in (1, 2, 3) for u in range(8)]
+        outer = [
+            {"node_id": key, "g": float(i)}
+            for i, key in enumerate([3, 3, 1, 6, 1, 3, 0])
+        ]
+
+        def nested_comparison(relation, inputs, stats):
+            stats.charge_read(inputs.outer_blocks)
+            key = relation.schema.position("begin")
+            per_block = -(-len(outer) // inputs.outer_blocks)
+            result = []
+            for start in range(0, len(outer), per_block):
+                for _rid, row in relation.heap.scan_rows():
+                    for values in outer[start : start + per_block]:
+                        if values["node_id"] == row[key]:
+                            result.append(
+                                (values["g"], *relation.schema.as_dict(row).values())
+                            )
+            stats.charge_write(inputs.result_blocks)
+            return result
+
+        relation, stats = make_edge_relation(edges, with_hash=False, block_size=256)
+        inputs = make_inputs(outer, 2, relation, 21, 86)  # 4 outer blocks
+        assert inputs.outer_blocks == 4 and relation.block_count == 3
+        rows = NestedLoopJoin().execute(
+            outer, "node_id", relation, "begin", inputs, stats
+        )
+        reference_relation, reference_stats = make_edge_relation(
+            edges, with_hash=False, block_size=256
+        )
+        expected = nested_comparison(reference_relation, inputs, reference_stats)
+        assert len(expected) == 21
+        assert [
+            (row["g"], row["begin"], row["end"], row["cost"]) for row in rows
+        ] == expected
+        assert stats.snapshot() == reference_stats.snapshot()
+        assert stats.block_reads == 4 + 4 * relation.block_count
 
 
 class TestCosts:

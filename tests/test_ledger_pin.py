@@ -13,7 +13,10 @@ setting). The buffered cases pin the pool's hits, misses and evictions
 too: at capacity 4 the LRU evicts constantly, so any change in the
 order of page accesses shows up there first. A* version 1 (the
 separate-relation frontier) has no other exact guard in the benchmark
-harnesses.
+harnesses. A* versions 2 and 3 (the status-attribute frontier) and the
+iterative waves are pinned at capacity 4 as well, recorded before the
+status frontier kept its own open-row heap and the wave's updater went
+positional.
 """
 
 import zlib
@@ -74,6 +77,18 @@ BUFFERED = {
     (4, "E to F", "astar-v1"): (
         (435, 375, 96, 66, 44.135, 1.926486686313802, 14, 2499534877),
         (436, 56, 52),
+    ),
+    (4, "E to F", "astar-v2"): (
+        (1425, 279, 205, 66, 82.25, 1.926486686313802, 14, 2499534877),
+        (359, 415, 411),
+    ),
+    (4, "E to F", "astar-v3"): (
+        (1320, 268, 194, 60, 77.09, 1.926486686313802, 14, 2499534877),
+        (320, 390, 386),
+    ),
+    (4, "C to D", "iterative"): (
+        (2679, 432, 466, 65, 155.975, 8.73154616078741, 65, 2304298870),
+        (341, 2153, 2149),
     ),
 }
 

@@ -7,17 +7,28 @@ applied, the structure and the model must agree — and the I/O ledger
 must only ever grow.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.frontier import StatusAttributeFrontier
 from repro.storage.buffer import BufferPool
 from repro.storage.database import Database
 from repro.storage.hashindex import HashIndex
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import IOStatistics
 from repro.storage.isam import ISAMIndex
-from repro.storage.schema import ANY, FLOAT, Field, Schema
+from repro.storage.schema import (
+    ANY,
+    FLOAT,
+    STATUS_NULL,
+    STATUS_OPEN,
+    Field,
+    Schema,
+    node_schema,
+)
 
 
 def fresh_heap(block_size=256):
@@ -309,17 +320,131 @@ def test_batch_update_equals_per_tuple_updates(tuples):
         heap_a.insert({"k": key, "v": value})
         heap_b.insert({"k": key, "v": value})
 
-    def bump(values):
-        if values["v"] > 4.0:
-            return {"k": values["k"], "v": values["v"] + 1.0}
+    k, v = heap_a.schema.position("k"), heap_a.schema.position("v")
+
+    def bump(row):
+        if row[v] > 4.0:
+            return {"k": row[k], "v": row[v] + 1.0}
         return None
 
-    heap_a.batch_update(bump)
-    for rid, values in list(heap_b.scan()):
-        replacement = bump(values)
+    modified = heap_a.batch_update(bump)
+    expected = 0
+    for rid, row in list(heap_b.scan_rows()):
+        replacement = bump(row)
         if replacement is not None:
             heap_b.update(rid, replacement)
+            expected += 1
+    assert modified == expected
     assert [v for _r, v in heap_a.scan()] == [v for _r, v in heap_b.scan()]
+
+
+class _ScanFrontier(StatusAttributeFrontier):
+    """The selection as a full positional scan of R with strict ``<``:
+    the rule the open-row heap must reproduce, row for row and charge
+    for charge. Labels are written by the inherited methods."""
+
+    def select_best(self):
+        position = self.R.schema.position
+        status, node_id = position("status"), position("node_id")
+        path_cost = position("path_cost")
+        best_row, best_key, best_rid = None, math.inf, None
+        for rid, row in self.R.heap.scan_rows():
+            if row[status] != STATUS_OPEN:
+                continue
+            key = self.key_of(row[node_id], row[path_cost])
+            if key < best_key:
+                best_row, best_key, best_rid = row, key, rid
+        if best_row is None:
+            return None
+        best = self.R.schema.as_dict(best_row)
+        best["_rid"] = best_rid
+        return best
+
+
+# Costs and estimates from a small set, so equal keys are common, and
+# inf among them, so some open rows are never selectable.
+_FRONTIER_VALUES = st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    node_count=st.integers(1, 14),
+    dropped=st.sets(st.integers(0, 13), max_size=4),
+    estimates=st.lists(_FRONTIER_VALUES, min_size=14, max_size=14),
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["open", "relax", "relax", "close"]),
+            st.integers(0, 13),
+            _FRONTIER_VALUES,
+        ),
+        max_size=40,
+    ),
+    capacity=st.integers(0, 4),
+)
+def test_status_frontier_heap_equals_positional_scan(
+    node_count, dropped, estimates, operations, capacity
+):
+    """The status frontier's open-row heap selects exactly the row a
+    strict-``<`` scan of R selects, after every open, relax and close,
+    and its charged pass leaves the same ledger and pool counters."""
+    live = [i for i in range(node_count) if i not in dropped] or [0]
+
+    def key_of(node_id, path_cost):
+        return path_cost + estimates[node_id]
+
+    twins = []
+    for kind in (StatusAttributeFrontier, _ScanFrontier):
+        db = Database(name="frontier", buffer_capacity=capacity, block_size=64)
+        R = db.create_relation(node_schema(), name="R")  # bf 4
+        rids = [
+            R.insert(
+                {
+                    "node_id": i,
+                    "x": 0.0,
+                    "y": 0.0,
+                    "status": STATUS_NULL,
+                    "path": None,
+                    "path_cost": math.inf,
+                }
+            )
+            for i in range(node_count)
+        ]
+        for i in range(node_count):
+            if i not in live:
+                R.delete(rids[i])  # tombstones the scans must skip
+        R.create_isam_index("node_id")
+        twins.append((db, kind(R, db.stats, key_of)))
+
+    def step(frontier, name, node, cost):
+        if name == "open":
+            outcome = frontier.open_node(node, cost, None)
+        elif name == "relax":
+            outcome = frontier.relax(node, cost, live[0])
+        else:
+            outcome = frontier.select_best()
+            if outcome is not None:
+                frontier.close(outcome)
+        return outcome, frontier.select_best()
+
+    def pool_counters(db):
+        pool = db.buffer_pool
+        return pool.hits, pool.misses, pool.evictions
+
+    (db, ours), (ref_db, reference) = twins
+    status = reference.R.schema.position("status")
+    for name, index, cost in operations:
+        node = live[index % len(live)]
+        assert step(ours, name, node, cost) == step(reference, name, node, cost)
+        pages = [page.slots for page in reference.R.heap.pages]
+        assert [page.slots for page in ours.R.heap.pages] == pages
+        assert ours.size() == sum(
+            1
+            for slots in pages
+            for row in slots
+            if row is not None and row[status] == STATUS_OPEN
+        )
+        assert db.stats.snapshot() == ref_db.stats.snapshot()
+        assert pool_counters(db) == pool_counters(ref_db)
 
 
 _WAL_OPS = st.lists(
