@@ -13,12 +13,11 @@ slices the requested destination columns out of each completed tree.
 Two guarantees shape the API:
 
 * **Single-epoch pricing.** The whole matrix is computed under the
-  same optimistic retry the route service uses: the graph fingerprint
-  is read before the first SSSP and re-checked (with the
-  epoch-in-progress flag) after the last. A skim that overlapped a
-  :class:`~repro.traffic.feed.TrafficFeed` epoch is discarded and
-  recomputed, so every cell of a returned :class:`SkimMatrix` is
-  priced at the one fingerprint the matrix carries — never a mix.
+  shared side of the graph's :class:`~repro.graphs.gate.EpochGate`,
+  as every route-service query is: a
+  :class:`~repro.traffic.feed.TrafficFeed` epoch waits for the skim,
+  so every cell of a returned :class:`SkimMatrix` is priced at the
+  one fingerprint the matrix carries — never a mix.
 * **Nothing silently dropped.** Unreachable pairs are reported as
   ``inf`` cells, not omitted; asking for an unknown origin or
   destination raises at the call.
@@ -36,7 +35,6 @@ with ``==``, against the independent
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,8 +64,6 @@ class SkimMatrix:
     trees: Optional[Dict[NodeId, Dict[NodeId, Optional[NodeId]]]] = None
     #: Distinct one-to-all searches executed (duplicate origins share).
     sssp_runs: int = 0
-    #: Times the optimistic retry discarded an epoch-straddling pass.
-    retries: int = 0
     _oindex: Dict[NodeId, int] = field(default_factory=dict, repr=False)
     _dindex: Dict[NodeId, int] = field(default_factory=dict, repr=False)
 
@@ -200,9 +196,9 @@ def skim(
     their row (column); ``sssp_runs`` on the returned matrix counts
     the distinct searches actually executed.
 
-    The returned matrix is guaranteed single-epoch: every cell is
-    priced at ``matrix.fingerprint``. A pass that overlapped a traffic
-    epoch is discarded and recomputed (counted in ``retries``).
+    The returned matrix is single-epoch: every cell is priced at
+    ``matrix.fingerprint``, because the pass holds the shared side of
+    the graph's gate and an epoch arriving meanwhile waits for it.
     """
     origin_list: List[NodeId] = list(origins)
     for origin in origin_list:
@@ -218,17 +214,9 @@ def skim(
     # Order-preserving dedup: each distinct origin runs one SSSP.
     distinct = list(dict.fromkeys(origin_list))
 
-    retries = 0
-    while True:
-        # Wait out an in-progress epoch so the fingerprint we stamp on
-        # the matrix describes a settled cost state.
-        while graph.cost_update_in_progress:
-            time.sleep(0)
+    with graph.gate.shared():
         fingerprint = graph.fingerprint
         rows, trees = _skim_rows(graph, distinct, destination_list, retain_paths)
-        if not graph.cost_update_in_progress and graph.fingerprint == fingerprint:
-            break
-        retries += 1
 
     return SkimMatrix(
         graph_name=graph.name,
@@ -238,5 +226,4 @@ def skim(
         costs=[list(rows[origin]) for origin in origin_list],
         trees=trees,
         sssp_runs=len(distinct),
-        retries=retries,
     )

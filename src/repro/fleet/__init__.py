@@ -13,7 +13,9 @@ The fleet serves one roadmap from many regional shards:
   fans parent traffic epochs out to the fleet;
 * :mod:`repro.fleet.replica` replicates each shard behind a
   health-checked :class:`ReplicaSet` with deadline-governed hedged
-  dispatch and version-pinned epoch fan-out (no stale serves);
+  dispatch and epoch-target accounting (a lagging replica never
+  serves), while every query holds the parent graph's gate so no epoch
+  fans out under it;
 * :mod:`repro.fleet.loadgen` replays seeded Zipf-skewed OD streams
   concurrently and audits every answer against whole-graph Dijkstra.
 """

@@ -55,18 +55,14 @@ so when the bound holds the local answer is already optimal.
 
 Consistency across traffic epochs
 ---------------------------------
-The router subscribes to the parent :class:`TrafficFeed`. Each epoch
-is fanned out under a lock: shard-internal deltas go to the owning
-worker's own feed (bumping the *shard* fingerprint, invalidating its
-cache edge-granularly), cut-edge deltas update the router's cut-cost
-table, the overlay and the tree table are dropped, and the fleet
-version is bumped. Queries run optimistically: they pin the fleet
-version on entry and retry when an epoch landed mid-flight, so a
-served answer is always computed against one consistent fleet
-version — the same optimistic fingerprint discipline RouteService
-uses per graph. An attempt adds the trees it computed to the table
-only after that final version check passed, so the table never holds
-a tree priced across an epoch.
+The router subscribes to the parent :class:`TrafficFeed`, which holds
+the parent graph's gate exclusively across the fan-out: shard-internal
+deltas go to the owning worker's own feed (bumping the *shard*
+fingerprint, invalidating its cache edge-granularly), cut-edge deltas
+update the router's cut-cost table, the overlay and the tree table are
+dropped, and the fleet version is bumped. A query holds the parent's
+gate (shared side) from admission to answer, so it and every tree it
+adds to the table are priced at one fleet version.
 
 Backpressure
 ------------
@@ -84,8 +80,8 @@ every tree dispatch runs under the
 clipping a per-stage budget, hedged dispatch to the next replica
 when a stage exceeds the hedge threshold, bounded same-replica retry
 with backoff on injected transient errors, and immediate failover on
-a replica crash. Epochs fan out to every live replica under the same
-epoch lock, and the set's epoch-target/epoch-version accounting keeps
+a replica crash. Epochs fan out to every live replica in the same
+gated fan-out, and the set's epoch-target/epoch-version accounting keeps
 any replica that missed a fan-out out of the serving order — the
 degradation ladder is healthy replica → hedged/retried replica →
 shed-with-flag, and a lagging replica can never serve a cross-epoch
@@ -105,7 +101,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import PartitionError, ShardUnavailableError
+from repro.exceptions import ShardUnavailableError
 from repro.faults.workerplan import WorkerFaultPlan
 from repro.graphs.graph import NodeId
 from repro.service.metrics import Snapshot
@@ -202,7 +198,6 @@ class FleetRouter:
         max_queue: int = 128,
         threads: int = 2,
         cache_capacity: int = 2048,
-        max_retries: int = 8,
         clock=time.perf_counter,
         replicas: int = 1,
         fault_plans: Optional[Dict[Tuple[int, int], WorkerFaultPlan]] = None,
@@ -212,7 +207,6 @@ class FleetRouter:
     ) -> None:
         self.partition = partition
         self._clock = clock
-        self._max_retries = max_retries
         self.deadline = deadline if deadline is not None else DeadlinePolicy()
         #: ``fault_plans`` is keyed by ``(shard_id, replica_index)``;
         #: a worker without an entry runs fault-free.
@@ -244,18 +238,18 @@ class FleetRouter:
             (cut.source, cut.target): (cut.source_shard, cut.target_shard)
             for cut in partition.cut_edges
         }
-        self._epoch_lock = threading.RLock()
         self._state_lock = threading.Lock()
-        self._epoch_in_progress = False
+        #: Serializes overlay builds, so concurrent queries build once.
+        self._overlay_lock = threading.Lock()
         self._version = 1
         self._overlay: Optional[_Overlay] = None
         #: Shard trees valid at ``_version``, keyed ("out", s) /
         #: ("in", t); replaced whenever the version moves.
         self._trees: Dict[Tuple[str, NodeId], ShardTree] = {}
-        #: (version, min_exit-per-shard, min_entry-per-shard) — the
-        #: pruning-bound floors; derived from cut costs alone, so far
-        #: cheaper to rebuild than the overlay.
-        self._floors: Optional[Tuple[int, Dict[int, float], Dict[int, float]]] = None
+        #: (min_exit-per-shard, min_entry-per-shard) — the pruning-bound
+        #: floors; derived from cut costs alone, so far cheaper to
+        #: rebuild than the overlay.
+        self._floors: Optional[Tuple[Dict[int, float], Dict[int, float]]] = None
         self._shutdown = False
         # fleet-level counters
         self.queries = 0
@@ -263,7 +257,6 @@ class FleetRouter:
         self.stitched_answers = 0
         self.local_pruned = 0
         self.sheds = 0
-        self.plan_retries = 0
         self.epochs_applied = 0
         self.overlay_builds = 0
         # degradation-ladder counters (PR 10)
@@ -285,58 +278,46 @@ class FleetRouter:
         worker's own TrafficFeed (one shard fingerprint bump each,
         edge-granular cache invalidation); cut-edge deltas update the
         router's cut-cost table. The overlay and the tree table are
-        dropped and the fleet version bumped exactly once per epoch, so
-        queries racing the fan-out observe the version change and
-        retry.
+        dropped and the fleet version bumped exactly once per epoch.
+        The parent feed calls this holding the parent graph's gate
+        exclusively, so no query runs during the fan-out.
         """
         if not epoch.deltas:
             return
-        with self._epoch_lock:
+        try:
+            per_shard: Dict[int, List[Tuple[NodeId, NodeId, float]]] = {}
+            for delta in epoch.deltas:
+                key = (delta.source, delta.target)
+                if key in self._cut_costs:
+                    self._cut_costs[key] = delta.new_cost
+                    continue
+                shard_id = self.partition.shard_of(delta.source)
+                per_shard.setdefault(shard_id, []).append(
+                    (delta.source, delta.target, delta.new_cost)
+                )
+            for shard_id, updates in per_shard.items():
+                self.workers[shard_id].apply_deltas(updates)
+        finally:
             with self._state_lock:
-                self._epoch_in_progress = True
-            try:
-                per_shard: Dict[int, List[Tuple[NodeId, NodeId, float]]] = {}
-                for delta in epoch.deltas:
-                    key = (delta.source, delta.target)
-                    if key in self._cut_costs:
-                        self._cut_costs[key] = delta.new_cost
-                        continue
-                    shard_id = self.partition.shard_of(delta.source)
-                    per_shard.setdefault(shard_id, []).append(
-                        (delta.source, delta.target, delta.new_cost)
-                    )
-                for shard_id, updates in per_shard.items():
-                    self.workers[shard_id].apply_deltas(updates)
-            finally:
-                with self._state_lock:
-                    self._overlay = None
-                    self._floors = None
-                    self._trees = {}
-                    self._version += 1
-                    self.epochs_applied += 1
-                    self._epoch_in_progress = False
+                self._overlay = None
+                self._floors = None
+                self._trees = {}
+                self._version += 1
+                self.epochs_applied += 1
 
     # ------------------------------------------------------------------
     # the boundary overlay
     # ------------------------------------------------------------------
     def _overlay_for(self, version: int) -> _Overlay:
-        """The overlay consistent with ``version``, building if needed.
-
-        Built under the epoch lock so the clique SSSPs never interleave
-        with a fan-out; a build that loses the race to a newer epoch is
-        discarded by the caller's version check.
-        """
-        with self._state_lock:
-            overlay = self._overlay
-        if overlay is not None and overlay.version == version:
-            return overlay
-        with self._epoch_lock:
+        """The overlay of fleet ``version``, building if needed. The
+        caller holds the parent graph's gate, so ``version`` is the
+        current one and no fan-out interleaves with the clique SSSPs."""
+        with self._overlay_lock:
             with self._state_lock:
                 overlay = self._overlay
-                current = self._version
-            if overlay is not None and overlay.version == current:
+            if overlay is not None and overlay.version == version:
                 return overlay
-            built = _Overlay(current)
+            built = _Overlay(version)
             for key, cost in self._cut_costs.items():
                 built.add_edge(key[0], key[1], cost, CUT)
             for shard_id, replica_set in self.workers.items():
@@ -352,36 +333,31 @@ class FleetRouter:
                     built.add_edge(b1, b2, cost, shard_id)
                 built.trees.update(trees)
             with self._state_lock:
-                # Under the epoch lock no fan-out can be mid-flight, so
-                # the trees are exactly the current version's.
                 self._overlay = built
                 for node, tree in built.trees.items():
                     self._trees[("out", node)] = tree
                 self.overlay_builds += 1
             return built
 
-    def _floors_for(self, version: int) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Per-shard cheapest exit/entry cut-edge costs at ``version``.
+    def _floors_for(self) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """Per-shard cheapest exit/entry cut-edge costs.
 
         These feed the same-shard pruning bound; unlike the overlay
         they need no SSSPs, so the bound check never forces a clique
         build.
         """
         with self._state_lock:
-            cached = self._floors
-            if cached is not None and cached[0] == version:
-                return cached[1], cached[2]
-            min_exit: Dict[int, float] = {}
-            min_entry: Dict[int, float] = {}
-            for key, cost in self._cut_costs.items():
-                source_shard, target_shard = self._cut_shards[key]
-                if cost < min_exit.get(source_shard, _INF):
-                    min_exit[source_shard] = cost
-                if cost < min_entry.get(target_shard, _INF):
-                    min_entry[target_shard] = cost
-            if self._version == version and not self._epoch_in_progress:
-                self._floors = (version, min_exit, min_entry)
-            return min_exit, min_entry
+            if self._floors is None:
+                min_exit: Dict[int, float] = {}
+                min_entry: Dict[int, float] = {}
+                for key, cost in self._cut_costs.items():
+                    source_shard, target_shard = self._cut_shards[key]
+                    if cost < min_exit.get(source_shard, _INF):
+                        min_exit[source_shard] = cost
+                    if cost < min_entry.get(target_shard, _INF):
+                        min_entry[target_shard] = cost
+                self._floors = (min_exit, min_entry)
+            return self._floors
 
     @staticmethod
     def _overlay_search(
@@ -466,6 +442,9 @@ class FleetRouter:
     def plan(self, source: NodeId, destination: NodeId) -> FleetResult:
         """Answer one OD query, exactly, against one fleet version.
 
+        Holds the parent graph's gate (shared side) from admission to
+        answer, so no epoch fans out while the query runs.
+
         Raises :class:`~repro.exceptions.NodeNotFoundError` for nodes
         the partition does not cover. Returns ``shed=True`` when any
         involved worker's queue is full or the router is shut down.
@@ -495,37 +474,13 @@ class FleetRouter:
             result.latency_s = self._clock() - started
             return result
 
-        for attempt in range(self._max_retries):
-            with self._state_lock:
-                busy = self._epoch_in_progress
-                version = self._version
-            if busy:
-                with self._state_lock:
-                    self.plan_retries += 1
-                time.sleep(0.0005)
-                continue
-            result = self._plan_at(
-                source, destination, source_shard, target_shard, version,
-                deadline,
-            )
-            if result is None:
-                with self._state_lock:
-                    self.plan_retries += 1
-                continue
-            result.latency_s = self._clock() - started
-            return result
-
-        # Retries exhausted (sustained epoch storm): serialize this one
-        # query against the fan-out so it cannot race, and serve it.
-        with self._epoch_lock:
+        with self.partition.graph.gate.shared():
             with self._state_lock:
                 version = self._version
             result = self._plan_at(
                 source, destination, source_shard, target_shard, version,
                 deadline,
             )
-        if result is None:  # pragma: no cover - epoch lock held
-            raise PartitionError("fleet plan raced an epoch under the epoch lock")
         result.latency_s = self._clock() - started
         return result
 
@@ -574,8 +529,8 @@ class FleetRouter:
         target_shard: int,
         version: int,
         deadline: float,
-    ) -> Optional[FleetResult]:
-        """One optimistic attempt pinned to ``version``; None on a race."""
+    ) -> FleetResult:
+        """One query at fleet ``version`` (the caller holds the gate)."""
         result = FleetResult(
             source=source,
             destination=destination,
@@ -597,8 +552,6 @@ class FleetRouter:
             (("out", source), source_shard),
             (("in", destination), target_shard),
         ):
-            # A tree of another version can only be read by an attempt
-            # the final version check below discards.
             with self._state_lock:
                 tree = self._trees.get(key)
             if tree is None:
@@ -622,14 +575,12 @@ class FleetRouter:
             result.found = result.cost < _INF
 
         stitched_needed = not same_shard or not self._pruned(
-            result, seeds, tails, source_shard, target_shard, version
+            result, seeds, tails, source_shard, target_shard
         )
         if stitched_needed and seeds and tails:
             if deadline - self._clock() <= 0:
                 return self._shed_deadline(result, "overlay")
             overlay = self._overlay_for(version)
-            if overlay.version != version:
-                return None
             if overlay.degraded:
                 # A dark shard's interior is missing from the overlay:
                 # a stitched answer could silently undershoot coverage,
@@ -653,9 +604,6 @@ class FleetRouter:
             result.path = out_tree.path(destination)
 
         with self._state_lock:
-            if self._version != version or self._epoch_in_progress:
-                return None
-            # Only trees priced at an unbroken version are remembered.
             self._trees.update(fresh)
         return result
 
@@ -666,7 +614,6 @@ class FleetRouter:
         tails: Dict[NodeId, float],
         source_shard: int,
         target_shard: int,
-        version: int,
     ) -> bool:
         """True when the local answer provably cannot be beaten.
 
@@ -680,7 +627,7 @@ class FleetRouter:
             return False
         if not seeds or not tails:
             return True  # the shard has no usable exit or entry
-        min_exit, min_entry = self._floors_for(version)
+        min_exit, min_entry = self._floors_for()
         floor = (
             min(seeds.values())
             + min_exit.get(source_shard, _INF)
@@ -755,7 +702,9 @@ class FleetRouter:
                 "stitched_answers": self.stitched_answers,
                 "local_pruned": self.local_pruned,
                 "sheds": self.sheds,
-                "plan_retries": self.plan_retries,
+                # Queries no longer retry (they hold the parent's gate);
+                # the key stays for snapshot readers.
+                "plan_retries": 0,
                 "epochs_applied": self.epochs_applied,
                 "overlay_builds": self.overlay_builds,
                 "overlay_edges": overlay.edge_count if overlay is not None else 0,

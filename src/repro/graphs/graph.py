@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -28,6 +27,7 @@ from repro.exceptions import (
     NegativeEdgeCostError,
     NodeNotFoundError,
 )
+from repro.graphs.gate import EpochGate
 
 NodeId = object
 
@@ -124,8 +124,8 @@ class Graph:
         self._uid = next(_GRAPH_UIDS)
         self._version = 0
         self._last_cost_change: Optional[Tuple[int, Tuple[CostDelta, ...]]] = None
-        self._cost_lock = threading.Lock()
-        self._updating = False
+        #: Shared by queries, exclusive for cost epochs (:mod:`~repro.graphs.gate`).
+        self.gate = EpochGate()
 
     # ------------------------------------------------------------------
     # identity
@@ -151,18 +151,6 @@ class Graph:
         return (self._uid, self._version)
 
     @property
-    def cost_update_in_progress(self) -> bool:
-        """True while a cost epoch is being applied.
-
-        Optimistic readers (the route service) re-check this together
-        with :attr:`fingerprint` around a computation: a plan that
-        starts and finishes with the flag clear and the fingerprint
-        unchanged is guaranteed to have priced every edge at a single
-        epoch.
-        """
-        return self._updating
-
-    @property
     def last_cost_change(self) -> Optional[Tuple[int, Tuple[CostDelta, ...]]]:
         """``(from_version, deltas)`` of the latest cost-only change.
 
@@ -177,20 +165,10 @@ class Graph:
 
     @contextmanager
     def _cost_epoch(self) -> Iterator[None]:
-        """Serialize cost writers and publish one version bump per batch.
-
-        The flag is raised before the first write and lowered only
-        after the version bump, so a concurrent optimistic reader can
-        never observe a stable fingerprint across a window that
-        overlaps any write of the epoch.
-        """
-        with self._cost_lock:
-            self._updating = True
-            try:
-                yield
-                self._version += 1
-            finally:
-                self._updating = False
+        """Write one cost epoch alone and publish one version bump."""
+        with self.gate.exclusive():
+            yield
+            self._version += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -265,10 +243,10 @@ class Graph:
         """Apply a batch of edge-cost refreshes as one *epoch*.
 
         The whole batch is validated up front (missing edges, negative
-        or non-finite costs) before any write, then applied under the
-        epoch guard with a **single** version bump — a traffic feed of
-        ten thousand deltas retires exactly one fingerprint, not ten
-        thousand. Returns the effective :class:`CostDelta` records;
+        or non-finite costs) before any write, then applied under
+        ``gate.exclusive()`` with a **single** version bump — a traffic
+        feed of ten thousand deltas retires exactly one fingerprint,
+        not ten thousand. Returns the effective :class:`CostDelta` records;
         no-op refreshes (new cost equals the current cost) are skipped,
         and a batch with no effective change leaves the fingerprint
         untouched.
@@ -279,7 +257,7 @@ class Graph:
                 raise EdgeNotFoundError(source, target)
             staged.append((source, target, _validated_cost(source, target, cost)))
         deltas: List[CostDelta] = []
-        with self._cost_lock:
+        with self.gate.exclusive():
             # Project the batch in order so repeated refreshes of one
             # edge are judged against the value the batch itself set.
             projected: Dict[Tuple[NodeId, NodeId], float] = {}
@@ -293,20 +271,14 @@ class Graph:
                     projected[(source, target)] = cost
             if not effective:
                 return deltas
-            self._updating = True
-            try:
-                for source, target, cost in effective:
-                    deltas.append(
-                        CostDelta(
-                            source, target, self._adjacency[source][target], cost
-                        )
-                    )
-                    self._adjacency[source][target] = cost
-                    self._reverse[target][source] = cost
-                self._last_cost_change = (self._version, tuple(deltas))
-                self._version += 1
-            finally:
-                self._updating = False
+            for source, target, cost in effective:
+                deltas.append(
+                    CostDelta(source, target, self._adjacency[source][target], cost)
+                )
+                self._adjacency[source][target] = cost
+                self._reverse[target][source] = cost
+            self._last_cost_change = (self._version, tuple(deltas))
+            self._version += 1
         return deltas
 
     # ------------------------------------------------------------------

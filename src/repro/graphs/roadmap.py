@@ -214,12 +214,9 @@ def make_minneapolis_map(seed: int = 1993) -> MinneapolisMap:
         return u[0] == v[0] and u[0] in freeway_rows
 
     # Thin non-tree, non-freeway edges down to the directed-edge budget.
-    def directed_count(undirected: List[Tuple[GridCoord, GridCoord]]) -> int:
-        total = 0
-        for u, v in undirected:
-            total += 1 if is_freeway(u, v) else 2
-        return total
-
+    # A freeway is one directed edge, any other road two; every
+    # removable edge is a two-way road.
+    directed = sum(1 if is_freeway(u, v) else 2 for u, v in surviving)
     removable = [
         edge
         for edge in surviving
@@ -227,12 +224,13 @@ def make_minneapolis_map(seed: int = 1993) -> MinneapolisMap:
         and not is_freeway(*edge)
     ]
     rng.shuffle(removable)
-    kept = list(surviving)
-    removable_set = {id(edge) for edge in removable}
+    removed = set()
     for edge in removable:
-        if directed_count(kept) <= TARGET_DIRECTED_EDGES:
+        if directed <= TARGET_DIRECTED_EDGES:
             break
-        kept.remove(edge)
+        removed.add(edge)
+        directed -= 2
+    kept = [edge for edge in surviving if edge not in removed]
 
     # Build the graph.
     graph = Graph(name=f"minneapolis-{seed}")

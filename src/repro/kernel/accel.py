@@ -101,7 +101,8 @@ class Accelerator:
     graph ``uid`` at a time (``RouteService`` keeps one per served
     graph); all three public entry points are serialized by a
     per-instance lock so a customization can never be observed
-    half-applied by a concurrent query.
+    half-applied by a concurrent query. Each takes ``graph.gate.shared()``
+    before that lock (lock order: gate first).
     """
 
     #: Name of this configuration.
@@ -134,7 +135,7 @@ class Accelerator:
         state this is a no-op returning 0.0 — cost changes never
         trigger re-preprocessing.
         """
-        with self._lock:
+        with graph.gate.shared(), self._lock:
             return self._ensure_preprocessed(graph)
 
     def customize(self, graph: Graph, epoch=None) -> float:
@@ -146,7 +147,7 @@ class Accelerator:
         topology change — the full pass runs. Either way the state
         afterwards prices ``graph.fingerprint`` exactly.
         """
-        with self._lock:
+        with graph.gate.shared(), self._lock:
             seconds = self._ensure_preprocessed(graph)
             return seconds + self._customize_locked(graph, epoch)
 
@@ -163,7 +164,7 @@ class Accelerator:
             raise NodeNotFoundError(source)
         if destination not in graph:
             raise NodeNotFoundError(destination)
-        with self._lock:
+        with graph.gate.shared(), self._lock:
             pre_seconds = 0.0
             cus_seconds = 0.0
             # Hot path: a current metric fingerprint proves the whole

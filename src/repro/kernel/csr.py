@@ -267,10 +267,9 @@ def csr_for(graph: Graph) -> CSRGraph:
     last cost-only change behind (:attr:`Graph.last_cost_change`), the
     new snapshot is derived from it by the change's deltas instead of
     re-flattening the graph; a structural edit clears that record and
-    forces the full build. A build that races a cost epoch (the
-    fingerprint moved, or an epoch is mid-apply) is returned to its
-    caller — whose optimistic retry at the service layer will discard
-    the run — but never cached.
+    forces the full build. Builds and derivations run under the shared
+    side of the graph's gate, so no cost epoch is mid-write while the
+    graph is read, and every build is cached.
     """
     fingerprint = graph.fingerprint
     uid = fingerprint[0]
@@ -283,43 +282,27 @@ def csr_for(graph: Graph) -> CSRGraph:
                 return entry
             _stats["invalidations"] += 1
         _stats["misses"] += 1
-    change = graph.last_cost_change
-    if (
-        entry is not None
-        and change is not None
-        and change[0] == entry.fingerprint[1]
-        and change[0] + 1 == fingerprint[1]
-    ):
-        built = CSRGraph(graph, entry, change[1])
-        _stats["derived"] += 1
-    else:
-        built = CSRGraph(graph)
-    with _cache_lock:
-        _stats["builds"] += 1
-        if graph.fingerprint == fingerprint and not graph.cost_update_in_progress:
+    with graph.gate.shared():
+        fingerprint = graph.fingerprint
+        change = graph.last_cost_change
+        if (
+            entry is not None
+            and change is not None
+            and change[0] == entry.fingerprint[1]
+            and change[0] + 1 == fingerprint[1]
+        ):
+            built = CSRGraph(graph, entry, change[1])
+            _stats["derived"] += 1
+        else:
+            built = CSRGraph(graph)
+        with _cache_lock:
+            _stats["builds"] += 1
             _cache[uid] = built
             _cache.move_to_end(uid)
             while len(_cache) > _cache_capacity:
                 _cache.popitem(last=False)
                 _stats["evictions"] += 1
     return built
-
-
-def euclidean_scale(graph: Graph, fingerprint: Tuple[int, int]) -> float:
-    """:meth:`CSRGraph.euclidean_scale` of ``graph`` at ``fingerprint``.
-
-    0.0 — no straight-line bound at all, always sound — when the graph
-    is no longer at that state or an epoch is mid-apply, so a caller
-    can never scale by a factor priced on other costs.
-    """
-    snapshot = csr_for(graph)
-    if (
-        snapshot.fingerprint != fingerprint
-        or graph.fingerprint != fingerprint
-        or graph.cost_update_in_progress
-    ):
-        return 0.0
-    return snapshot.euclidean_scale(graph)
 
 
 def clear_cache() -> None:

@@ -143,11 +143,11 @@ class HashJoin(JoinStrategy):
         stats.charge_read(inputs.outer_blocks)
         table: Dict[object, List[Mapping[str, object]]] = {}
         for outer_values in outer:
-            table.setdefault(repr(outer_values[outer_key]), []).append(outer_values)
+            table.setdefault(outer_values[outer_key], []).append(outer_values)
         key = inner.schema.position(inner_key)
         result: List[Dict[str, object]] = []
         for _rid, row in inner.heap.scan_rows():  # charges inner reads
-            matches = table.get(repr(row[key]))
+            matches = table.get(row[key])
             if matches:
                 inner_values = inner.schema.as_dict(row)
                 for outer_values in matches:

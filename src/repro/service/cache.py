@@ -249,7 +249,7 @@ class RouteCache:
 
         ``previous_fingerprint`` is the graph fingerprint the epoch was
         applied *from* (defaults to ``(uid, version - 1)``, the single
-        bump the epoch guard publishes). Only entries cached at exactly
+        bump an epoch publishes). Only entries cached at exactly
         that state can be proven unaffected and re-keyed; entries from
         older states are evicted — nothing is known about the updates
         they missed.
@@ -313,7 +313,8 @@ class RouteCache:
 
         ``scale`` makes straight-line distance a lower bound on every
         cost at ``new_fp`` (1.0 unless an edge is priced below its
-        length; see :meth:`CSRGraph.euclidean_scale`). Endpoint
+        length; see :meth:`CSRGraph.euclidean_scale`), or 0.0 (no bound,
+        always sound) for an epoch the graph has moved past. Endpoint
         coordinates are looked up once per epoch. ``None`` when a
         delta's endpoints have no coordinates.
         """
@@ -325,7 +326,10 @@ class RouteCache:
             ]
         except Exception:
             return None
-        return _csr.euclidean_scale(graph, new_fp), ends
+        snapshot = _csr.csr_for(graph)
+        if snapshot.fingerprint != new_fp:
+            return 0.0, ends
+        return snapshot.euclidean_scale(graph), ends
 
     def _survives_decreases(
         self, graph: Graph, entry: CacheEntry, bound: Optional[_DecreaseBound]
@@ -377,8 +381,8 @@ class RouteCache:
         Returns ``(source, destination, edges)`` triples, one per
         distinct OD pair, considering **only** entries keyed at
         ``graph.fingerprint``: the index legitimately holds entries at
-        older fingerprints between epochs (consistency-checked puts
-        land there), and those describe routes priced under costs that
+        older fingerprints (a write the service never absorbed leaves
+        them behind), and those describe routes priced under costs that
         no longer hold. Lookups here do not touch hit/miss counters or
         LRU recency — analysis must not distort serving behaviour.
         """

@@ -20,11 +20,10 @@ answer. :meth:`plan_many` applies the same dedup to a batch.
 
 Two traffic-safety mechanisms work together:
 
-* **Single-epoch pricing.** Every computation is wrapped in an
-  optimistic retry: the graph fingerprint is read before planning and
-  re-checked (together with the epoch-in-progress flag) afterwards. A
-  plan that overlapped an update epoch is discarded and recomputed, so
-  a served route can never sum edge costs from a mix of epochs.
+* **Single-epoch pricing.** :meth:`plan`, :meth:`skim` and
+  :meth:`plan_engine` hold ``graph.gate.shared()`` from admission to
+  answer; an epoch is written and fanned out under the exclusive side,
+  so a route never sums edge costs from a mix of epochs.
 * **Edge-granular invalidation.** :meth:`handle_epoch` — wired to a
   :class:`~repro.traffic.feed.TrafficFeed` — evicts only the cached
   answers a batch of deltas actually affects and re-keys the rest to
@@ -252,9 +251,9 @@ class RouteService:
         ``sync_cost`` on the returned run bills any traffic-dirtied
         adjacency blocks re-fetched before the search).
 
-        The answer is guaranteed to be priced at a single traffic
-        epoch: if an update lands mid-computation the stale attempt is
-        discarded and the query re-planned on the new costs.
+        The answer is priced at a single traffic epoch: the query
+        holds the graph's gate (shared side) from admission to answer,
+        so an epoch arriving meanwhile waits for it.
         """
         algorithm = algorithm or self.default_algorithm
         backend = backend or self.default_backend
@@ -276,26 +275,23 @@ class RouteService:
             self._maybe_recover(graph)
         trace = RequestTrace(self._clock)
         started = self._clock()
-
-        while True:
-            # Wait out an in-progress epoch so the fingerprint we key
-            # on describes a settled cost state.
-            while graph.cost_update_in_progress:
-                time.sleep(0)
+        with graph.gate.shared():
             key = query_key(
                 graph, source, destination, key_spec, estimator_name, weight
             )
-            with trace.span("cache-lookup"):
-                cached = self.cache.get(key)
-            if cached is not None:
-                return self._finish(key, cached, trace, started, cache_hit=True)
+            while True:
+                with trace.span("cache-lookup"):
+                    cached = self.cache.get(key)
+                if cached is not None:
+                    return self._finish(key, cached, trace, started, cache_hit=True)
 
-            # ---------------------------------------------- in-flight dedup
-            with self._flight_lock:
-                leader_event = self._in_flight.get(key)
+                # ------------------------------------------ in-flight dedup
+                with self._flight_lock:
+                    leader_event = self._in_flight.get(key)
+                    if leader_event is None:
+                        self._in_flight[key] = threading.Event()
                 if leader_event is None:
-                    self._in_flight[key] = threading.Event()
-            if leader_event is not None:
+                    break
                 with trace.span("wait-in-flight"):
                     leader_event.wait()
                 piggybacked = self.cache.get(key)
@@ -304,15 +300,15 @@ class RouteService:
                         key, piggybacked, trace, started,
                         cache_hit=True, deduplicated=True,
                     )
-                # The leader failed or its answer was invalidated before
-                # we woke; start over from the current cost state.
-                continue
+                # The leader failed, its answer was degraded (never
+                # cached) or already evicted: re-admit this query.
+                with self._traffic_lock:
+                    self.plan_retries += 1
 
-            consistent = False
-            planned_spec = self._admissible_spec(
-                graph, algorithm, estimator_spec, estimator_name, key[0]
-            )
             try:
+                planned_spec = self._admissible_spec(
+                    graph, algorithm, estimator_spec, estimator_name
+                )
                 with trace.span(
                     "plan",
                     algorithm=algorithm,
@@ -343,16 +339,10 @@ class RouteService:
                             graph, source, destination, algorithm,
                             planned_spec, weight,
                         )
-                degraded = bool(getattr(result, "degraded", False))
                 # A degraded answer is explicitly second-class: it is
                 # returned flagged, never cached as the query's answer
-                # and never retried against the epoch check (the caller
-                # sees the flag and the reason instead).
-                consistent = degraded or (
-                    not graph.cost_update_in_progress
-                    and graph.fingerprint == key[0]
-                )
-                if consistent and not degraded:
+                # (the caller sees the flag and the reason instead).
+                if not getattr(result, "degraded", False):
                     with trace.span("cache-store"):
                         self.cache.put(
                             key,
@@ -371,10 +361,7 @@ class RouteService:
                     event = self._in_flight.pop(key, None)
                 if event is not None:
                     event.set()
-            if consistent:
-                return self._finish(key, result, trace, started, cache_hit=False)
-            with self._traffic_lock:
-                self.plan_retries += 1
+            return self._finish(key, result, trace, started, cache_hit=False)
 
     @staticmethod
     def _admissible_spec(
@@ -382,9 +369,8 @@ class RouteService:
         algorithm: str,
         estimator_spec: "str | Estimator",
         estimator_name: str,
-        fingerprint: Tuple[int, int],
     ) -> "str | Estimator":
-        """The estimator A* plans with at ``fingerprint``.
+        """The estimator A* plans with on ``graph``'s current costs.
 
         Straight-line distance bounds a route's cost only while no edge
         is priced below its length. When an epoch prices one lower, the
@@ -396,7 +382,7 @@ class RouteService:
         """
         if algorithm != "astar" or estimator_name != "euclidean":
             return estimator_spec
-        scale = _csr.euclidean_scale(graph, fingerprint)
+        scale = _csr.csr_for(graph).euclidean_scale(graph)
         if scale >= 1.0:
             return estimator_spec
         inner = (
@@ -778,11 +764,8 @@ class RouteService:
         """
         origin_key = tuple(origins)
         dest_key = tuple(destinations) if destinations is not None else None
-        while True:
-            while graph.cost_update_in_progress:
-                time.sleep(0)
-            fingerprint = graph.fingerprint
-            base = (graph.uid, fingerprint, origin_key, dest_key)
+        with graph.gate.shared():
+            base = (graph.uid, graph.fingerprint, origin_key, dest_key)
             with self._skim_lock:
                 hit = self._skims.get(base + (retain_paths,))
                 if hit is None and not retain_paths:
@@ -796,10 +779,6 @@ class RouteService:
                 destinations=dest_key,
                 retain_paths=retain_paths,
             )
-            if matrix.fingerprint != fingerprint:
-                # An epoch landed between the lookup and the compute;
-                # key the stored matrix by what it actually priced.
-                continue
             rows, cols = matrix.shape
             with self._skim_lock:
                 self._skims[base + (retain_paths,)] = matrix
@@ -837,12 +816,14 @@ class RouteService:
             )
         link_list = [tuple(link) for link in links]
         if source == "cache":
-            routes = self.cache.routes_crossing(graph, link_list)
+            with graph.gate.shared():
+                fingerprint = graph.fingerprint
+                routes = self.cache.routes_crossing(graph, link_list)
             flows = link_flows(routes, link_list, demand)
             with self._skim_lock:
                 self.select_link_runs += 1
             return SelectLinkResult(
-                fingerprint=graph.fingerprint,
+                fingerprint=fingerprint,
                 source="cache",
                 flows=flows,
                 routes_seen=len(routes),
@@ -909,9 +890,7 @@ class RouteService:
         spec = f"engine:{algorithm}" + (f":{version}" if algorithm == "astar" else "")
         trace = RequestTrace(self._clock)
         started = self._clock()
-        while True:
-            while graph.cost_update_in_progress:
-                time.sleep(0)
+        with graph.gate.shared():
             key = query_key(graph, source, destination, spec, "engine", 1.0)
             with trace.span("cache-lookup"):
                 cached = self.cache.get(key)
@@ -926,7 +905,7 @@ class RouteService:
                     estimator = None
                     if version in ("v1", "v2"):
                         planned = self._admissible_spec(
-                            graph, algorithm, "euclidean", "euclidean", key[0]
+                            graph, algorithm, "euclidean", "euclidean"
                         )
                         if not isinstance(planned, str):
                             estimator = planned
@@ -938,10 +917,6 @@ class RouteService:
                     raise ValueError(
                         f"engine tier serves 'dijkstra' or 'astar', not {algorithm!r}"
                     )
-            if graph.cost_update_in_progress or graph.fingerprint != key[0]:
-                with self._traffic_lock:
-                    self.plan_retries += 1
-                continue
             # v1/v2 run euclidean (scaled to stay admissible), dijkstra
             # needs none; v3's manhattan may overestimate, so its entries
             # carry no provenance and fall back to evict-on-any-change.
@@ -1034,22 +1009,24 @@ class RouteService:
 
         A convenience wrapper for callers without a
         :class:`~repro.traffic.feed.TrafficFeed`: applies the update as
-        a single-edge epoch through :meth:`handle_epoch`. Returns the
+        a single-edge epoch through :meth:`handle_epoch`, both under
+        ``graph.gate.exclusive()`` as a feed does. Returns the
         number of cache entries evicted; an update that leaves the cost
         unchanged is no epoch at all and returns 0.
         """
-        previous = graph.fingerprint
-        deltas = graph.apply_cost_updates([(source, target, cost)])
-        if not deltas:
-            return 0
-        epoch = TrafficEpoch(
-            number=self.epochs_applied + 1,
-            graph=graph,
-            deltas=tuple(deltas),
-            previous_fingerprint=previous,
-            fingerprint=graph.fingerprint,
-        )
-        return self.handle_epoch(epoch).evicted
+        with graph.gate.exclusive():
+            previous = graph.fingerprint
+            deltas = graph.apply_cost_updates([(source, target, cost)])
+            if not deltas:
+                return 0
+            epoch = TrafficEpoch(
+                number=self.epochs_applied + 1,
+                graph=graph,
+                deltas=tuple(deltas),
+                previous_fingerprint=previous,
+                fingerprint=graph.fingerprint,
+            )
+            return self.handle_epoch(epoch).evicted
 
     # ------------------------------------------------------------------
     # durability (crash recovery)

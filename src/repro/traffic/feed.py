@@ -8,8 +8,8 @@ cycle, an incident report — and the serving layers must absorb each
 batch as one unit of staleness, not thousands.
 
 :class:`TrafficFeed` is that ingestion point. Each :meth:`apply` is an
-**epoch**: the batch is validated, applied under the graph's epoch
-guard with a single fingerprint bump, materialised as a
+**epoch**: under ``graph.gate.exclusive()`` the batch is validated,
+applied with a single fingerprint bump, materialised as a
 :class:`TrafficEpoch` (the effective :class:`CostDelta` records plus
 the before/after fingerprints), and fanned out to subscribers in
 registration order. The stock subscribers are
@@ -27,7 +27,6 @@ never compound onto each other's output.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,7 +76,6 @@ class TrafficFeed:
         self._listeners: List[Tuple[Callable[[TrafficEpoch], object], str]] = []
         self._customize_listeners = 0
         self._invalidate_listeners = 0
-        self._lock = threading.Lock()
         self.epoch_count = 0
         self.deltas_applied = 0
         self.customize_notifications = 0
@@ -135,12 +133,13 @@ class TrafficFeed:
 
         The entire batch is validated before any write (one bad
         reading rejects the batch, it cannot half-apply), costs change
-        under the graph's epoch guard with exactly one fingerprint
-        bump, and subscribers see the epoch only once it is fully
-        applied. A batch with no effective change produces an epoch
-        with no deltas, an unchanged fingerprint and no notification.
+        with exactly one fingerprint bump, and the fan-out completes
+        before the graph's gate (held exclusively, so the epoch waits
+        for in-flight queries) admits another query. A batch with no
+        effective change produces an epoch with no deltas, an
+        unchanged fingerprint and no notification.
         """
-        with self._lock:
+        with self.graph.gate.exclusive():
             previous = self.graph.fingerprint
             deltas = tuple(self.graph.apply_cost_updates(updates))
             epoch = TrafficEpoch(
@@ -217,7 +216,7 @@ class TrafficFeed:
 
     def rebase(self) -> None:
         """Re-snapshot current costs as the new free-flow baseline."""
-        with self._lock:
+        with self.graph.gate.exclusive():
             self._base = {
                 (edge.source, edge.target): edge.cost
                 for edge in self.graph.edges()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -135,6 +136,56 @@ class TestServiceAccel:
         ref = kernel.search(graph, (0, 0), (4, 4), trace=True)
         assert _exact(served.cost, ref.cost)
         assert service.snapshot()["accel_preprocesses"] == 1
+
+    def test_concurrent_readers_and_epochs_customize_incrementally(self):
+        """A query can no longer land between the graph write and the
+        epoch hook, so it never finds the overlay behind the graph and
+        re-customizes in full: the one full pass is the first query's."""
+        graph = make_paper_grid(8, seed=5)
+        service = RouteService(
+            accelerator="cch",
+            default_algorithm="dijkstra",
+            default_estimator="zero",
+        )
+        feed = TrafficFeed(graph)
+        feed.subscribe(service)
+        nodes = sorted(node.node_id for node in graph.nodes())
+        service.plan(graph, nodes[0], nodes[-1])
+        stop = threading.Event()
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    service.plan(graph, rng.choice(nodes), rng.choice(nodes))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        def updater():
+            try:
+                for number in range(1, 25):
+                    feed.apply(_epoch_updates(graph, number, stride=37))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(3)]
+        threads.append(threading.Thread(target=updater))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        stop.set()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snap = service.snapshot()
+        assert snap["accel_full_customizes"] == 1
+        assert snap["accel_incremental_customizes"] == 24
+        for source, destination in [(nodes[0], nodes[-1]), (nodes[7], nodes[56])]:
+            ref = kernel.search(graph, source, destination, trace=True)
+            assert _exact(service.plan(graph, source, destination).cost, ref.cost)
 
     def test_pool_bills_both_pipeline_phases(self):
         graph = make_paper_grid(6, seed=2)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import CostDelta, Graph
 from repro.graphs.grid import make_paper_grid
 from repro.kernel import csr
 from repro.kernel.csr import CSRGraph, csr_for
+from repro.service.cache import RouteCache
 
 
 @pytest.fixture(autouse=True)
@@ -135,8 +136,9 @@ class TestBuildCache:
     def test_build_racing_an_epoch_is_not_cached(self):
         graph = _diamond()
 
-        # Mutate between the fingerprint read and the cache write by
-        # bumping the version from inside the build itself.
+        # Try to write an epoch from inside the build itself. The build
+        # holds the graph's gate (shared side), so the write is refused
+        # rather than landing mid-build, and nothing is cached.
         class Trip:
             fired = False
 
@@ -150,10 +152,11 @@ class TestBuildCache:
 
         try:
             Graph.neighbors = tripping_neighbors
-            stale = csr_for(graph)
+            with pytest.raises(RuntimeError):
+                csr_for(graph)
         finally:
             Graph.neighbors = original
-        assert stale.fingerprint != graph.fingerprint
+        assert Trip.fired and graph.edge_cost("a", "b") == 1.0
         assert csr.cache_stats()["entries"] == 0
 
     def test_search_uses_cache(self):
@@ -254,12 +257,12 @@ class TestDerivedSnapshots:
         assert csr_for(graph).euclidean_scale(graph) == 1.0
         graph.update_edge_cost("b", "a", 2.5)
         assert csr_for(graph).euclidean_scale(graph) == 0.5
-        assert csr.euclidean_scale(graph, graph.fingerprint) == 0.5
         # Priced at a state the graph has left: no bound at all.
         stale = graph.fingerprint
         graph.update_edge_cost("b", "a", 5.0)
-        assert csr.euclidean_scale(graph, stale) == 0.0
-        assert csr.euclidean_scale(graph, graph.fingerprint) == 1.0
+        decrease = [CostDelta("b", "a", 5.0, 2.5)]
+        assert RouteCache()._bound_decreases(graph, decrease, stale)[0] == 0.0
+        assert csr_for(graph).euclidean_scale(graph) == 1.0
 
 
 class TestCSRSearchEdges:

@@ -158,11 +158,12 @@ class TestTreeTable:
 
 
     def test_tree_priced_before_a_racing_epoch_is_not_remembered(self):
-        # Chain 0-1-2-3 split {0,1} | {2,3}. An epoch raising every
-        # cost to 10 lands while the first attempt at 0 -> 1 computes
-        # the in-tree of 1, after the out-tree of 0 was priced at the
-        # old costs. The attempt is retried, and its stale out-tree
-        # must not be served from the table: a remembered one would
+        # Chain 0-1-2-3 split {0,1} | {2,3}. The first query for 0 -> 1
+        # pauses in its in-tree stage, after the out-tree of 0 was
+        # priced at the old costs, and a second thread applies an epoch
+        # raising every cost to 10. The epoch waits for the query: the
+        # answer is 1.0 at the old fleet version, and later answers
+        # price the new costs. A tree remembered across the epoch would
         # answer 0 -> 1 with 1 and 0 -> 3 with 21.
         graph = Graph(name="chain")
         for index in range(4):
@@ -172,21 +173,39 @@ class TestTreeTable:
         router, feed = make_fleet(graph, 1, 2)
         worker = router.workers[router.partition.shard_of(1)].workers[0]
         in_tree = worker.distances_from_boundary
-        fired = []
+        paused, resume = threading.Event(), threading.Event()
 
-        def racing(destination):
-            if not fired:
-                fired.append(True)
-                feed.apply([(i, i + 1, 10.0) for i in range(3)])
+        def pausing(destination):
+            if not paused.is_set():
+                paused.set()
+                resume.wait(timeout=10)
             return in_tree(destination)
 
-        worker.distances_from_boundary = racing
+        worker.distances_from_boundary = pausing
+        answers = []
+        query = threading.Thread(target=lambda: answers.append(router.plan(0, 1)))
+        epoch = threading.Thread(
+            target=feed.apply, args=([(i, i + 1, 10.0) for i in range(3)],)
+        )
+        version = router.version
         try:
-            assert router.plan(0, 1).cost == 10.0
-            assert fired and router.plan_retries >= 1
+            query.start()
+            assert paused.wait(timeout=10)
+            epoch.start()
+            epoch.join(timeout=0.1)
+            assert epoch.is_alive(), "the epoch must wait for the query"
+            assert graph.edge_cost(0, 1) == 1.0
+            resume.set()
+            query.join(timeout=10)
+            epoch.join(timeout=10)
+            assert not query.is_alive() and not epoch.is_alive()
+            (first,) = answers
+            assert first.cost == 1.0 and first.fleet_version == version
+            assert router.version == version + 1
             assert router.plan(0, 1).cost == 10.0
             assert router.plan(0, 3).cost == 30.0
         finally:
+            resume.set()
             router.shutdown()
 
 

@@ -5,6 +5,7 @@ DESIGN.md rests on: size, degree, directedness, geography (lake void,
 river bridges, rotated downtown) and determinism.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -135,6 +136,18 @@ class TestAttributesAndDeterminism:
         edges_a = {(e.source, e.target): e.cost for e in a.graph.edges()}
         edges_b = {(e.source, e.target): e.cost for e in b.graph.edges()}
         assert edges_a == edges_b
+
+    def test_seed_1993_edge_list_is_pinned(self, minneapolis):
+        # Every experiment on the road map reads this edge list; the
+        # digest of its sorted (repr(u), repr(v), cost) tuples holds it
+        # byte for byte across refactors of the generator.
+        edges = sorted(
+            (repr(e.source), repr(e.target), e.cost)
+            for e in minneapolis.graph.edges()
+        )
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+            "08377c5220fd60cd8130a98e61e35023a8e109daa0014a214e02c37fbf6def70"
+        )
 
     def test_seed_changes_map(self, minneapolis):
         other = make_minneapolis_map(seed=7)

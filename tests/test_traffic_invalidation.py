@@ -163,7 +163,7 @@ def price_below_length(graph, feed, rng):
         (u, v, graph.edge_cost(u, v) * rng.uniform(0.3, 1.0))
         for u, v in rng.sample(edges, 600)
     )
-    assert csr.euclidean_scale(graph, graph.fingerprint) < 1.0
+    assert csr.csr_for(graph).euclidean_scale(graph) < 1.0
 
 
 class TestSubEuclideanEpochs:
