@@ -154,6 +154,36 @@ def _validate_demand(
     return cleaned
 
 
+def _positive(value: object) -> bool:
+    """True for a number above zero. NaN fails ``value > 0`` (it would
+    pass a ``value <= 0`` check), and a ``bool`` is not a capacity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value > 0
+    )
+
+
+def _capacities(
+    capacity: Union[float, Mapping[Edge, float]], edges: List[Edge]
+) -> List[float]:
+    """Per-edge capacities in ``edges`` order, validated before any epoch."""
+    if not isinstance(capacity, Mapping):
+        if not _positive(capacity):
+            raise ValueError(f"capacity must be a positive number, got {capacity!r}")
+        return [float(capacity)] * len(edges)
+    caps = []
+    for edge in edges:
+        cap = capacity.get(edge)
+        if not _positive(cap):
+            raise ValueError(
+                f"capacity mapping must cover every edge with a "
+                f"positive value; bad entry for {edge!r}: {cap!r}"
+            )
+        caps.append(float(cap))
+    return caps
+
+
 def _aon_load(
     matrix: SkimMatrix, demand: Mapping[ODPair, float], edges: List[Edge]
 ) -> Tuple[Dict[Edge, float], float]:
@@ -189,12 +219,14 @@ def assign(
 ) -> AssignmentResult:
     """Assign an OD ``demand`` matrix to user equilibrium on ``graph``.
 
-    ``feed`` is the traffic feed congestion prices flow through; when
-    omitted a private feed is built over the graph (its free-flow
-    baseline is the graph's current costs). ``capacity`` is a per-link
-    mapping or one scalar for every link; when omitted it defaults to
-    half the largest free-flow all-or-nothing link volume — enough to
-    congest the corridors the unpriced shortest paths pile onto.
+    ``feed`` is the traffic feed congestion prices flow through and
+    must be built over ``graph``; when omitted a private feed is built
+    over the graph (its free-flow baseline is the graph's current
+    costs). ``capacity`` is a per-link mapping or one scalar for every
+    link, each a positive number; when omitted it defaults to half the
+    largest free-flow all-or-nothing link volume — enough to congest
+    the corridors the unpriced shortest paths pile onto. A bad feed or
+    capacity raises ``ValueError`` before the first epoch.
     ``method`` picks the step size: ``"fw"`` (Frank-Wolfe, bisection
     line search — the default) or ``"msa"`` (successive averages,
     ``1/k``). ``auditor``, when given, is called as
@@ -216,59 +248,58 @@ def assign(
     loaded = _validate_demand(graph, demand)
     if feed is None:
         feed = TrafficFeed(graph)
-
-    edges: List[Edge] = [(e.source, e.target) for e in graph.edges()]
-    free_flow: Dict[Edge, float] = {
-        (u, v): feed.base_cost(u, v) for u, v in edges
-    }
-    origins = sorted({o for o, _ in loaded})
-    destinations = sorted({d for _, d in loaded})
-
-    def reprice(volumes: Dict[Edge, float], caps: Dict[Edge, float]) -> None:
-        feed.apply(
-            [
-                (u, v, bpr.travel_time(free_flow[(u, v)], volumes[(u, v)], caps[(u, v)]))
-                for u, v in edges
-            ]
+    elif feed.graph is not graph:
+        raise ValueError(
+            f"feed re-prices graph {feed.graph.name!r}, not the graph "
+            f"being assigned ({graph.name!r}); pass a feed built over it"
         )
 
-    def load_at_current_prices(iteration: int) -> Tuple[SkimMatrix, Dict[Edge, float], float]:
+    # Per-edge state lives in flat lists indexed like ``edges``.
+    edges: List[Edge] = [(e.source, e.target) for e in graph.edges()]
+    free_flow: List[float] = [feed.base_cost(u, v) for u, v in edges]
+    caps = None if capacity is None else _capacities(capacity, edges)
+    origins = sorted({o for o, _ in loaded})
+    destinations = sorted({d for _, d in loaded})
+    alpha, beta = bpr.alpha, bpr.beta
+
+    def reprice(volumes: List[float]) -> List[float]:
+        """Apply the BPR times at ``volumes`` as one epoch; return them.
+
+        The formula is :meth:`BPRParams.travel_time`'s, inlined in the
+        same operation order, so every time is the same float.
+        """
+        times = [
+            t0 * (1.0 + alpha * (x / c) ** beta)
+            for t0, x, c in zip(free_flow, volumes, caps)
+        ]
+        feed.apply([(u, v, t) for (u, v), t in zip(edges, times)])
+        return times
+
+    def load_at_current_prices(iteration: int) -> Tuple[SkimMatrix, List[float], float]:
         matrix = skim(graph, origins, destinations, retain_paths=True)
         aon, bound = _aon_load(matrix, loaded, edges)
         if auditor is not None:
             auditor(iteration, graph, matrix, aon)
-        return matrix, aon, bound
+        return matrix, list(aon.values()), bound  # _aon_load keys by ``edges``
+
+    def snapshot(volumes: List[float]) -> Optional[Dict[Edge, float]]:
+        return dict(zip(edges, volumes)) if record_volumes else None
 
     sssp_runs = 0
     epochs_before = feed.epoch_count
     iterations: List[AssignmentIteration] = []
 
     # Iteration 1: price at free flow, load all-or-nothing.
-    feed.apply([(u, v, free_flow[(u, v)]) for u, v in edges])
+    feed.apply([(u, v, t0) for (u, v), t0 in zip(edges, free_flow)])
     matrix, volumes, bound = load_at_current_prices(1)
     sssp_runs += matrix.sssp_runs
     demand_total = sum(loaded.values())
 
-    caps: Dict[Edge, float]
-    if capacity is None:
+    if caps is None:
         # Congest what the free-flow shortest paths actually use: half
         # the busiest AON link volume, uniformly.
-        busiest = max(volumes.values(), default=0.0)
-        caps = dict.fromkeys(edges, max(busiest * 0.5, 1.0))
-    elif isinstance(capacity, (int, float)):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        caps = dict.fromkeys(edges, float(capacity))
-    else:
-        caps = {}
-        for edge in edges:
-            cap = capacity.get(edge)
-            if cap is None or cap <= 0:
-                raise ValueError(
-                    f"capacity mapping must cover every edge with a "
-                    f"positive value; bad entry for {edge!r}: {cap!r}"
-                )
-            caps[edge] = float(cap)
+        busiest = max(volumes, default=0.0)
+        caps = [max(busiest * 0.5, 1.0)] * len(edges)
 
     iterations.append(
         AssignmentIteration(
@@ -278,25 +309,30 @@ def assign(
             step=1.0,
             current_cost=bound,
             aon_cost=bound,
-            volumes=dict(volumes) if record_volumes else None,
+            volumes=snapshot(volumes),
         )
     )
 
     converged = not loaded  # empty demand is trivially at equilibrium
     gap = 0.0 if converged else math.inf
 
-    def line_search(direction: Dict[Edge, float]) -> float:
-        """Bisect g(lam) = sum(d * t(v + lam * d)) for its root in (0, 1]."""
+    def line_search(volumes: List[float], direction: List[float]) -> float:
+        """Bisect g(lam) = sum(d * t(v + lam * d)) for its root in (0, 1].
+
+        ``g`` walks only the edges with a nonzero direction, in
+        ``edges`` order: the steps it finds depend on the order of its
+        ``+=``, down to the last bit.
+        """
+        moving = [
+            (d, t0, x, c)
+            for d, t0, x, c in zip(direction, free_flow, volumes, caps)
+            if d != 0.0
+        ]
 
         def g(lam: float) -> float:
             total = 0.0
-            for edge in edges:
-                d = direction[edge]
-                if d == 0.0:
-                    continue
-                total += d * bpr.travel_time(
-                    free_flow[edge], volumes[edge] + lam * d, caps[edge]
-                )
+            for d, t0, x, c in moving:
+                total += d * (t0 * (1.0 + alpha * ((x + lam * d) / c) ** beta))
             return total
 
         lo, hi = 0.0, 1.0
@@ -313,14 +349,10 @@ def assign(
     iteration = 1
     while loaded and iteration < max_iterations:
         iteration += 1
-        reprice(volumes, caps)
+        times = reprice(volumes)
         matrix, aon, bound = load_at_current_prices(iteration)
         sssp_runs += matrix.sssp_runs
-        current_cost = sum(
-            volumes[edge]
-            * bpr.travel_time(free_flow[edge], volumes[edge], caps[edge])
-            for edge in edges
-        )
+        current_cost = sum(x * t for x, t in zip(volumes, times))
         gap = (current_cost - bound) / bound if bound > 0 else 0.0
         if gap <= tolerance:
             converged = True
@@ -332,14 +364,13 @@ def assign(
                     step=0.0,
                     current_cost=current_cost,
                     aon_cost=bound,
-                    volumes=dict(volumes) if record_volumes else None,
+                    volumes=snapshot(volumes),
                 )
             )
             break
-        direction = {edge: aon[edge] - volumes[edge] for edge in edges}
-        step = 1.0 / iteration if method == "msa" else line_search(direction)
-        for edge in edges:
-            volumes[edge] += step * direction[edge]
+        direction = [y - x for y, x in zip(aon, volumes)]
+        step = 1.0 / iteration if method == "msa" else line_search(volumes, direction)
+        volumes = [x + step * d for x, d in zip(volumes, direction)]
         iterations.append(
             AssignmentIteration(
                 number=iteration,
@@ -348,26 +379,22 @@ def assign(
                 step=step,
                 current_cost=current_cost,
                 aon_cost=bound,
-                volumes=dict(volumes) if record_volumes else None,
+                volumes=snapshot(volumes),
             )
         )
 
     # Leave the graph priced at the volumes we are reporting.
-    reprice(volumes, caps)
-    final_costs = {
-        edge: bpr.travel_time(free_flow[edge], volumes[edge], caps[edge])
-        for edge in edges
-    }
+    times = reprice(volumes)
     return AssignmentResult(
         graph_name=graph.name,
         method=method,
         converged=converged,
         relative_gap=gap,
         tolerance=tolerance,
-        volumes=volumes,
-        costs=final_costs,
-        free_flow=free_flow,
-        capacity=caps,
+        volumes=dict(zip(edges, volumes)),
+        costs=dict(zip(edges, times)),
+        free_flow=dict(zip(edges, free_flow)),
+        capacity=dict(zip(edges, caps)),
         demand_total=demand_total,
         iterations=iterations,
         epochs_applied=feed.epoch_count - epochs_before,

@@ -243,42 +243,38 @@ class Graph:
         """Apply a batch of edge-cost refreshes as one *epoch*.
 
         The whole batch is validated up front (missing edges, negative
-        or non-finite costs) before any write, then applied under
-        ``gate.exclusive()`` with a **single** version bump — a traffic
-        feed of ten thousand deltas retires exactly one fingerprint,
-        not ten thousand. Returns the effective :class:`CostDelta` records;
-        no-op refreshes (new cost equals the current cost) are skipped,
-        and a batch with no effective change leaves the fingerprint
+        or non-finite costs) before any write, so one bad entry rejects
+        the batch. Validation looks each edge's adjacency row up once
+        and keeps it; the batch is then written in order under
+        ``gate.exclusive()`` in one pass, each entry compared against
+        the row's current value. A refresh equal to that value is a
+        no-op and yields no delta, and an edge repeated in the batch is
+        judged against the value the batch itself set. All effective
+        changes share a **single** version bump: a traffic feed of ten
+        thousand deltas retires exactly one fingerprint, not ten
+        thousand. Returns the effective :class:`CostDelta` records; a
+        batch with no effective change leaves the fingerprint
         untouched.
         """
-        staged: List[Tuple[NodeId, NodeId, float]] = []
+        adjacency = self._adjacency
+        staged: List[Tuple[NodeId, NodeId, Dict[NodeId, float], float]] = []
         for source, target, cost in updates:
-            if not self.has_edge(source, target):
+            row = adjacency.get(source)
+            if row is None or target not in row:
                 raise EdgeNotFoundError(source, target)
-            staged.append((source, target, _validated_cost(source, target, cost)))
+            staged.append((source, target, row, _validated_cost(source, target, cost)))
         deltas: List[CostDelta] = []
         with self.gate.exclusive():
-            # Project the batch in order so repeated refreshes of one
-            # edge are judged against the value the batch itself set.
-            projected: Dict[Tuple[NodeId, NodeId], float] = {}
-            effective = []
-            for source, target, cost in staged:
-                current = projected.get(
-                    (source, target), self._adjacency[source][target]
-                )
+            reverse = self._reverse
+            for source, target, row, cost in staged:
+                current = row[target]
                 if current != cost:
-                    effective.append((source, target, cost))
-                    projected[(source, target)] = cost
-            if not effective:
-                return deltas
-            for source, target, cost in effective:
-                deltas.append(
-                    CostDelta(source, target, self._adjacency[source][target], cost)
-                )
-                self._adjacency[source][target] = cost
-                self._reverse[target][source] = cost
-            self._last_cost_change = (self._version, tuple(deltas))
-            self._version += 1
+                    deltas.append(CostDelta(source, target, current, cost))
+                    row[target] = cost
+                    reverse[target][source] = cost
+            if deltas:
+                self._last_cost_change = (self._version, tuple(deltas))
+                self._version += 1
         return deltas
 
     # ------------------------------------------------------------------
