@@ -291,7 +291,7 @@ def audit_skim(oracle: Oracle, matrix: SkimMatrix) -> Tuple[int, int, int, int, 
             if got == math.inf:
                 unreachable += 1
                 continue
-            if matrix.trees is not None:
+            if matrix.predecessors is not None:
                 paths += 1
                 path = matrix.path(origin, destination)
                 if path is None or oracle.graph.path_cost(path) != got:

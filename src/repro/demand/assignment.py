@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
+from repro.kernel.csr import CSRGraph
 from repro.traffic.feed import TrafficFeed
 
 from repro.demand.skim import SkimMatrix, skim
@@ -185,11 +186,21 @@ def _capacities(
 
 
 def _aon_load(
-    matrix: SkimMatrix, demand: Mapping[ODPair, float], edges: List[Edge]
-) -> Tuple[Dict[Edge, float], float]:
-    """Walk each pair's tree path; return (AON volumes, sum(q * mu))."""
-    volumes = dict.fromkeys(edges, 0.0)
+    matrix: SkimMatrix,
+    demand: Mapping[ODPair, float],
+    edge_count: int,
+    slot_edges: Callable[[CSRGraph], List[int]],
+) -> Tuple[List[float], float]:
+    """Walk each pair's dense tree path; return (AON volumes, sum(q * mu)).
+
+    The volumes are a flat list indexed like ``edges``; ``slot_edges``
+    maps a snapshot's CSR slots to those indexes. Pairs are loaded in
+    ``demand`` order, so each edge's volume is the same sequence of
+    ``+=`` whatever order the walk visits a path's edges in.
+    """
+    volumes = [0.0] * edge_count
     bound = 0.0
+    predecessors = matrix.predecessors
     for (origin, destination), q in demand.items():
         mu = matrix.cost(origin, destination)
         if mu == math.inf:
@@ -199,9 +210,19 @@ def _aon_load(
                 f"{q!r} units"
             )
         bound += q * mu
-        path = matrix.path(origin, destination)
-        for edge in zip(path, path[1:]):
-            volumes[edge] += q
+        snapshot, pred = predecessors[origin]
+        edge_of = slot_edges(snapshot)
+        indptr = snapshot.indptr_list
+        indices = snapshot.indices_list
+        s = snapshot.index_of[origin]
+        v = snapshot.index_of[destination]
+        while v != s:
+            u = pred[v]
+            k = indptr[u]
+            while indices[k] != v:
+                k += 1
+            volumes[edge_of[k]] += q
+            v = u
     return volumes, bound
 
 
@@ -261,6 +282,22 @@ def assign(
     origins = sorted({o for o, _ in loaded})
     destinations = sorted({d for _, d in loaded})
     alpha, beta = bpr.alpha, bpr.beta
+    position = {edge: i for i, edge in enumerate(edges)}
+    topology: Optional[List[int]] = None
+    slot_to_edge: List[int] = []
+
+    def slot_edges(snapshot: CSRGraph) -> List[int]:
+        """The ``edges`` index of every CSR slot, built once per topology."""
+        nonlocal topology, slot_to_edge
+        if snapshot.indices_list is not topology:
+            node_ids = snapshot.node_ids
+            topology = snapshot.indices_list
+            slot_to_edge = [
+                position[node_ids[u], node_ids[v]]
+                for u, row in enumerate(snapshot.rows)
+                for v, _ in row
+            ]
+        return slot_to_edge
 
     def reprice(volumes: List[float]) -> List[float]:
         """Apply the BPR times at ``volumes`` as one epoch; return them.
@@ -277,10 +314,10 @@ def assign(
 
     def load_at_current_prices(iteration: int) -> Tuple[SkimMatrix, List[float], float]:
         matrix = skim(graph, origins, destinations, retain_paths=True)
-        aon, bound = _aon_load(matrix, loaded, edges)
+        aon, bound = _aon_load(matrix, loaded, len(edges), slot_edges)
         if auditor is not None:
-            auditor(iteration, graph, matrix, aon)
-        return matrix, list(aon.values()), bound  # _aon_load keys by ``edges``
+            auditor(iteration, graph, matrix, dict(zip(edges, aon)))
+        return matrix, aon, bound
 
     def snapshot(volumes: List[float]) -> Optional[Dict[Edge, float]]:
         return dict(zip(edges, volumes)) if record_volumes else None

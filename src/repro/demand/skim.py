@@ -23,8 +23,11 @@ Two guarantees shape the API:
   destination raises at the call.
 
 With ``retain_paths=True`` the per-origin shortest-path trees are kept
-(predecessor maps over node ids), which is what select-link analysis
-and all-or-nothing assignment loading walk. The tree path for any pair
+dense — each origin's predecessor list over the dense node indexes of
+the CSR snapshot its search ran on — which is what select-link analysis
+and all-or-nothing assignment loading walk. The ``{node: predecessor}``
+dict form (:attr:`SkimMatrix.trees`) is materialized only when read,
+once per matrix. The tree path for any pair
 is the exact route the single-pair search returns for it — both relax
 edges in the same order — so skim answers are auditable cell-by-cell,
 with ``==``, against the independent
@@ -41,6 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph, NodeId
 from repro.kernel import csr as _csr
+from repro.kernel.csr import CSRGraph
 
 _INF = math.inf
 
@@ -50,10 +54,12 @@ class SkimMatrix:
     """A dense OD cost matrix priced at one graph fingerprint.
 
     ``costs[i][j]`` is the shortest-path cost from ``origins[i]`` to
-    ``destinations[j]`` (``inf`` when unreachable). ``trees`` is
+    ``destinations[j]`` (``inf`` when unreachable). ``predecessors`` is
     ``None`` unless the skim retained paths; when present it maps each
-    distinct origin to a predecessor map (``node -> predecessor``,
-    origin mapped to ``None``) over every node the origin reaches.
+    distinct origin to ``(snapshot, pred)``: the CSR snapshot its search
+    ran on and the dense predecessor list over that snapshot's node
+    indexes (``-1`` at the origin and at unreached nodes), as
+    :func:`~repro.kernel.csr.sssp_tree` returns them.
     """
 
     graph_name: str
@@ -61,9 +67,14 @@ class SkimMatrix:
     origins: Tuple[NodeId, ...]
     destinations: Tuple[NodeId, ...]
     costs: List[List[float]]
-    trees: Optional[Dict[NodeId, Dict[NodeId, Optional[NodeId]]]] = None
     #: Distinct one-to-all searches executed (duplicate origins share).
     sssp_runs: int = 0
+    predecessors: Optional[Dict[NodeId, Tuple[CSRGraph, List[int]]]] = field(
+        default=None, repr=False
+    )
+    _trees: Optional[Dict[NodeId, Dict[NodeId, Optional[NodeId]]]] = field(
+        default=None, repr=False
+    )
     _oindex: Dict[NodeId, int] = field(default_factory=dict, repr=False)
     _dindex: Dict[NodeId, int] = field(default_factory=dict, repr=False)
 
@@ -72,6 +83,29 @@ class SkimMatrix:
             self._oindex = {o: i for i, o in enumerate(self.origins)}
         if not self._dindex:
             self._dindex = {d: j for j, d in enumerate(self.destinations)}
+
+    @property
+    def trees(self) -> Optional[Dict[NodeId, Dict[NodeId, Optional[NodeId]]]]:
+        """The retained trees as dicts, or ``None`` without retained paths.
+
+        Maps each distinct origin to a predecessor map (``node ->
+        predecessor``, origin mapped to ``None``) over every node the
+        origin reaches. Materialized from :attr:`predecessors` on the
+        first read and cached: a second read returns the same object.
+        """
+        if self.predecessors is None:
+            return None
+        if self._trees is None:
+            trees = {}
+            for origin, (snapshot, pred) in self.predecessors.items():
+                node_ids = snapshot.node_ids
+                tree: Dict[NodeId, Optional[NodeId]] = {origin: None}
+                for i, p in enumerate(pred):
+                    if p != -1:
+                        tree[node_ids[i]] = node_ids[p]
+                trees[origin] = tree
+            self._trees = trees
+        return self._trees
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -102,21 +136,21 @@ class SkimMatrix:
         Requires ``retain_paths=True`` at skim time; the walk is the
         same route the single-pair search returns for the pair.
         """
-        if self.trees is None:
+        if self.predecessors is None:
             raise ValueError(
                 "this skim retained no path trees; re-run with "
                 "retain_paths=True"
             )
         if self.cost(origin, destination) == _INF:
             return None
-        if origin == destination:
-            return [origin]
-        tree = self.trees[origin]
+        snapshot, pred = self.predecessors[origin]
+        node_ids = snapshot.node_ids
+        s = snapshot.index_of[origin]
+        v = snapshot.index_of[destination]
         path = [destination]
-        node = destination
-        while node != origin:
-            node = tree[node]
-            path.append(node)
+        while v != s:
+            v = pred[v]
+            path.append(node_ids[v])
         path.reverse()
         return path
 
@@ -129,7 +163,7 @@ class SkimMatrix:
         skipped; unreachable pairs are skipped (their cells stay
         ``inf`` in the matrix, nothing is lost).
         """
-        if self.trees is None:
+        if self.predecessors is None:
             raise ValueError(
                 "this skim retained no path trees; re-run with "
                 "retain_paths=True"
@@ -166,19 +200,17 @@ def _skim_rows(
     retain_paths: bool,
 ) -> Tuple[Dict[NodeId, List[float]], Optional[Dict]]:
     rows: Dict[NodeId, List[float]] = {}
-    trees: Optional[Dict] = {} if retain_paths else None
+    predecessors: Optional[Dict] = {} if retain_paths else None
+    index_of = columns = None
     for origin in distinct_origins:
         csr, dist, pred = _csr.sssp_tree(graph, origin)
-        index_of = csr.index_of
-        rows[origin] = [dist[index_of[d]] for d in destinations]
+        if csr.index_of is not index_of:
+            index_of = csr.index_of
+            columns = [index_of[d] for d in destinations]
+        rows[origin] = [dist[j] for j in columns]
         if retain_paths:
-            node_ids = csr.node_ids
-            tree: Dict[NodeId, Optional[NodeId]] = {origin: None}
-            for i, p in enumerate(pred):
-                if p != -1:
-                    tree[node_ids[i]] = node_ids[p]
-            trees[origin] = tree
-    return rows, trees
+            predecessors[origin] = (csr, pred)
+    return rows, predecessors
 
 
 def skim(
@@ -194,7 +226,10 @@ def skim(
     fingerprint-keyed CSR build cache with the single-pair serving
     path. Duplicate origins (or destinations) are computed once and share
     their row (column); ``sssp_runs`` on the returned matrix counts
-    the distinct searches actually executed.
+    the distinct searches actually executed. With ``retain_paths`` each
+    search's dense predecessor list is kept as it came out of the
+    search, with its snapshot (:attr:`SkimMatrix.predecessors`); no
+    per-node dict is built unless :attr:`SkimMatrix.trees` is read.
 
     The returned matrix is single-epoch: every cell is priced at
     ``matrix.fingerprint``, because the pass holds the shared side of
@@ -216,7 +251,7 @@ def skim(
 
     with graph.gate.shared():
         fingerprint = graph.fingerprint
-        rows, trees = _skim_rows(graph, distinct, destination_list, retain_paths)
+        rows, predecessors = _skim_rows(graph, distinct, destination_list, retain_paths)
 
     return SkimMatrix(
         graph_name=graph.name,
@@ -224,6 +259,6 @@ def skim(
         origins=tuple(origin_list),
         destinations=tuple(destination_list),
         costs=[list(rows[origin]) for origin in origin_list],
-        trees=trees,
         sssp_runs=len(distinct),
+        predecessors=predecessors,
     )

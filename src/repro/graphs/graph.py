@@ -17,7 +17,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.exceptions import (
     DuplicateNodeError,
@@ -87,9 +87,13 @@ class Edge:
         _validated_cost(self.source, self.target, self.cost)
 
 
-@dataclass(frozen=True)
-class CostDelta:
-    """One applied edge-cost change within a traffic epoch."""
+class CostDelta(NamedTuple):
+    """One applied edge-cost change within a traffic epoch.
+
+    An immutable record with value equality, hash and repr. A full-map
+    epoch builds one per edge, so it is a named tuple: constructing one
+    costs less than half of a frozen dataclass's generated ``__init__``.
+    """
 
     source: NodeId
     target: NodeId

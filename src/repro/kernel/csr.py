@@ -12,8 +12,14 @@ path engine): three contiguous ``array`` vectors
 * ``weights`` — the edge cost per edge,
 
 plus an interning table mapping arbitrary hashable node ids to dense
-``0..n-1`` indices (``index_of`` / ``node_ids``). Edges appear in
-exactly the order ``Graph.neighbors`` yields them and nodes in
+``0..n-1`` indices (``index_of`` / ``node_ids``). The search loops
+below walk a fourth view of the same edges, the one layout they all
+share: per-node **adjacency rows**, ``rows[u]`` a tuple of
+``(neighbor index, weight)`` pairs in exactly slot order. A loop
+relaxes ``for v, w in rows[u]``, one tuple unpack per edge instead of
+a ``range()`` step and two list indexings; the transpose has the same
+shape (:meth:`CSRGraph.reverse_rows`). Edges appear in exactly the
+order ``Graph.neighbors`` yields them and nodes in
 ``Graph.node_ids`` order, so a search over the CSR form relaxes edges
 in the same sequence as the generic loop over the dict form — which is
 what makes the two *byte-identical* in paths, costs, and every
@@ -49,6 +55,7 @@ import math
 import threading
 from array import array
 from collections import OrderedDict
+from itertools import compress
 from operator import truediv
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,9 +75,12 @@ class CSRGraph:
     ``CSRGraph(graph)`` flattens the graph. ``CSRGraph(graph, previous,
     deltas)`` derives the snapshot one cost-only change after
     ``previous`` copy-on-write: the topology (``indptr`` / ``indices``
-    / ``node_ids`` / ``index_of``, their list views and the edge
-    lengths) is shared, ``weights`` is copied and the deltas patched
-    into the copy, so ``previous`` itself never changes.
+    / ``node_ids`` / ``index_of``, their list views, the edge lengths
+    and the transpose's slot table) is shared, ``weights`` is copied
+    and the deltas patched into the copy, and only the adjacency rows
+    of the sources (forward) and targets (reverse) the deltas touch are
+    rebuilt; every other row tuple is the predecessor's own object. So
+    ``previous`` itself never changes.
     """
 
     __slots__ = (
@@ -85,8 +95,10 @@ class CSRGraph:
         "indptr_list",
         "indices_list",
         "weights_list",
+        "rows",
         "_reverse",
         "_lengths",
+        "_incoming",
         "_scale",
     )
 
@@ -129,15 +141,23 @@ class CSRGraph:
         # a buffer-protocol consumer would hand to numpy or a compiled
         # kernel), but ``array.__getitem__`` boxes a fresh object on
         # every access; the interned list views return the same stored
-        # objects by pointer, which is what the pure-Python loops
-        # index. Built once per fingerprint alongside the arrays.
+        # objects by pointer, which is what accel.py's loops index.
+        # Built once per fingerprint alongside the arrays.
         self.indptr_list = list(indptr)
         self.indices_list = list(indices)
         self.weights_list = list(weights)
+        # The search loops' layout: node u's (neighbor, weight) pairs,
+        # unpacked per edge in one step, holding the list views' objects.
+        pairs = list(zip(self.indices_list, self.weights_list))
+        self.rows = [tuple(pairs[a:b]) for a, b in zip(self.indptr_list, self.indptr_list[1:])]
         # Straight-line edge lengths for euclidean_scale, filled on
         # first use as [slots of positive length (None: every slot),
         # their lengths]. Pure topology: derived snapshots share it.
         self._lengths = []
+        # The transpose's topology for reverse_rows, filled on first use
+        # as [rindptr, source per slot, forward slot per slot]. Shared
+        # likewise.
+        self._incoming = []
 
     def _derive(self, previous: "CSRGraph", deltas: Sequence[CostDelta]) -> None:
         uid, version = previous.fingerprint
@@ -151,20 +171,33 @@ class CSRGraph:
         self.indptr_list = indptr = previous.indptr_list
         self.indices_list = indices = previous.indices_list
         self._lengths = previous._lengths
+        self._incoming = previous._incoming
         weights = array("d", previous.weights)
         weights_list = list(previous.weights_list)
         index_of = previous.index_of
+        moved = bytearray(self.node_count)  # the deltas' sources
         # In order, so an edge written twice in one batch ends on the
         # batch's last value, as the graph does.
         for delta in deltas:
+            u = index_of[delta.source]
             v = index_of[delta.target]
-            k = indptr[index_of[delta.source]]
+            k = indptr[u]
             while indices[k] != v:
                 k += 1
             weights[k] = delta.new_cost
             weights_list[k] = delta.new_cost
+            moved[u] = 1
         self.weights = weights
         self.weights_list = weights_list
+        rows = list(previous.rows)
+        for u in compress(range(self.node_count), moved):
+            a, b = indptr[u], indptr[u + 1]
+            rows[u] = tuple(zip(indices[a:b], weights_list[a:b]))
+        self.rows = rows
+        if previous._reverse is not None:
+            reverse = list(previous._reverse)
+            self._fill_reverse(reverse, {index_of[delta.target] for delta in deltas})
+            self._reverse = reverse
 
     def euclidean_scale(self, graph: Graph) -> float:
         """The largest factor ``<= 1`` that keeps straight-line distance
@@ -201,39 +234,57 @@ class CSRGraph:
             self._scale = ratio if ratio < 1.0 else 1.0
         return self._scale
 
-    def reverse_lists(self):
-        """The transpose as flat lists: ``(rindptr, rindices, rweights)``.
+    def reverse_rows(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """The transpose as adjacency rows.
 
-        ``rindptr[v]:rindptr[v+1]`` brackets node *v*'s **incoming**
-        edges; ``rindices`` holds the source's dense index and
-        ``rweights`` the edge cost. Built lazily by counting sort on
-        first use (the bidirectional fused loop and the in-trees of
-        :func:`sssp_tree` read it) and cached on the snapshot — the
-        snapshot is immutable, so the transpose can never go stale, and
-        a racing double build is idempotent.
+        ``reverse_rows()[v]`` holds one ``(u, w)`` pair per edge
+        ``u -> v``, by ascending source index: node *v*'s **incoming**
+        edges, in the order a counting sort of the forward slots yields
+        them. Built on first use (the bidirectional fused loop and the
+        in-trees of :func:`sssp_tree` read it) and cached on the
+        snapshot — the snapshot is immutable, so the transpose can never
+        go stale, and a racing double build is idempotent. A snapshot
+        derived from one that has it rebuilds only the rows of the
+        deltas' targets.
         """
         if self._reverse is None:
+            reverse = [()] * self.node_count
+            self._fill_reverse(reverse, range(self.node_count))
+            self._reverse = reverse
+        return self._reverse
+
+    def _fill_reverse(self, reverse, targets) -> None:
+        """Rebuild the transpose rows of ``targets`` in ``reverse``.
+
+        The first call per topology counting-sorts the forward slots by
+        target; a reverse slot then reads its weight through the
+        forward slot it mirrors.
+        """
+        if not self._incoming:
             n = self.node_count
             indptr = self.indptr_list
             indices = self.indices_list
-            weights = self.weights_list
             counts = [0] * (n + 1)
             for v in indices:
                 counts[v + 1] += 1
             for i in range(n):
                 counts[i + 1] += counts[i]
             fill = counts[:n]
-            rindices = [0] * self.edge_count
-            rweights = [0.0] * self.edge_count
+            sources = [0] * self.edge_count
+            slots = [0] * self.edge_count
             for u in range(n):
                 for k in range(indptr[u], indptr[u + 1]):
                     v = indices[k]
                     p = fill[v]
-                    rindices[p] = u
-                    rweights[p] = weights[k]
+                    sources[p] = u
+                    slots[p] = k
                     fill[v] = p + 1
-            self._reverse = (counts, rindices, rweights)
-        return self._reverse
+            self._incoming[:] = [counts, sources, slots]  # one atomic publish
+        rindptr, sources, slots = self._incoming
+        weights = self.weights_list
+        for v in targets:
+            a, b = rindptr[v], rindptr[v + 1]
+            reverse[v] = tuple(zip(sources[a:b], [weights[k] for k in slots[a:b]]))
 
     def __repr__(self) -> str:
         return (
@@ -366,9 +417,7 @@ def uniform_cost(graph: Graph, source: NodeId, destination: NodeId) -> RunResult
         raise NodeNotFoundError(destination)
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
+    rows = csr.rows
     s = csr.index_of[source]
     t = csr.index_of[destination]
     n = csr.node_count
@@ -403,14 +452,12 @@ def uniform_cost(graph: Graph, source: NodeId, destination: NodeId) -> RunResult
             break
         iterations += 1
         observe(frontier_size)
-        start = indptr[u]
-        for k in range(start, indptr[u + 1]):
+        for v, w in rows[u]:
             edges_relaxed += 1
-            v = indices[k]
             sv = status[v]
             if sv == 2:
                 continue
-            candidate = g + weights[k]
+            candidate = g + w
             if candidate < dist[v]:
                 dist[v] = candidate
                 pred[v] = u
@@ -478,9 +525,7 @@ def best_first(
     estimator.prepare(graph, destination)
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
+    rows = csr.rows
     node_ids = csr.node_ids
     s = csr.index_of[source]
     t = csr.index_of[destination]
@@ -541,11 +586,9 @@ def best_first(
         iterations += 1
         observe(frontier_size)
         g = dist[u]
-        start = indptr[u]
-        for k in range(start, indptr[u + 1]):
+        for v, w in rows[u]:
             edges_relaxed += 1
-            v = indices[k]
-            candidate = g + weights[k]
+            candidate = g + w
             if candidate < dist[v]:
                 dist[v] = candidate
                 pred[v] = u
@@ -613,9 +656,7 @@ def wave(
         raise NodeNotFoundError(destination)
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
+    rows = csr.rows
     s = csr.index_of[source]
     t = csr.index_of[destination]
     n = csr.node_count
@@ -659,11 +700,9 @@ def wave(
             # Sequential in-wave propagation: expand from the current
             # label, which an earlier wave member may have improved.
             base = dist[u]
-            start = indptr[u]
-            for k in range(start, indptr[u + 1]):
+            for v, w in rows[u]:
                 edges_relaxed += 1
-                v = indices[k]
-                candidate = base + weights[k]
+                candidate = base + w
                 if candidate < dist[v]:
                     dist[v] = candidate
                     pred[v] = u
@@ -709,9 +748,7 @@ def sssp(
         raise NodeNotFoundError(source)
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
+    rows = csr.rows
     s = csr.index_of[source]
     n = csr.node_count
 
@@ -730,10 +767,8 @@ def sssp(
         settled[u] = 1
         if cutoff is not None and d > cutoff:
             continue
-        start = indptr[u]
-        for k in range(start, indptr[u + 1]):
-            v = indices[k]
-            nd = d + weights[k]
+        for v, w in rows[u]:
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 counter += 1
@@ -763,7 +798,7 @@ def sssp_tree(
     subsystem's exactness audit leans on.
 
     With ``reverse`` the same loop runs over the snapshot's cached
-    transpose (:meth:`CSRGraph.reverse_lists`): the tree is then the
+    transpose (:meth:`CSRGraph.reverse_rows`): the tree is then the
     one *into* ``source`` — ``dist[i]`` is the cost from node ``i`` to
     ``source`` and ``pred[i]`` the next node on that path.
     """
@@ -771,12 +806,7 @@ def sssp_tree(
         raise NodeNotFoundError(source)
 
     csr = csr_for(graph)
-    if reverse:
-        indptr, indices, weights = csr.reverse_lists()
-    else:
-        indptr = csr.indptr_list
-        indices = csr.indices_list
-        weights = csr.weights_list
+    rows = csr.reverse_rows() if reverse else csr.rows
     s = csr.index_of[source]
     n = csr.node_count
 
@@ -794,10 +824,8 @@ def sssp_tree(
         # pop above the node's label: the same pops :func:`sssp` skips.
         if d > dist[u]:
             continue
-        start = indptr[u]
-        for k in range(start, indptr[u + 1]):
-            v = indices[k]
-            nd = d + weights[k]
+        for v, w in rows[u]:
+            nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
@@ -812,9 +840,9 @@ def bidirectional(
 ) -> RunResult:
     """Bidirectional Dijkstra on the CSR tier.
 
-    Runs Dijkstra simultaneously from the source over the forward CSR
-    arrays and from the destination over the lazily built transpose
-    (:meth:`CSRGraph.reverse_lists`), alternating by smaller frontier
+    Runs Dijkstra simultaneously from the source over the forward rows
+    and from the destination over the lazily built transpose
+    (:meth:`CSRGraph.reverse_rows`), alternating by smaller frontier
     key, and stops when ``fmin + bmin >= best`` certifies no better
     meeting point exists. One ``iterations``/``nodes_expanded`` is
     counted per settle, merged across directions.
@@ -838,10 +866,8 @@ def bidirectional(
         return result
 
     csr = csr_for(graph)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
-    rindptr, rindices, rweights = csr.reverse_lists()
+    rows = csr.rows
+    rrows = csr.reverse_rows()
     s = csr.index_of[source]
     t = csr.index_of[destination]
     n = csr.node_count
@@ -883,11 +909,9 @@ def bidirectional(
         if fmin + bmin >= best or (fmin == _INF and bmin == _INF):
             break
         if fmin <= bmin:
-            heap, dist, pred, settled = fheap, fdist, fpred, fsettled
-            adj_ptr, adj_idx, adj_w = indptr, indices, weights
+            heap, dist, pred, settled, adjacency = fheap, fdist, fpred, fsettled, rows
         else:
-            heap, dist, pred, settled = bheap, bdist, bpred, bsettled
-            adj_ptr, adj_idx, adj_w = rindptr, rindices, rweights
+            heap, dist, pred, settled, adjacency = bheap, bdist, bpred, bsettled, rrows
         settled_node = -1
         while heap:
             d, _, u = pop(heap)
@@ -895,12 +919,11 @@ def bidirectional(
                 continue
             settled[u] = 1
             iterations += 1
-            for k in range(adj_ptr[u], adj_ptr[u + 1]):
+            for v, w in adjacency[u]:
                 edges_relaxed += 1
-                v = adj_idx[k]
                 if settled[v]:
                     continue
-                candidate = d + adj_w[k]
+                candidate = d + w
                 if candidate < dist[v]:
                     if dist[v] == _INF:
                         frontier_inserts += 1
@@ -919,8 +942,7 @@ def bidirectional(
         if total < best:
             best = total
             meeting = settled_node
-        for k in range(indptr[settled_node], indptr[settled_node + 1]):
-            v = indices[k]
+        for v, _ in rows[settled_node]:
             total = fdist[v] + bdist[v]
             if total < best:
                 best = total

@@ -83,6 +83,71 @@ class TestCSRLayout:
         assert snapshot.fingerprint == graph.fingerprint
 
 
+def _slices(indptr, neighbors, weights):
+    """Per-node ``(neighbor, weight)`` tuples cut from flat vectors."""
+    return [
+        tuple(zip(neighbors[indptr[u]:indptr[u + 1]], weights[indptr[u]:indptr[u + 1]]))
+        for u in range(len(indptr) - 1)
+    ]
+
+
+def _counting_sort_transpose(snapshot):
+    """The transpose as ``(rindptr, sources, weights)`` by counting sort."""
+    n = snapshot.node_count
+    counts = [0] * (n + 1)
+    for v in snapshot.indices_list:
+        counts[v + 1] += 1
+    for i in range(n):
+        counts[i + 1] += counts[i]
+    fill = counts[:n]
+    sources = [0] * snapshot.edge_count
+    weights = [0.0] * snapshot.edge_count
+    for u in range(n):
+        for k in range(snapshot.indptr_list[u], snapshot.indptr_list[u + 1]):
+            v = snapshot.indices_list[k]
+            sources[fill[v]] = u
+            weights[fill[v]] = snapshot.weights_list[k]
+            fill[v] += 1
+    return counts, sources, weights
+
+
+class TestAdjacencyRows:
+    """The search loops' layout: per-node ``(neighbor, weight)`` rows."""
+
+    def test_fresh_rows_equal_the_flat_slices(self):
+        for graph in (_diamond(), make_paper_grid(6, "skewed", seed=9)):
+            snapshot = CSRGraph(graph)
+            assert snapshot.rows == _slices(
+                snapshot.indptr_list, snapshot.indices_list, snapshot.weights_list
+            )
+            assert all(type(row) is tuple for row in snapshot.rows)
+
+    def test_reverse_rows_equal_the_counting_sort_transpose(self):
+        for graph in (_diamond(), make_paper_grid(6, "variance", seed=2)):
+            snapshot = CSRGraph(graph)
+            assert snapshot.reverse_rows() == _slices(*_counting_sort_transpose(snapshot))
+            assert snapshot.reverse_rows() is snapshot.reverse_rows()
+        # The diamond's incoming edges, sources ascending.
+        assert CSRGraph(_diamond()).reverse_rows() == [(), ((0, 1.0),), ((0, 2.0),),
+                                                       ((1, 3.0), (2, 1.0))]
+
+    def test_untouched_rows_are_shared_with_the_predecessor(self):
+        graph = make_paper_grid(5, "uniform")
+        previous = csr_for(graph)
+        previous.reverse_rows()
+        u, v = (1, 1), (1, 2)
+        graph.apply_cost_updates([(u, v, 9.0)])
+        derived = csr_for(graph)
+        assert csr.cache_stats()["derived"] == 1
+        i, j = derived.index_of[u], derived.index_of[v]
+        for w in range(derived.node_count):
+            assert (derived.rows[w] is previous.rows[w]) == (w != i)
+            assert (derived.reverse_rows()[w] is previous.reverse_rows()[w]) == (w != j)
+        assert (j, 9.0) in derived.rows[i]
+        assert (i, 9.0) in derived.reverse_rows()[j]
+        assert (j, 9.0) not in previous.rows[i]
+
+
 class TestBuildCache:
     def test_same_state_hits(self):
         graph = _diamond()
@@ -185,11 +250,14 @@ class TestDerivedSnapshots:
         assert snapshot.indptr_list == fresh.indptr_list
         assert snapshot.indices_list == fresh.indices_list
         assert snapshot.weights_list == fresh.weights_list
+        assert snapshot.rows == fresh.rows
+        assert snapshot.reverse_rows() == fresh.reverse_rows()
 
     def test_chained_epochs_match_a_rebuild(self):
         graph = make_paper_grid(6, "variance", seed=4)
         edges = sorted((e.source, e.target) for e in graph.edges())
         base = csr_for(graph)
+        base.reverse_rows()  # so every derived snapshot patches its transpose
         previous = base
         for number in range(1, 5):
             updates = [
@@ -206,6 +274,11 @@ class TestDerivedSnapshots:
             assert derived.indices_list is base.indices_list
             assert derived.node_ids is base.node_ids
             assert derived.weights_list is not previous.weights_list
+            assert derived.rows is not previous.rows
+            if number == 2:
+                i, j = derived.index_of[u], derived.index_of[v]
+                assert (j, 3.5) in derived.rows[i]
+                assert (i, 3.5) in derived.reverse_rows()[j]
             self._assert_equals_rebuild(derived, graph)
             previous = derived
         graph.update_edge_cost(*edges[3], 0.25)

@@ -11,7 +11,7 @@ from repro.exceptions import (
     NegativeEdgeCostError,
     NodeNotFoundError,
 )
-from repro.graphs.graph import Edge, Graph, Node, graph_from_edges
+from repro.graphs.graph import CostDelta, Edge, Graph, Node, graph_from_edges
 
 
 class TestNode:
@@ -116,6 +116,39 @@ class TestGraphMutation:
     def test_update_edge_cost_rejects_negative(self, tiny_graph):
         with pytest.raises(NegativeEdgeCostError):
             tiny_graph.update_edge_cost("a", "b", -2.0)
+
+
+class TestCostDelta:
+    def test_is_immutable(self):
+        delta = CostDelta("a", "b", 2.0, 1.0)
+        for name in ("source", "target", "old_cost", "new_cost", "decreased"):
+            with pytest.raises(AttributeError):
+                setattr(delta, name, 5.0)
+        with pytest.raises(AttributeError):
+            delta.extra = 1  # no per-instance attribute dict either
+        assert delta == CostDelta("a", "b", 2.0, 1.0)
+
+    def test_compares_and_hashes_by_value(self):
+        delta = CostDelta("a", "b", 2.0, 1.0)
+        same = CostDelta(source="a", target="b", old_cost=2.0, new_cost=1.0)
+        assert delta == same and hash(delta) == hash(same)
+        assert delta != CostDelta("a", "b", 2.0, 1.5)
+        assert delta != CostDelta("b", "a", 2.0, 1.0)
+        assert len({delta, same, CostDelta("a", "b", 1.0, 2.0)}) == 2
+        assert repr(delta) == "CostDelta(source='a', target='b', old_cost=2.0, new_cost=1.0)"
+
+    def test_decreased(self):
+        assert CostDelta("a", "b", 2.0, 1.0).decreased
+        assert not CostDelta("a", "b", 1.0, 2.0).decreased
+        assert not CostDelta("a", "b", 1.0, 1.0).decreased
+
+    def test_epoch_returns_the_effective_records(self, tiny_graph):
+        old = tiny_graph.edge_cost("a", "b")
+        deltas = tiny_graph.apply_cost_updates([("a", "b", old + 1.0), ("a", "b", old + 2.0)])
+        assert deltas == [
+            CostDelta("a", "b", old, old + 1.0),
+            CostDelta("a", "b", old + 1.0, old + 2.0),
+        ]
 
 
 class TestGraphQueries:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.estimators import EuclideanEstimator
 from repro.graphs.graph import Graph
-from repro.kernel import search
+from repro.kernel import csr, reference_sssp, search
 from repro.kernel.result import SearchStats
 
 _COSTS = st.floats(
@@ -157,3 +157,57 @@ def test_reopening_parity_on_deterministic_case():
     assert csr_run.found and csr_run.cost == 13.0
     assert _stats_tuple(csr_run) == _stats_tuple(generic_run)
     assert csr_seen == generic_seen
+
+
+def _transposed(graph: Graph) -> Graph:
+    """``graph`` with every edge reversed, each node's edges in the CSR
+    transpose's order (by the source's position in ``graph``)."""
+    transposed = Graph(name="transposed")
+    for node in graph.node_ids():
+        transposed.add_node(node, *graph.coordinates(node))
+    for u in graph.node_ids():
+        for v, cost in graph.neighbors(u):
+            transposed.add_edge(v, u, cost)
+    return transposed
+
+
+def _as_reference(snapshot, dist, pred):
+    """A dense ``sssp_tree`` result in :func:`reference_sssp`'s dict form."""
+    node_ids = snapshot.node_ids
+    reached = [i for i, d in enumerate(dist) if d != float("inf")]
+    return (
+        {node_ids[i]: dist[i] for i in reached},
+        {node_ids[i]: None if pred[i] == -1 else node_ids[pred[i]] for i in reached},
+    )
+
+
+@given(
+    random_graphs(),
+    st.lists(
+        st.lists(st.tuples(st.integers(min_value=0), _COSTS), min_size=1, max_size=8),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@_SETTINGS
+def test_trees_on_derived_snapshots_equal_the_reference(case, epochs):
+    """Forward and reverse ``sssp_tree`` on every snapshot of a chain of
+    cost epochs (each derived from the last, rows patched in place of a
+    rebuild) equal :func:`reference_sssp` in ``dist`` and ``pred``."""
+    graph, source, _ = case
+    edges = [(e.source, e.target) for e in graph.edges()]
+    base = csr.csr_for(graph)
+    base.reverse_rows()
+    for number in range(len(epochs) + 1):
+        if number and edges:
+            graph.apply_cost_updates(
+                [(*edges[pick % len(edges)], cost) for pick, cost in epochs[number - 1]]
+            )
+        snapshot, dist, pred = csr.sssp_tree(graph, source)
+        assert snapshot.fingerprint == graph.fingerprint
+        assert snapshot.indices_list is base.indices_list  # derived, not rebuilt
+        assert _as_reference(snapshot, dist, pred) == reference_sssp(graph, source)
+        _, dist, pred = csr.sssp_tree(graph, source, reverse=True)
+        assert _as_reference(snapshot, dist, pred) == reference_sssp(
+            _transposed(graph), source
+        )
