@@ -6,14 +6,16 @@ Scenarios (each best of ``repetitions`` runs):
   (``search(..., trace=True)``), the reference every fused loop is
   held to counter for counter (the baseline);
 * ``dijkstra/csr-cold`` — CSR tier with the build cache cleared every
-  repetition, so the flattening cost is inside the timed region;
+  repetition (:func:`repro.kernel.csr.clear_cache`), so the flattening
+  cost is inside the timed region;
 * ``dijkstra/csr-warm`` — CSR tier against a warm build cache (the
   steady-state production path);
 * ``astar-euclidean/generic`` / ``astar-euclidean/csr`` — A* with the
   euclidean estimator on the generic loop and the CSR tier;
 * ``astar-landmark/csr`` — A* with a prepared :class:`LandmarkEstimator`
-  (table builds run outside the timed region; they share the CSR cache
-  through :func:`repro.kernel.csr.sssp`);
+  (table builds run outside the timed region; they share the graph's
+  one CSR snapshot through :func:`repro.kernel.csr.sssp`, the
+  to-landmark tables over its transpose);
 * ``iterative/generic`` / ``iterative/csr`` — the wave loop on each;
 * ``plan_many/cold`` — a :class:`RouteService` batch on a fresh
   service (every distinct query computed);

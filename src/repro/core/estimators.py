@@ -167,7 +167,7 @@ class LandmarkEstimator:
     This is always admissible and consistent regardless of geometry, so
     it restores A*'s optimality guarantee on road maps where manhattan
     distance overestimates. Preprocessing runs one Dijkstra per
-    landmark on the reversed and forward graphs.
+    landmark over the graph's CSR form and one over its transpose.
 
     ``landmarks`` is either an explicit iterable of node ids, or the
     string spec ``"farthest:k"`` requesting **farthest-point seeding**:
@@ -223,16 +223,19 @@ class LandmarkEstimator:
         self._dest_key: Optional[Tuple[Tuple[int, int], NodeId]] = None
 
     @staticmethod
-    def _sssp(graph: Graph, source: NodeId) -> Dict[NodeId, float]:
+    def _sssp(
+        graph: Graph, source: NodeId, reverse: bool = False
+    ) -> Dict[NodeId, float]:
         """Single-source distances through the shared kernel loop.
 
         Landmark-table builds use the same relaxation implementation as
         every planner (``repro.kernel.csr.sssp``) rather than a
-        private inline Dijkstra.
+        private inline Dijkstra; ``reverse`` runs it over the graph's
+        CSR transpose, giving distances *to* ``source``.
         """
         from repro.kernel import csr
 
-        return csr.sssp(graph, source)
+        return csr.sssp(graph, source, reverse)
 
     def _select_farthest(self, graph: Graph) -> None:
         """Greedy farthest-point sweep; fills landmarks + forward tables.
@@ -280,8 +283,12 @@ class LandmarkEstimator:
         self._from_landmark = {mark: tables[mark] for mark in chosen}
 
     def preprocess(self, graph: Graph) -> None:
-        """Run the per-landmark Dijkstras; call once per graph state."""
-        reversed_graph = graph.reversed()
+        """Run the per-landmark Dijkstras; call once per graph state.
+
+        The to-landmark tables run over the snapshot's transpose, so one
+        graph state costs one CSR build, not a second for a reversed
+        copy of the graph.
+        """
         if self._farthest_count is not None:
             # Re-select on every preprocess: distances (hence "farthest")
             # change with edge costs, and the selection SSSPs *are* the
@@ -293,7 +300,7 @@ class LandmarkEstimator:
                 for landmark in self.landmarks
             }
         self._to_landmark = {
-            landmark: self._sssp(reversed_graph, landmark)
+            landmark: self._sssp(graph, landmark, reverse=True)
             for landmark in self.landmarks
         }
         self._prepared_for = graph.fingerprint

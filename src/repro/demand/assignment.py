@@ -212,8 +212,8 @@ def _aon_load(
         bound += q * mu
         snapshot, pred = predecessors[origin]
         edge_of = slot_edges(snapshot)
-        indptr = snapshot.indptr_list
-        indices = snapshot.indices_list
+        indptr = snapshot.indptr
+        indices = snapshot.indices
         s = snapshot.index_of[origin]
         v = snapshot.index_of[destination]
         while v != s:
@@ -289,9 +289,9 @@ def assign(
     def slot_edges(snapshot: CSRGraph) -> List[int]:
         """The ``edges`` index of every CSR slot, built once per topology."""
         nonlocal topology, slot_to_edge
-        if snapshot.indices_list is not topology:
+        if snapshot.indices is not topology:
             node_ids = snapshot.node_ids
-            topology = snapshot.indices_list
+            topology = snapshot.indices
             slot_to_edge = [
                 position[node_ids[u], node_ids[v]]
                 for u, row in enumerate(snapshot.rows)

@@ -130,8 +130,11 @@ def hop_diameter(graph: Graph, sample: Optional[int] = None) -> int:
 
 
 def cost_radius(graph: Graph, source: NodeId) -> float:
-    """Maximum shortest-path cost from ``source`` (inf if unreachable
-    nodes exist is NOT signalled — only reachable nodes count)."""
+    """Maximum shortest-path cost from ``source`` to a node it reaches.
+
+    Unreachable nodes are ignored rather than signalled: a source that
+    reaches only part of the graph still gets a finite radius.
+    """
     distances = csr.sssp(graph, source)
     return max(distances.values()) if distances else 0.0
 

@@ -455,7 +455,9 @@ class Graph:
     def reversed(self) -> "Graph":
         """Return a copy with every edge direction flipped.
 
-        Used by the bidirectional planner's backward search.
+        Searches that run backward read the CSR transpose instead
+        (:meth:`repro.kernel.csr.CSRGraph.reverse_rows`); this copy
+        serves analyses and tests that need the flipped graph itself.
         """
         flipped = Graph(name=f"{self.name}-reversed")
         for node in self._nodes.values():

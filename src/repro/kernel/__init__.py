@@ -13,8 +13,9 @@ This package is that observation as code:
   and :class:`RelationalBackend` (Table 3/4A rates through ``iostats``),
   plus the relational frontier-policy adapters;
 * :mod:`repro.kernel.csr` — the compact CSR form of a graph
-  (contiguous ``indptr``/``indices``/``weights`` arrays plus a node-id
-  interning table, built once per ``Graph.fingerprint`` and cached)
+  (flat ``indptr``/``indices``/``weights`` slot lists, per-node
+  ``(neighbor, weight)`` adjacency rows and a node-id interning table;
+  one snapshot per graph state, cached for as long as the graph lives)
   and the flat-array fused loops that run on it — the one fast tier
   untraced in-memory runs dispatch to;
 * :mod:`repro.kernel.accel` — the preprocess → customize → query

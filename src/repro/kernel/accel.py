@@ -316,8 +316,8 @@ class CCHAccelerator(Accelerator):
         return (
             csr.node_count,
             csr.edge_count,
-            csr.indptr_list,
-            csr.indices_list,
+            csr.indptr,
+            csr.indices,
             csr.node_ids,
         )
 
@@ -387,8 +387,8 @@ class CCHAccelerator(Accelerator):
     def _preprocess(self, graph: Graph) -> None:
         csr = _csr.csr_for(graph)
         n = csr.node_count
-        indptr = csr.indptr_list
-        indices = csr.indices_list
+        indptr = csr.indptr
+        indices = csr.indices
 
         # Undirected skeleton: the overlay is built on edge *presence*;
         # per-direction costs live in the customization weights.
@@ -591,7 +591,7 @@ class CCHAccelerator(Accelerator):
 
     def _customize(self, graph: Graph, epoch) -> bool:
         csr = _csr.csr_for(graph)
-        weights = csr.weights_list
+        weights = csr.weights
         m = self.arc_count
         if (
             epoch is not None
@@ -666,7 +666,7 @@ class CCHAccelerator(Accelerator):
         same order, hence the identical fixpoint, middles included.
         """
         index_of = csr.index_of
-        weights = csr.weights_list
+        weights = csr.weights
         rank = self._rank
         arc_of = self._arc_of
         fw = self._fw

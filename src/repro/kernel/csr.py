@@ -5,7 +5,7 @@ eager validation, cheap mutation — but the wrong traversal substrate:
 every relaxation pays a tuple hash for the neighbor lookup and a dict
 probe for the label. This module flattens a graph once into the layout
 road-network engines use (Wu et al.'s survey; aequilibrae's compiled
-path engine): three contiguous ``array`` vectors
+path engine): three flat slot vectors
 
 * ``indptr``  — ``indptr[i]:indptr[i+1]`` brackets node *i*'s edges,
 * ``indices`` — the neighbor's dense index per edge,
@@ -26,11 +26,13 @@ what makes the two *byte-identical* in paths, costs, and every
 :class:`~repro.kernel.result.SearchStats` counter (tests/test_kernel.py
 holds the proofs).
 
-Builds are cached per :attr:`Graph.fingerprint`: one entry per graph
-``uid``, replaced when a mutation bumps the version, shared process-wide
-so the service's estimator pool (landmark table builds run
-:func:`sssp`) and its query path reuse one flattening. The cache is
-bounded LRU; :func:`cache_stats` feeds ``RouteService.snapshot()``.
+Builds are cached per graph: one snapshot per live ``Graph`` object,
+checked against :attr:`Graph.fingerprint` on every read and replaced
+when the graph's state moves on, shared process-wide so the service's
+estimator pool (landmark table builds run :func:`sssp`) and its query
+path reuse one flattening. The cache holds its graphs weakly, so a
+snapshot lives exactly as long as its graph; :func:`cache_stats` feeds
+``RouteService.snapshot()``.
 
 The search loops below are the kernel loop fused for flat state —
 ``uniform_cost`` is the heap policy with no lookahead (Dijkstra,
@@ -45,7 +47,8 @@ iteration exactly as the generic loop does, so instrumentation that
 records the observation sequence sees identical streams from both.
 Iteration limits are enforced *before* the bounding expansion: a
 bounded run performs at most ``limit`` expansions (waves), never
-``limit + 1``.
+``limit + 1``. One-to-all searches (:func:`sssp`, :func:`sssp_tree`)
+share one loop.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from array import array
-from collections import OrderedDict
+import weakref
 from itertools import compress
 from operator import truediv
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -70,17 +72,20 @@ class CSRGraph:
     """One immutable CSR snapshot of a :class:`Graph` state.
 
     ``fingerprint`` records the graph state the snapshot was taken
-    from; the cache refuses to serve it for any other state.
+    from; the cache refuses to serve it for any other state. The slot
+    vectors ``indptr``, ``indices`` and ``weights`` are plain lists
+    (accel.py and the assignment's AON load index them); the search
+    loops read ``rows``.
 
     ``CSRGraph(graph)`` flattens the graph. ``CSRGraph(graph, previous,
     deltas)`` derives the snapshot one cost-only change after
     ``previous`` copy-on-write: the topology (``indptr`` / ``indices``
-    / ``node_ids`` / ``index_of``, their list views, the edge lengths
-    and the transpose's slot table) is shared, ``weights`` is copied
-    and the deltas patched into the copy, and only the adjacency rows
-    of the sources (forward) and targets (reverse) the deltas touch are
-    rebuilt; every other row tuple is the predecessor's own object. So
-    ``previous`` itself never changes.
+    / ``node_ids`` / ``index_of``, the edge lengths and the transpose's
+    slot table) is shared, ``weights`` is copied and the deltas patched
+    into the copy, and only the adjacency rows of the sources (forward)
+    and targets (reverse) the deltas touch are rebuilt; every other row
+    tuple is the predecessor's own object. So ``previous`` itself never
+    changes.
     """
 
     __slots__ = (
@@ -92,14 +97,12 @@ class CSRGraph:
         "indptr",
         "indices",
         "weights",
-        "indptr_list",
-        "indices_list",
-        "weights_list",
         "rows",
         "_reverse",
         "_lengths",
         "_incoming",
         "_scale",
+        "__weakref__",
     )
 
     def __init__(
@@ -119,37 +122,25 @@ class CSRGraph:
             node_id: i for i, node_id in enumerate(node_ids)
         }
         n = len(node_ids)
-        indptr = array("l", [0]) * (n + 1)
-        indices = array("l")
-        weights = array("d")
-        k = 0
+        indptr = [0] * (n + 1)
+        indices: List[int] = []
+        weights: List[float] = []
         for i, node_id in enumerate(node_ids):
             for v, cost in graph.neighbors(node_id):
                 indices.append(index_of[v])
                 weights.append(cost)
-                k += 1
-            indptr[i + 1] = k
+            indptr[i + 1] = len(indices)
         self.node_count = n
-        self.edge_count = k
+        self.edge_count = len(indices)
         self.node_ids = node_ids
         self.index_of = index_of
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # Interpreter-hot-loop views of the same flat vectors. The
-        # ``array`` vectors are the canonical compact layout (and what
-        # a buffer-protocol consumer would hand to numpy or a compiled
-        # kernel), but ``array.__getitem__`` boxes a fresh object on
-        # every access; the interned list views return the same stored
-        # objects by pointer, which is what accel.py's loops index.
-        # Built once per fingerprint alongside the arrays.
-        self.indptr_list = list(indptr)
-        self.indices_list = list(indices)
-        self.weights_list = list(weights)
         # The search loops' layout: node u's (neighbor, weight) pairs,
-        # unpacked per edge in one step, holding the list views' objects.
-        pairs = list(zip(self.indices_list, self.weights_list))
-        self.rows = [tuple(pairs[a:b]) for a, b in zip(self.indptr_list, self.indptr_list[1:])]
+        # unpacked per edge in one step, holding the slot vectors' objects.
+        pairs = list(zip(indices, weights))
+        self.rows = [tuple(pairs[a:b]) for a, b in zip(indptr, indptr[1:])]
         # Straight-line edge lengths for euclidean_scale, filled on
         # first use as [slots of positive length (None: every slot),
         # their lengths]. Pure topology: derived snapshots share it.
@@ -165,16 +156,12 @@ class CSRGraph:
         self.node_count = previous.node_count
         self.edge_count = previous.edge_count
         self.node_ids = previous.node_ids
-        self.index_of = previous.index_of
-        self.indptr = previous.indptr
-        self.indices = previous.indices
-        self.indptr_list = indptr = previous.indptr_list
-        self.indices_list = indices = previous.indices_list
+        self.index_of = index_of = previous.index_of
+        self.indptr = indptr = previous.indptr
+        self.indices = indices = previous.indices
         self._lengths = previous._lengths
         self._incoming = previous._incoming
-        weights = array("d", previous.weights)
-        weights_list = list(previous.weights_list)
-        index_of = previous.index_of
+        self.weights = weights = list(previous.weights)
         moved = bytearray(self.node_count)  # the deltas' sources
         # In order, so an edge written twice in one batch ends on the
         # batch's last value, as the graph does.
@@ -185,14 +172,11 @@ class CSRGraph:
             while indices[k] != v:
                 k += 1
             weights[k] = delta.new_cost
-            weights_list[k] = delta.new_cost
             moved[u] = 1
-        self.weights = weights
-        self.weights_list = weights_list
         rows = list(previous.rows)
         for u in compress(range(self.node_count), moved):
             a, b = indptr[u], indptr[u + 1]
-            rows[u] = tuple(zip(indices[a:b], weights_list[a:b]))
+            rows[u] = tuple(zip(indices[a:b], weights[a:b]))
         self.rows = rows
         if previous._reverse is not None:
             reverse = list(previous._reverse)
@@ -214,8 +198,8 @@ class CSRGraph:
         if self._scale is None:
             if not self._lengths:
                 coordinates = [graph.coordinates(v) for v in self.node_ids]
-                indptr = self.indptr_list
-                indices = self.indices_list
+                indptr = self.indptr
+                indices = self.indices
                 lengths = []
                 for u, (ux, uy) in enumerate(coordinates):
                     for k in range(indptr[u], indptr[u + 1]):
@@ -227,7 +211,7 @@ class CSRGraph:
                     lengths = [lengths[k] for k in slots]
                 self._lengths[:] = [slots, lengths]  # one atomic publish
             slots, lengths = self._lengths
-            weights = self.weights_list
+            weights = self.weights
             if slots is not None:
                 weights = [weights[k] for k in slots]
             ratio = min(map(truediv, weights, lengths), default=1.0)
@@ -262,8 +246,8 @@ class CSRGraph:
         """
         if not self._incoming:
             n = self.node_count
-            indptr = self.indptr_list
-            indices = self.indices_list
+            indptr = self.indptr
+            indices = self.indices
             counts = [0] * (n + 1)
             for v in indices:
                 counts[v + 1] += 1
@@ -281,7 +265,7 @@ class CSRGraph:
                     fill[v] = p + 1
             self._incoming[:] = [counts, sources, slots]  # one atomic publish
         rindptr, sources, slots = self._incoming
-        weights = self.weights_list
+        weights = self.weights
         for v in targets:
             a, b = rindptr[v], rindptr[v + 1]
             reverse[v] = tuple(zip(sources[a:b], [weights[k] for k in slots[a:b]]))
@@ -294,26 +278,26 @@ class CSRGraph:
 
 
 # ----------------------------------------------------------------------
-# fingerprint-keyed build cache
+# per-graph build cache
 # ----------------------------------------------------------------------
 _cache_lock = threading.Lock()
-_cache: "OrderedDict[int, CSRGraph]" = OrderedDict()
-_cache_capacity = 32
+# Keyed by the Graph object itself (graphs hash by identity) and held
+# weakly: an entry goes when its graph does.
+_cache: "weakref.WeakKeyDictionary[Graph, CSRGraph]" = weakref.WeakKeyDictionary()
 _stats = {
     "hits": 0,
     "misses": 0,
     "builds": 0,
     "derived": 0,
     "invalidations": 0,
-    "evictions": 0,
 }
 
 
 def csr_for(graph: Graph) -> CSRGraph:
     """Return the cached CSR form of ``graph``'s current state.
 
-    Keyed by ``graph.uid`` with the fingerprint checked on every hit:
-    a mutation (version bump) makes the cached entry unservable and the
+    One entry per graph, with the fingerprint checked on every hit: a
+    mutation (version bump) makes the cached entry unservable and the
     next call rebuilds. When the cached entry is exactly the graph's
     last cost-only change behind (:attr:`Graph.last_cost_change`), the
     new snapshot is derived from it by the change's deltas instead of
@@ -323,12 +307,10 @@ def csr_for(graph: Graph) -> CSRGraph:
     graph is read, and every build is cached.
     """
     fingerprint = graph.fingerprint
-    uid = fingerprint[0]
     with _cache_lock:
-        entry = _cache.get(uid)
+        entry = _cache.get(graph)
         if entry is not None:
             if entry.fingerprint == fingerprint:
-                _cache.move_to_end(uid)
                 _stats["hits"] += 1
                 return entry
             _stats["invalidations"] += 1
@@ -336,23 +318,17 @@ def csr_for(graph: Graph) -> CSRGraph:
     with graph.gate.shared():
         fingerprint = graph.fingerprint
         change = graph.last_cost_change
-        if (
+        derived = (
             entry is not None
             and change is not None
             and change[0] == entry.fingerprint[1]
             and change[0] + 1 == fingerprint[1]
-        ):
-            built = CSRGraph(graph, entry, change[1])
-            _stats["derived"] += 1
-        else:
-            built = CSRGraph(graph)
+        )
+        built = CSRGraph(graph, entry, change[1]) if derived else CSRGraph(graph)
         with _cache_lock:
             _stats["builds"] += 1
-            _cache[uid] = built
-            _cache.move_to_end(uid)
-            while len(_cache) > _cache_capacity:
-                _cache.popitem(last=False)
-                _stats["evictions"] += 1
+            _stats["derived"] += derived
+            _cache[graph] = built
     return built
 
 
@@ -360,18 +336,6 @@ def clear_cache() -> None:
     """Drop every cached CSR build (used by cold-start benchmarks)."""
     with _cache_lock:
         _cache.clear()
-
-
-def configure_cache(capacity: int) -> None:
-    """Resize the build cache (evicting LRU entries if shrinking)."""
-    global _cache_capacity
-    if capacity < 1:
-        raise ValueError("CSR cache capacity must be >= 1")
-    with _cache_lock:
-        _cache_capacity = capacity
-        while len(_cache) > _cache_capacity:
-            _cache.popitem(last=False)
-            _stats["evictions"] += 1
 
 
 def cache_stats() -> Dict[str, int]:
@@ -736,49 +700,18 @@ def wave(
 
 
 def sssp(
-    graph: Graph, source: NodeId, cutoff: Optional[float] = None
+    graph: Graph, source: NodeId, reverse: bool = False
 ) -> Dict[NodeId, float]:
     """Single-source distances on the CSR tier (no early termination).
 
-    Returns the same ``{node_id: distance}`` mapping as the ``dist`` of
-    :func:`repro.kernel.loop.reference_sssp`: only reached nodes
-    appear, and with ``cutoff`` only those within it.
+    The ``{node_id: distance}`` view of :func:`sssp_tree`: the same
+    mapping as the ``dist`` of :func:`repro.kernel.loop.reference_sssp`,
+    only reached nodes appearing. With ``reverse`` the distances run
+    *to* ``source``, as ``reference_sssp`` gives them on
+    ``graph.reversed()``.
     """
-    if source not in graph:
-        raise NodeNotFoundError(source)
-
-    csr = csr_for(graph)
-    rows = csr.rows
-    s = csr.index_of[source]
-    n = csr.node_count
-
-    dist = [_INF] * n
-    settled = bytearray(n)
-    dist[s] = 0.0
-    heap = [(0.0, 0, s)]
-    counter = 1
-    pop = heapq.heappop
-    push = heapq.heappush
-
-    while heap:
-        d, _, u = pop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        if cutoff is not None and d > cutoff:
-            continue
-        for v, w in rows[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                counter += 1
-                push(heap, (nd, counter, v))
-
+    csr, dist, _ = _one_to_all(graph, source, reverse)
     node_ids = csr.node_ids
-    if cutoff is not None:
-        return {
-            node_ids[i]: d for i, d in enumerate(dist) if d <= cutoff
-        }
     return {node_ids[i]: d for i, d in enumerate(dist) if d != _INF}
 
 
@@ -791,9 +724,7 @@ def sssp_tree(
     is the shortest-path cost from ``source`` to ``csr.node_ids[i]``
     (``inf`` when unreachable) and ``pred[i]`` the dense index of the
     predecessor on that path (``-1`` for the source and unreached
-    nodes). Relaxations run in exactly the order :func:`sssp` uses, so
-    the distances are bit-identical to the cutoff-free :func:`sssp`
-    mapping and the tree path to any settled node is the same route
+    nodes). The tree path to any settled node is the same route
     :func:`uniform_cost` returns for the pair — the property the skim
     subsystem's exactness audit leans on.
 
@@ -801,6 +732,17 @@ def sssp_tree(
     transpose (:meth:`CSRGraph.reverse_rows`): the tree is then the
     one *into* ``source`` — ``dist[i]`` is the cost from node ``i`` to
     ``source`` and ``pred[i]`` the next node on that path.
+    """
+    return _one_to_all(graph, source, reverse)
+
+
+def _one_to_all(
+    graph: Graph, source: NodeId, reverse: bool
+) -> "Tuple[CSRGraph, List[float], List[int]]":
+    """The one one-to-all loop behind :func:`sssp` and :func:`sssp_tree`.
+
+    Neither public name calls the other, so a wrapper on either one
+    (``perfbench/layers.py`` traces both) counts each search once.
     """
     if source not in graph:
         raise NodeNotFoundError(source)
@@ -821,7 +763,7 @@ def sssp_tree(
     while heap:
         d, _, u = pop(heap)
         # A push needs a strictly smaller label, so only stale entries
-        # pop above the node's label: the same pops :func:`sssp` skips.
+        # pop above the node's label.
         if d > dist[u]:
             continue
         for v, w in rows[u]:

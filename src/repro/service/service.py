@@ -1145,9 +1145,10 @@ class RouteService:
             snap[f"cache_{name}"] = value
         for name, value in self.pool.snapshot().items():
             snap[f"pool_{name}"] = value
-        # The CSR build cache is process-wide (shared by the query
-        # path and the estimator pool's landmark sssp runs); surface
-        # it here so one snapshot covers every reuse tier.
+        # The CSR build cache is process-wide, one snapshot per live
+        # graph (shared by the query path and the estimator pool's
+        # landmark sssp runs); surface it here so one snapshot covers
+        # every reuse tier.
         from repro.kernel import csr as _csr
 
         for name, value in _csr.cache_stats().items():

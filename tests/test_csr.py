@@ -3,11 +3,14 @@
 :mod:`tests.test_kernel` proves the CSR search loops byte-identical to
 the generic loop; this module tests what that proof
 rests on — the flattening itself (layout, interning, edge order) and
-the fingerprint-keyed build cache (hits, invalidation on mutation,
-LRU eviction, capacity, the counters the service snapshot surfaces).
+the per-graph build cache (hits, invalidation on mutation, a snapshot's
+lifetime, the counters the service snapshot surfaces).
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -21,13 +24,11 @@ from repro.service.cache import RouteCache
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    """Every test starts from an empty, default-capacity build cache."""
+    """Every test starts from an empty build cache."""
     csr.clear_cache()
-    csr.configure_cache(32)
     csr.reset_stats()
     yield
     csr.clear_cache()
-    csr.configure_cache(32)
     csr.reset_stats()
 
 
@@ -54,10 +55,10 @@ class TestCSRLayout:
     def test_indptr_brackets_each_nodes_edges(self):
         graph = _diamond()
         snapshot = CSRGraph(graph)
-        assert list(snapshot.indptr) == [0, 2, 3, 4, 4]
+        assert snapshot.indptr == [0, 2, 3, 4, 4]
         assert snapshot.edge_count == 4
-        assert len(snapshot.indices) == 4
-        assert len(snapshot.weights) == 4
+        assert snapshot.indices == [1, 2, 3, 3]
+        assert snapshot.weights == [1.0, 2.0, 3.0, 1.0]
 
     def test_edges_keep_neighbor_iteration_order(self):
         """Relaxation-order parity with the generic loop depends on this."""
@@ -70,12 +71,6 @@ class TestCSRLayout:
                 for k in range(start, stop)
             ]
             assert flat == list(graph.neighbors(node_id))
-
-    def test_list_views_mirror_arrays(self):
-        snapshot = CSRGraph(make_paper_grid(4, "uniform"))
-        assert snapshot.indptr_list == list(snapshot.indptr)
-        assert snapshot.indices_list == list(snapshot.indices)
-        assert snapshot.weights_list == list(snapshot.weights)
 
     def test_fingerprint_recorded(self):
         graph = _diamond()
@@ -95,7 +90,7 @@ def _counting_sort_transpose(snapshot):
     """The transpose as ``(rindptr, sources, weights)`` by counting sort."""
     n = snapshot.node_count
     counts = [0] * (n + 1)
-    for v in snapshot.indices_list:
+    for v in snapshot.indices:
         counts[v + 1] += 1
     for i in range(n):
         counts[i + 1] += counts[i]
@@ -103,10 +98,10 @@ def _counting_sort_transpose(snapshot):
     sources = [0] * snapshot.edge_count
     weights = [0.0] * snapshot.edge_count
     for u in range(n):
-        for k in range(snapshot.indptr_list[u], snapshot.indptr_list[u + 1]):
-            v = snapshot.indices_list[k]
+        for k in range(snapshot.indptr[u], snapshot.indptr[u + 1]):
+            v = snapshot.indices[k]
             sources[fill[v]] = u
-            weights[fill[v]] = snapshot.weights_list[k]
+            weights[fill[v]] = snapshot.weights[k]
             fill[v] += 1
     return counts, sources, weights
 
@@ -118,7 +113,7 @@ class TestAdjacencyRows:
         for graph in (_diamond(), make_paper_grid(6, "skewed", seed=9)):
             snapshot = CSRGraph(graph)
             assert snapshot.rows == _slices(
-                snapshot.indptr_list, snapshot.indices_list, snapshot.weights_list
+                snapshot.indptr, snapshot.indices, snapshot.weights
             )
             assert all(type(row) is tuple for row in snapshot.rows)
 
@@ -176,20 +171,17 @@ class TestBuildCache:
         assert csr_for(a) is not csr_for(b)
         assert csr.cache_stats()["entries"] == 2
 
-    def test_lru_eviction_at_capacity(self):
-        csr.configure_cache(2)
-        graphs = [_diamond() for _ in range(3)]
-        snapshots = [csr_for(graph) for graph in graphs]
+    def test_snapshot_lives_as_long_as_its_graph(self):
+        kept, dropped = _diamond(), _diamond()
+        held = csr_for(kept)
+        snapshot = weakref.ref(csr_for(dropped))
         assert csr.cache_stats()["entries"] == 2
-        assert csr.cache_stats()["evictions"] == 1
-        # The oldest entry was evicted; the newer two still hit.
-        assert csr_for(graphs[2]) is snapshots[2]
-        assert csr_for(graphs[1]) is snapshots[1]
-        assert csr_for(graphs[0]) is not snapshots[0]
-
-    def test_configure_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            csr.configure_cache(0)
+        del dropped
+        gc.collect()
+        assert snapshot() is None
+        assert csr.cache_stats()["entries"] == 1
+        # The live graph's entry still hits.
+        assert csr_for(kept) is held
 
     def test_clear_cache_drops_entries_not_counters(self):
         csr_for(_diamond())
@@ -247,9 +239,6 @@ class TestDerivedSnapshots:
         assert snapshot.indptr == fresh.indptr
         assert snapshot.indices == fresh.indices
         assert snapshot.weights == fresh.weights
-        assert snapshot.indptr_list == fresh.indptr_list
-        assert snapshot.indices_list == fresh.indices_list
-        assert snapshot.weights_list == fresh.weights_list
         assert snapshot.rows == fresh.rows
         assert snapshot.reverse_rows() == fresh.reverse_rows()
 
@@ -271,9 +260,9 @@ class TestDerivedSnapshots:
             graph.apply_cost_updates(updates)
             derived = csr_for(graph)
             # Topology shared, weights copied: no published list moved.
-            assert derived.indices_list is base.indices_list
+            assert derived.indices is base.indices
             assert derived.node_ids is base.node_ids
-            assert derived.weights_list is not previous.weights_list
+            assert derived.weights is not previous.weights
             assert derived.rows is not previous.rows
             if number == 2:
                 i, j = derived.index_of[u], derived.index_of[v]
@@ -291,12 +280,12 @@ class TestDerivedSnapshots:
         graph = _diamond()
         first = csr_for(graph)
         graph.update_edge_cost("a", "b", 4.0)
-        assert csr_for(graph).indices_list is first.indices_list
+        assert csr_for(graph).indices is first.indices
         assert csr.cache_stats()["derived"] == 1
         # A structural edit straight after the derived snapshot...
         graph.add_edge("b", "c", 1.0)
         rebuilt = csr_for(graph)
-        assert rebuilt.indices_list is not first.indices_list
+        assert rebuilt.indices is not first.indices
         assert rebuilt.edge_count == 5
         self._assert_equals_rebuild(rebuilt, graph)
         # ...and one between epochs, never seen by the cache.
@@ -311,12 +300,11 @@ class TestDerivedSnapshots:
     def test_snapshot_before_an_epoch_keeps_its_weights(self):
         graph = _diamond()
         before = csr_for(graph)
-        weights = list(before.weights_list)
+        weights = list(before.weights)
         graph.apply_cost_updates([("a", "b", 9.0), ("c", "d", 0.5)])
         after = csr_for(graph)
-        assert before.weights_list == weights
-        assert list(before.weights) == weights
-        assert after.weights_list != weights
+        assert before.weights == weights
+        assert after.weights != weights
         assert before.fingerprint != after.fingerprint
 
     def test_euclidean_scale(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import NodeNotFoundError
 from repro import kernel
 from repro.kernel import csr
-from repro.graphs.grid import make_grid, make_paper_grid
+from repro.graphs.grid import make_paper_grid
 
 
 class TestCorrectness:
@@ -72,13 +72,6 @@ class TestSSSP:
         for destination in "bcde":
             single = kernel.search(tiny_graph, "a", destination)
             assert distances[destination] == pytest.approx(single.cost)
-
-    def test_cutoff_bounds_radius(self):
-        graph = make_grid(8)
-        near = csr.sssp(graph, (0, 0), cutoff=3.0)
-        assert all(distance <= 3.0 for distance in near.values())
-        assert (0, 3) in near
-        assert (7, 7) not in near
 
     def test_missing_source_raises(self, tiny_graph):
         with pytest.raises(NodeNotFoundError):

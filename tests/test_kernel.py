@@ -410,10 +410,6 @@ class TestCSRTierEquivalence:
             full_csr = csr.sssp(graph, source)
             full_ref, _ = reference_sssp(graph, source)
             assert full_csr == full_ref
-            cutoff = sorted(full_csr.values())[len(full_csr) // 2]
-            assert csr.sssp(graph, source, cutoff=cutoff) == {
-                node: d for node, d in full_ref.items() if d <= cutoff
-            }
 
     @pytest.mark.parametrize("tier", ["csr", "generic"])
     @pytest.mark.parametrize("algorithm", ["astar", "iterative"])

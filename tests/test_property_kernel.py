@@ -18,7 +18,7 @@ import zlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimators import EuclideanEstimator
+from repro.core.estimators import EuclideanEstimator, LandmarkEstimator
 from repro.graphs.graph import Graph
 from repro.kernel import csr, reference_sssp, search
 from repro.kernel.result import SearchStats
@@ -193,8 +193,11 @@ def _as_reference(snapshot, dist, pred):
 def test_trees_on_derived_snapshots_equal_the_reference(case, epochs):
     """Forward and reverse ``sssp_tree`` on every snapshot of a chain of
     cost epochs (each derived from the last, rows patched in place of a
-    rebuild) equal :func:`reference_sssp` in ``dist`` and ``pred``."""
-    graph, source, _ = case
+    rebuild) equal :func:`reference_sssp` in ``dist`` and ``pred``; so do
+    a :class:`LandmarkEstimator`'s from- and to-landmark tables, built
+    with at most one snapshot build per graph state."""
+    graph, source, destination = case
+    landmarks = list(dict.fromkeys((source, destination)))
     edges = [(e.source, e.target) for e in graph.edges()]
     base = csr.csr_for(graph)
     base.reverse_rows()
@@ -203,9 +206,17 @@ def test_trees_on_derived_snapshots_equal_the_reference(case, epochs):
             graph.apply_cost_updates(
                 [(*edges[pick % len(edges)], cost) for pick, cost in epochs[number - 1]]
             )
+        builds = csr.cache_stats()["builds"]
+        estimator = LandmarkEstimator(landmarks)
+        estimator.preprocess(graph)
+        assert csr.cache_stats()["builds"] - builds <= 1  # no reversed copy
+        flipped = graph.reversed()
+        for mark in landmarks:
+            assert estimator._from_landmark[mark] == reference_sssp(graph, mark)[0]
+            assert estimator._to_landmark[mark] == reference_sssp(flipped, mark)[0]
         snapshot, dist, pred = csr.sssp_tree(graph, source)
         assert snapshot.fingerprint == graph.fingerprint
-        assert snapshot.indices_list is base.indices_list  # derived, not rebuilt
+        assert snapshot.indices is base.indices  # derived, not rebuilt
         assert _as_reference(snapshot, dist, pred) == reference_sssp(graph, source)
         _, dist, pred = csr.sssp_tree(graph, source, reverse=True)
         assert _as_reference(snapshot, dist, pred) == reference_sssp(
