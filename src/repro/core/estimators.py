@@ -29,7 +29,16 @@ from repro.graphs.graph import Graph, NodeId
 
 
 class Estimator(Protocol):
-    """Protocol every estimator implements."""
+    """Protocol every estimator implements.
+
+    An estimator may also offer a dense form, ``bind(csr, graph,
+    destination)``: it returns ``h(i)``, a function of a dense node
+    index into the CSR snapshot ``csr`` of ``graph``'s current state,
+    whose value is exactly ``estimate(graph, csr.node_ids[i],
+    destination)``. The fused A* loop reads every estimate through it
+    (:func:`repro.kernel.csr.potential`) and wraps ``estimate`` for an
+    estimator without one.
+    """
 
     name: str
 
@@ -42,6 +51,18 @@ class Estimator(Protocol):
         ...
 
 
+def check_scale(value: float, what: str) -> float:
+    """``value`` if it is a finite number ``>= 0``; else ValueError.
+
+    NaN passes a ``value < 0`` test, and a NaN or infinite scale turns
+    the estimate at the destination (distance 0) into NaN, so both are
+    rejected with the negatives.
+    """
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
+    return value
+
+
 class ZeroEstimator:
     """f(u, d) = 0 — reduces A* to Dijkstra's algorithm."""
 
@@ -52,6 +73,9 @@ class ZeroEstimator:
 
     def estimate(self, graph: Graph, node: NodeId, destination: NodeId) -> float:
         return 0.0
+
+    def bind(self, csr, graph: Graph, destination: NodeId):
+        return lambda i: 0.0
 
     def __repr__(self) -> str:
         return "ZeroEstimator()"
@@ -69,9 +93,7 @@ class EuclideanEstimator:
     name = "euclidean"
 
     def __init__(self, cost_per_unit: float = 1.0) -> None:
-        if cost_per_unit < 0:
-            raise ValueError("cost_per_unit must be non-negative")
-        self.cost_per_unit = cost_per_unit
+        self.cost_per_unit = check_scale(cost_per_unit, "cost_per_unit")
         self._dest_xy: Optional[tuple] = None
         self._prepared_key: Optional[Tuple[int, NodeId]] = None
 
@@ -88,6 +110,13 @@ class EuclideanEstimator:
         x, y = graph.coordinates(node)
         dx, dy = self._dest_xy
         return self.cost_per_unit * math.hypot(x - dx, y - dy)
+
+    def bind(self, csr, graph: Graph, destination: NodeId):
+        xs, ys = csr.coordinates(graph)
+        dx, dy = graph.coordinates(destination)
+        cost_per_unit = self.cost_per_unit
+        hypot = math.hypot
+        return lambda i: cost_per_unit * hypot(xs[i] - dx, ys[i] - dy)
 
     def __repr__(self) -> str:
         return f"EuclideanEstimator(cost_per_unit={self.cost_per_unit})"
@@ -107,9 +136,7 @@ class ManhattanEstimator:
     name = "manhattan"
 
     def __init__(self, cost_per_unit: float = 1.0) -> None:
-        if cost_per_unit < 0:
-            raise ValueError("cost_per_unit must be non-negative")
-        self.cost_per_unit = cost_per_unit
+        self.cost_per_unit = check_scale(cost_per_unit, "cost_per_unit")
         self._dest_xy: Optional[tuple] = None
         self._prepared_key: Optional[Tuple[int, NodeId]] = None
 
@@ -123,6 +150,12 @@ class ManhattanEstimator:
         x, y = graph.coordinates(node)
         dx, dy = self._dest_xy
         return self.cost_per_unit * (abs(x - dx) + abs(y - dy))
+
+    def bind(self, csr, graph: Graph, destination: NodeId):
+        xs, ys = csr.coordinates(graph)
+        dx, dy = graph.coordinates(destination)
+        cost_per_unit = self.cost_per_unit
+        return lambda i: cost_per_unit * (abs(xs[i] - dx) + abs(ys[i] - dy))
 
     def __repr__(self) -> str:
         return f"ManhattanEstimator(cost_per_unit={self.cost_per_unit})"
@@ -139,10 +172,8 @@ class ScaledEstimator:
     """
 
     def __init__(self, inner: Estimator, weight: float) -> None:
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
         self.inner = inner
-        self.weight = weight
+        self.weight = check_scale(weight, "weight")
         self.name = f"{inner.name}*{weight:g}"
 
     def prepare(self, graph: Graph, destination: NodeId) -> None:
@@ -150,6 +181,13 @@ class ScaledEstimator:
 
     def estimate(self, graph: Graph, node: NodeId, destination: NodeId) -> float:
         return self.weight * self.inner.estimate(graph, node, destination)
+
+    def bind(self, csr, graph: Graph, destination: NodeId):
+        from repro.kernel.csr import potential
+
+        inner = potential(self.inner, csr, graph, destination)
+        weight = self.weight
+        return lambda i: weight * inner(i)
 
     def __repr__(self) -> str:
         return f"ScaledEstimator({self.inner!r}, weight={self.weight})"
@@ -371,9 +409,8 @@ def make_estimator(name: str, weight: float = 1.0, **kwargs) -> Estimator:
             f"estimator {name!r}; accepted: "
             f"{', '.join(map(repr, accepted)) or '(none)'} and 'weight'"
         )
+    check_scale(weight, "weight")
     estimator: Estimator = factory(**kwargs)
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
     if weight != 1.0:
         estimator = ScaledEstimator(estimator, weight)
     return estimator

@@ -30,6 +30,7 @@ from repro.core.estimators import (
     ManhattanEstimator,
     ScaledEstimator,
     ZeroEstimator,
+    check_scale,
     make_estimator,
 )
 from repro.core.kshortest import diverse_alternatives, k_shortest_paths
@@ -226,6 +227,7 @@ class RoutePlanner:
     ) -> Tuple[Estimator, Optional[str]]:
         """Resolve a spec to an instance; the second element is the pool
         name to release it under afterwards (None when not pooled)."""
+        check_scale(weight, "weight")  # before a pooled instance is taken
         pooled_name: Optional[str] = None
         if estimator is None:
             resolved: Estimator = EuclideanEstimator()

@@ -14,7 +14,8 @@ This package is that observation as code:
   plus the relational frontier-policy adapters;
 * :mod:`repro.kernel.csr` — the compact CSR form of a graph
   (flat ``indptr``/``indices``/``weights`` slot lists, per-node
-  ``(neighbor, weight)`` adjacency rows and a node-id interning table;
+  ``(neighbor, weight)`` adjacency rows, a node-id interning table and
+  the coordinate lists A*'s potentials read by dense id;
   one snapshot per graph state, cached for as long as the graph lives)
   and the flat-array fused loops that run on it — the one fast tier
   untraced in-memory runs dispatch to;

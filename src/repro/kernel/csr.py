@@ -18,9 +18,11 @@ share: per-node **adjacency rows**, ``rows[u]`` a tuple of
 ``(neighbor index, weight)`` pairs in exactly slot order. A loop
 relaxes ``for v, w in rows[u]``, one tuple unpack per edge instead of
 a ``range()`` step and two list indexings; the transpose has the same
-shape (:meth:`CSRGraph.reverse_rows`). Edges appear in exactly the
-order ``Graph.neighbors`` yields them and nodes in
-``Graph.node_ids`` order, so a search over the CSR form relaxes edges
+shape (:meth:`CSRGraph.reverse_rows`), and A*'s potentials read the
+node coordinates as two more flat lists by dense index
+(:meth:`CSRGraph.coordinates`, through :func:`potential`). Edges
+appear in exactly the order ``Graph.neighbors`` yields them and nodes
+in ``Graph.node_ids`` order, so a search over the CSR form relaxes edges
 in the same sequence as the generic loop over the dict form — which is
 what makes the two *byte-identical* in paths, costs, and every
 :class:`~repro.kernel.result.SearchStats` counter (tests/test_kernel.py
@@ -75,17 +77,18 @@ class CSRGraph:
     from; the cache refuses to serve it for any other state. The slot
     vectors ``indptr``, ``indices`` and ``weights`` are plain lists
     (accel.py and the assignment's AON load index them); the search
-    loops read ``rows``.
+    loops read ``rows``, and A*'s potentials the coordinate lists of
+    :meth:`coordinates`.
 
     ``CSRGraph(graph)`` flattens the graph. ``CSRGraph(graph, previous,
     deltas)`` derives the snapshot one cost-only change after
     ``previous`` copy-on-write: the topology (``indptr`` / ``indices``
-    / ``node_ids`` / ``index_of``, the edge lengths and the transpose's
-    slot table) is shared, ``weights`` is copied and the deltas patched
-    into the copy, and only the adjacency rows of the sources (forward)
-    and targets (reverse) the deltas touch are rebuilt; every other row
-    tuple is the predecessor's own object. So ``previous`` itself never
-    changes.
+    / ``node_ids`` / ``index_of``, the coordinate lists, the edge
+    lengths and the transpose's slot table) is shared, ``weights`` is
+    copied and the deltas patched into the copy, and only the adjacency
+    rows of the sources (forward) and targets (reverse) the deltas
+    touch are rebuilt; every other row tuple is the predecessor's own
+    object. So ``previous`` itself never changes.
     """
 
     __slots__ = (
@@ -99,6 +102,7 @@ class CSRGraph:
         "weights",
         "rows",
         "_reverse",
+        "_coordinates",
         "_lengths",
         "_incoming",
         "_scale",
@@ -141,6 +145,10 @@ class CSRGraph:
         # unpacked per edge in one step, holding the slot vectors' objects.
         pairs = list(zip(indices, weights))
         self.rows = [tuple(pairs[a:b]) for a, b in zip(indptr, indptr[1:])]
+        # Node coordinates by dense index for coordinates(), filled on
+        # first use as [xs, ys]. Pure topology (a Node is frozen, and
+        # add_node forces a full build): derived snapshots share it.
+        self._coordinates = []
         # Straight-line edge lengths for euclidean_scale, filled on
         # first use as [slots of positive length (None: every slot),
         # their lengths]. Pure topology: derived snapshots share it.
@@ -159,6 +167,7 @@ class CSRGraph:
         self.index_of = index_of = previous.index_of
         self.indptr = indptr = previous.indptr
         self.indices = indices = previous.indices
+        self._coordinates = previous._coordinates
         self._lengths = previous._lengths
         self._incoming = previous._incoming
         self.weights = weights = list(previous.weights)
@@ -183,6 +192,21 @@ class CSRGraph:
             self._fill_reverse(reverse, {index_of[delta.target] for delta in deltas})
             self._reverse = reverse
 
+    def coordinates(self, graph: Graph) -> List[List[float]]:
+        """``[xs, ys]``: node coordinates as two lists by dense index.
+
+        ``graph`` (the snapshot's graph) supplies them on first use;
+        after that they are read from the snapshot, shared by every
+        snapshot of the same topology. The estimators' dense forms
+        (``bind``) and :meth:`euclidean_scale` read them.
+        """
+        if not self._coordinates:
+            nodes = [graph.node(v) for v in self.node_ids]
+            xs = [node.x for node in nodes]
+            ys = [node.y for node in nodes]
+            self._coordinates[:] = [xs, ys]  # one atomic publish
+        return self._coordinates
+
     def euclidean_scale(self, graph: Graph) -> float:
         """The largest factor ``<= 1`` that keeps straight-line distance
         a lower bound on every edge's cost in this snapshot.
@@ -197,14 +221,14 @@ class CSRGraph:
         """
         if self._scale is None:
             if not self._lengths:
-                coordinates = [graph.coordinates(v) for v in self.node_ids]
+                xs, ys = self.coordinates(graph)
                 indptr = self.indptr
                 indices = self.indices
                 lengths = []
-                for u, (ux, uy) in enumerate(coordinates):
+                for u, (ux, uy) in enumerate(zip(xs, ys)):
                     for k in range(indptr[u], indptr[u + 1]):
-                        vx, vy = coordinates[indices[k]]
-                        lengths.append(math.hypot(ux - vx, uy - vy))
+                        v = indices[k]
+                        lengths.append(math.hypot(ux - xs[v], uy - ys[v]))
                 slots = None
                 if not all(lengths):
                     slots = [k for k, length in enumerate(lengths) if length]
@@ -452,6 +476,28 @@ def uniform_cost(graph: Graph, source: NodeId, destination: NodeId) -> RunResult
     return result
 
 
+def potential(estimator, csr: CSRGraph, graph: Graph, destination: NodeId):
+    """The estimator as ``h(i)``, a function of a dense node index.
+
+    An estimator with a dense form answers ``bind(csr, graph,
+    destination)``: a closure over the snapshot's flat lists that
+    returns exactly the float ``estimate(graph, node_ids[i],
+    destination)`` would. Every other estimator (any class implementing
+    only the ``Estimator`` protocol) is wrapped around its ``estimate``.
+    So is a subclass that overrides ``estimate`` below the class that
+    defines ``bind``: the inherited dense form would bypass the
+    override.
+    """
+    for klass in type(estimator).__mro__:
+        if "bind" in vars(klass):
+            return estimator.bind(csr, graph, destination)
+        if "estimate" in vars(klass):
+            break
+    estimate = estimator.estimate
+    node_ids = csr.node_ids
+    return lambda i: estimate(graph, node_ids[i], destination)
+
+
 def best_first(
     graph: Graph,
     source: NodeId,
@@ -475,9 +521,13 @@ def best_first(
     count like :func:`uniform_cost`'s. The default bound of |N|^2
     expansions only guards against pathological reopening cascades.
 
-    Estimates are memoised per dense node index — estimators are pure
-    per (graph state, node, destination), so the memo changes no result,
-    only the number of ``estimate`` calls. The iteration bound is
+    Estimates are read through the estimator's dense form,
+    :func:`potential`, by dense node index, and memoised per index:
+    estimators are pure per (graph state, node, destination), so the
+    memo changes no result, only the number of evaluations. The
+    built-in estimators' dense forms read the snapshot's coordinate
+    lists (:meth:`CSRGraph.coordinates`) and return the very floats
+    ``estimate`` does. The iteration bound is
     enforced *before* the bounding expansion: a run raises with exactly
     ``limit`` expansions performed, never ``limit + 1``.
     """
@@ -497,7 +547,7 @@ def best_first(
 
     stats = SearchStats()
     observe = stats.observe_frontier
-    estimate = estimator.estimate
+    h_of = potential(estimator, csr, graph, destination)
     dist = [_INF] * n
     pred = [-1] * n
     h_memo: List[Optional[float]] = [None] * n
@@ -505,7 +555,7 @@ def best_first(
     explored = bytearray(n)
     dist[s] = 0.0
     in_frontier[s] = 1
-    h_source = estimate(graph, source, destination)
+    h_source = h_of(s)
     h_memo[s] = h_source
     counter = 0
     heap = [(h_source, h_source, 0, s, 0.0)]
@@ -559,7 +609,7 @@ def best_first(
                 nodes_updated += 1
                 h_v = h_memo[v]
                 if h_v is None:
-                    h_v = estimate(graph, node_ids[v], destination)
+                    h_v = h_of(v)
                     h_memo[v] = h_v
                 counter += 1
                 push(heap, (candidate + h_v, h_v, counter, v, candidate))

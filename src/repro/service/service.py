@@ -59,7 +59,12 @@ from typing import (
     Union,
 )
 
-from repro.core.estimators import Estimator, ScaledEstimator, make_estimator
+from repro.core.estimators import (
+    Estimator,
+    ScaledEstimator,
+    check_scale,
+    make_estimator,
+)
 from repro.core.planner import RoutePlanner
 from repro.kernel.result import PathResult
 from repro.exceptions import FaultError, UnknownAlgorithmError
@@ -257,6 +262,7 @@ class RouteService:
         """
         algorithm = algorithm or self.default_algorithm
         backend = backend or self.default_backend
+        check_scale(weight, "weight")
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; "
@@ -696,7 +702,7 @@ class RouteService:
                 destination = spec["destination"]
                 algorithm = spec.get("algorithm") or self.default_algorithm
                 estimator = spec.get("estimator") or self.default_estimator
-                weight = float(spec.get("weight", 1.0))
+                weight = check_scale(float(spec.get("weight", 1.0)), "weight")
                 backend = spec.get("backend") or self.default_backend
             else:
                 source, destination = spec

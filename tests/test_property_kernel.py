@@ -18,7 +18,13 @@ import zlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimators import EuclideanEstimator, LandmarkEstimator
+from repro.core.estimators import (
+    EuclideanEstimator,
+    LandmarkEstimator,
+    ManhattanEstimator,
+    ZeroEstimator,
+    make_estimator,
+)
 from repro.graphs.graph import Graph
 from repro.kernel import csr, reference_sssp, search
 from repro.kernel.result import SearchStats
@@ -73,6 +79,25 @@ class InconsistentEstimator:
         return self.scale * (digest % 997) / 997.0
 
 
+class DoubledEuclidean(EuclideanEstimator):
+    """Overrides ``estimate`` but not ``bind``.
+
+    The dense form it inherits would read plain Euclidean distance and
+    bypass the override, so :func:`csr.potential` must wrap
+    ``estimate`` instead. Doubling also makes it inadmissible, so A*
+    may reopen nodes with it.
+    """
+
+    name = "doubled"
+
+    def estimate(self, graph, node, destination) -> float:
+        return 2.0 * super().estimate(graph, node, destination)
+
+
+def _weighted_euclidean():
+    return make_estimator("euclidean", weight=1.5)
+
+
 def _observed(graph, source, destination, estimator_factory, **kwargs):
     """Run one search recording the observe_frontier call sequence."""
     observations = []
@@ -107,7 +132,16 @@ _SETTINGS = settings(
 )
 
 
-@given(random_graphs(), st.sampled_from([InconsistentEstimator, EuclideanEstimator]))
+@given(
+    random_graphs(),
+    st.sampled_from([
+        InconsistentEstimator,
+        EuclideanEstimator,
+        ManhattanEstimator,
+        _weighted_euclidean,
+        DoubledEuclidean,
+    ]),
+)
 @_SETTINGS
 def test_tiers_agree_counter_for_counter(case, estimator_factory):
     graph, source, destination = case
@@ -222,3 +256,48 @@ def test_trees_on_derived_snapshots_equal_the_reference(case, epochs):
         assert _as_reference(snapshot, dist, pred) == reference_sssp(
             _transposed(graph), source
         )
+
+
+@given(
+    random_graphs(),
+    st.lists(
+        st.lists(st.tuples(st.integers(min_value=0), _COSTS), min_size=1, max_size=8),
+        max_size=3,
+    ),
+)
+@_SETTINGS
+def test_dense_potentials_equal_estimate(case, epochs):
+    """Every estimator's dense form, :func:`csr.potential`, returns
+    bit for bit the float ``estimate`` returns, for every node, on a
+    fresh snapshot and on each snapshot of a chain of cost epochs
+    derived from it. The derived snapshots share the coordinate lists.
+    Landmark tables (exact distances) and a subclass that overrides
+    ``estimate`` below ``bind`` go through the wrapped ``estimate``."""
+    graph, source, destination = case
+    edges = [(e.source, e.target) for e in graph.edges()]
+    estimators = [
+        ZeroEstimator(),
+        EuclideanEstimator(cost_per_unit=0.7),
+        ManhattanEstimator(),
+        _weighted_euclidean(),
+        LandmarkEstimator(list(dict.fromkeys((source, destination)))),
+        DoubledEuclidean(),
+    ]
+    base = csr.csr_for(graph)
+    for number in range(len(epochs) + 1):
+        if number and edges:
+            graph.apply_cost_updates(
+                [(*edges[pick % len(edges)], cost) for pick, cost in epochs[number - 1]]
+            )
+        snapshot = csr.csr_for(graph)
+        assert snapshot.fingerprint == graph.fingerprint
+        assert snapshot.coordinates(graph) is base.coordinates(graph)
+        node_ids = snapshot.node_ids
+        for estimator in estimators:
+            h = csr.potential(estimator, snapshot, graph, destination)
+            dense = [h(i).hex() for i in range(snapshot.node_count)]
+            expected = [
+                estimator.estimate(graph, node, destination).hex()
+                for node in node_ids
+            ]
+            assert dense == expected, estimator

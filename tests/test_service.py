@@ -6,10 +6,18 @@ import threading
 import pytest
 
 from repro import kernel
+from repro.core.estimators import (
+    EuclideanEstimator,
+    ManhattanEstimator,
+    ScaledEstimator,
+    make_estimator,
+)
 from repro.core.planner import RoutePlanner
 from repro.engine import RelationalGraph
 from repro.graphs.grid import make_grid, make_paper_grid
+from repro.graphs.roadmap import make_minneapolis_map
 from repro.service import RouteService
+from repro.service.pool import EstimatorPool
 
 pytestmark = pytest.mark.service
 
@@ -63,6 +71,58 @@ class TestCorrectness:
             result = service.plan(grid, (0, 0), (9, 9))
             assert result.cost == pytest.approx(optimum)
         assert service.pool.created == 1
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteScales:
+    """A NaN or infinite scale is refused where it enters. NaN passes a
+    ``< 0`` test; on the Minneapolis map a NaN weight once served a
+    cost-10.59 route against the optimum 8.66, unflagged and cached,
+    and an infinite one makes the estimate at the destination NaN."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_estimator_constructors_reject(self, value):
+        with pytest.raises(ValueError, match="cost_per_unit"):
+            EuclideanEstimator(cost_per_unit=value)
+        with pytest.raises(ValueError, match="cost_per_unit"):
+            ManhattanEstimator(cost_per_unit=value)
+        with pytest.raises(ValueError, match="weight"):
+            ScaledEstimator(EuclideanEstimator(), value)
+        with pytest.raises(ValueError, match="weight"):
+            make_estimator("euclidean", weight=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_planner_rejects_before_taking_a_pooled_instance(self, grid, value):
+        pool = EstimatorPool()
+        planner = RoutePlanner(estimator_pool=pool)
+        with pytest.raises(ValueError, match="weight"):
+            planner.plan(grid, (0, 0), (9, 9), estimator="euclidean", weight=value)
+        assert pool.created == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_plan_rejects_before_admission(self, service, value):
+        graph = make_minneapolis_map(1993).graph
+        nodes = list(graph.node_ids())
+        with pytest.raises(ValueError, match="weight"):
+            service.plan(graph, nodes[0], nodes[-1], weight=value)
+        assert len(service.cache) == 0
+        assert service.metrics.queries == 0
+        assert service.pool.created == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_plan_many_rejects_the_whole_batch(self, service, grid, value):
+        with pytest.raises(ValueError, match="weight"):
+            service.plan_many(
+                grid,
+                [
+                    ((0, 0), (9, 9)),
+                    {"source": (0, 0), "destination": (5, 5), "weight": value},
+                ],
+            )
+        assert len(service.cache) == 0
+        assert service.metrics.queries == 0
 
 
 class TestInvalidation:
