@@ -57,7 +57,7 @@ from repro.graphs.graph import NodeId
 from repro.service.metrics import Snapshot, percentile
 
 from repro.fleet.partition import ShardSpec
-from repro.fleet.worker import CliqueEdge, ShardTree, ShardWorker
+from repro.fleet.worker import CliqueEdge, ShardTree, ShardWorker, StaleTree
 
 _INF = float("inf")
 
@@ -426,18 +426,30 @@ class ReplicaSet:
         """
         return self._serving_worker().plan(source, destination)
 
+    def repair(self, method: str, root: NodeId, stale: StaleTree) -> ShardTree:
+        """A held tree brought to the current epoch, in the caller's
+        thread: ``method`` (``distances_to_boundary`` or
+        ``distances_from_boundary``) with ``stale`` on the best serving
+        replica, without the submit boundary. A repair costs a fraction
+        of a queue handoff, and only an in-sync replica is asked.
+        Raises :class:`~repro.exceptions.ShardUnavailableError` when
+        dark.
+        """
+        return getattr(self._serving_worker(), method)(root, stale)
+
     def boundary_clique(
-        self,
+        self, held: Optional[Dict[NodeId, StaleTree]] = None
     ) -> Tuple[List[CliqueEdge], Dict[NodeId, ShardTree]]:
         """The shard's pruned exact clique and boundary out-trees, from
-        the best serving replica (:meth:`ShardWorker.boundary_clique`).
+        the best serving replica (:meth:`ShardWorker.boundary_clique`,
+        which reuses the ``held`` trees).
 
         Raises :class:`~repro.exceptions.ShardUnavailableError` when
         the shard is dark — the router marks the overlay *degraded*
         and sheds stitched queries rather than serving an overlay
         that silently lost this shard's interior.
         """
-        return self._serving_worker().boundary_clique()
+        return self._serving_worker().boundary_clique(held)
 
     # ------------------------------------------------------------------
     # observability / lifecycle

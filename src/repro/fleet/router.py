@@ -17,13 +17,17 @@ inside its shard and the in-tree of the destination inside its shard.
   seed a Dijkstra over a small precomputed **boundary overlay**, and
   the in-tree's boundary distances close it.
 
-Trees are memoized per fleet version, keyed ``("out", s)`` /
-``("in", t)``: at most one out-tree and one in-tree per node per
-version. A table hit dispatches nothing to a worker. The overlay build
-adds the boundary out-trees it computes, and the winning chain is
-materialized by walking trees alone: source to entry in the out-tree,
-each clique hop in its boundary node's out-tree, exit to destination
-in the in-tree.
+Trees are held in one table across fleet versions, keyed ``("out",
+s)`` / ``("in", t)``: at most one out-tree and one in-tree per node,
+each stamped with the version it is exact at. A hit at the current
+version dispatches nothing to a worker. An older hit is *repaired*
+(:func:`~repro.kernel.csr.repair_tree`) from the shard edges changed
+since its version — a fraction of a fresh search — and stored back at
+the current version. The overlay build reuses the held boundary
+out-trees the same way and adds the ones it computes, and the winning
+chain is materialized by walking trees alone: source to entry in the
+out-tree, each clique hop in its boundary node's out-tree, exit to
+destination in the in-tree.
 
 Exactness argument
 ------------------
@@ -59,17 +63,23 @@ The router subscribes to the parent :class:`TrafficFeed`, which holds
 the parent graph's gate exclusively across the fan-out: shard-internal
 deltas go to the owning worker's own feed (bumping the *shard*
 fingerprint, invalidating its cache edge-granularly), cut-edge deltas
-update the router's cut-cost table, the overlay and the tree table are
-dropped, and the fleet version is bumped. A query holds the parent's
-gate (shared side) from admission to answer, so it and every tree it
-adds to the table are priced at one fleet version.
+update the router's cut-cost table, the overlay is dropped, the fleet
+version is bumped, and each shard's changed internal edges are logged
+at the new version (a cut-edge delta moves no shard tree). A query
+holds the parent's gate (shared side) from admission to answer, so it
+and every tree it adds to the table or repairs are priced at one fleet
+version.
 
 Backpressure
 ------------
-Every computed tree is admitted through :meth:`ShardWorker.submit`;
-a table hit computes nothing on a worker. A full queue sheds the
-*query* — the returned :class:`FleetResult` carries ``shed=True`` and
-the refusing shard — never a stale or silently dropped answer.
+Every fresh tree is admitted through :meth:`ShardWorker.submit`; a
+table hit computes nothing on a worker. A repair runs in the query's
+own thread on the shard's best serving replica
+(:meth:`~repro.fleet.replica.ReplicaSet.repair`): it costs less than a
+queue handoff. A dark shard cannot repair, and its query falls back to
+the tree stage, which sheds it. A full queue sheds the *query* — the
+returned :class:`FleetResult` carries ``shed=True`` and the refusing
+shard — never a stale or silently dropped answer.
 
 Fault tolerance (PR 10)
 -----------------------
@@ -114,7 +124,7 @@ from repro.fleet.replica import (
     ReplicaSet,
     StageOutcome,
 )
-from repro.fleet.worker import ShardTree
+from repro.fleet.worker import ShardTree, StaleTree
 
 EdgeKey = Tuple[NodeId, NodeId]
 
@@ -126,6 +136,10 @@ _INF = float("inf")
 
 #: Tree-table direction -> the ShardWorker stage that computes it.
 _TREE_STAGES = {"out": "distances_to_boundary", "in": "distances_from_boundary"}
+
+#: Epochs a held tree may fall behind before the table drops it: the
+#: log it would replay then touches a large share of its shard.
+_HELD_EPOCHS = 32
 
 
 @dataclass
@@ -243,9 +257,14 @@ class FleetRouter:
         self._overlay_lock = threading.Lock()
         self._version = 1
         self._overlay: Optional[_Overlay] = None
-        #: Shard trees valid at ``_version``, keyed ("out", s) /
-        #: ("in", t); replaced whenever the version moves.
-        self._trees: Dict[Tuple[str, NodeId], ShardTree] = {}
+        #: Shard trees keyed ("out", s) / ("in", t), each with the fleet
+        #: version it is exact at; kept across epochs and repaired on
+        #: read from the change log.
+        self._trees: Dict[Tuple[str, NodeId], Tuple[int, ShardTree]] = {}
+        #: Per shard, ``(version, internal edges)`` for every epoch that
+        #: changed the shard, oldest first: what a tree held at an older
+        #: version missed.
+        self._changes: Dict[int, List[Tuple[int, List[EdgeKey]]]] = {}
         #: (min_exit-per-shard, min_entry-per-shard) — the pruning-bound
         #: floors; derived from cut costs alone, so far cheaper to
         #: rebuild than the overlay.
@@ -259,6 +278,7 @@ class FleetRouter:
         self.sheds = 0
         self.epochs_applied = 0
         self.overlay_builds = 0
+        self.tree_repairs = 0
         # degradation-ladder counters (PR 10)
         self.hedged_queries = 0
         self.stage_failovers = 0
@@ -277,15 +297,19 @@ class FleetRouter:
         Shard-internal deltas are re-applied through the owning
         worker's own TrafficFeed (one shard fingerprint bump each,
         edge-granular cache invalidation); cut-edge deltas update the
-        router's cut-cost table. The overlay and the tree table are
-        dropped and the fleet version bumped exactly once per epoch.
-        The parent feed calls this holding the parent graph's gate
+        router's cut-cost table. The overlay is dropped and the fleet
+        version bumped exactly once per epoch. The tree table is kept:
+        each shard's internal edges are logged at the new version, so a
+        held tree is repaired from them when next read (a cut-edge
+        delta touches no tree). The log is written even when the
+        fan-out raised — a superset of the changes is always safe. The
+        parent feed calls this holding the parent graph's gate
         exclusively, so no query runs during the fan-out.
         """
         if not epoch.deltas:
             return
+        per_shard: Dict[int, List[Tuple[NodeId, NodeId, float]]] = {}
         try:
-            per_shard: Dict[int, List[Tuple[NodeId, NodeId, float]]] = {}
             for delta in epoch.deltas:
                 key = (delta.source, delta.target)
                 if key in self._cut_costs:
@@ -301,9 +325,37 @@ class FleetRouter:
             with self._state_lock:
                 self._overlay = None
                 self._floors = None
-                self._trees = {}
                 self._version += 1
                 self.epochs_applied += 1
+                for shard_id, updates in per_shard.items():
+                    self._changes.setdefault(shard_id, []).append(
+                        (self._version, [(u, v) for u, v, _ in updates])
+                    )
+                self._trim_log()
+
+    def _trim_log(self) -> None:
+        """Drop trees too far behind to be worth repairing and the log
+        entries every held tree has absorbed (state lock held)."""
+        horizon = self._version - _HELD_EPOCHS
+        trees = self._trees
+        if any(version < horizon for version, _ in trees.values()):
+            self._trees = trees = {
+                key: held for key, held in trees.items() if held[0] >= horizon
+            }
+        oldest = min((version for version, _ in trees.values()), default=self._version)
+        for log in self._changes.values():
+            while log and log[0][0] <= oldest:
+                del log[0]
+
+    def _changes_since(self, shard_id: int, version: int) -> List[EdgeKey]:
+        """The shard's internal edges changed after fleet ``version``
+        (state lock held)."""
+        return [
+            edge
+            for logged, edges in self._changes.get(shard_id, ())
+            if logged > version
+            for edge in edges
+        ]
 
     # ------------------------------------------------------------------
     # the boundary overlay
@@ -320,9 +372,18 @@ class FleetRouter:
             built = _Overlay(version)
             for key, cost in self._cut_costs.items():
                 built.add_edge(key[0], key[1], cost, CUT)
+            repairs = 0
             for shard_id, replica_set in self.workers.items():
+                held: Dict[NodeId, StaleTree] = {}
+                with self._state_lock:
+                    for node in replica_set.spec.boundary:
+                        entry = self._trees.get(("out", node))
+                        if entry is not None:
+                            held[node] = (
+                                entry[1], self._changes_since(shard_id, entry[0])
+                            )
                 try:
-                    clique, trees = replica_set.boundary_clique()
+                    clique, trees = replica_set.boundary_clique(held)
                 except ShardUnavailableError:
                     # A dark shard's interior is unpriceable: record
                     # the degradation instead of building an overlay
@@ -332,11 +393,13 @@ class FleetRouter:
                 for b1, b2, cost in clique:
                     built.add_edge(b1, b2, cost, shard_id)
                 built.trees.update(trees)
+                repairs += sum(1 for _, changed in held.values() if changed)
             with self._state_lock:
                 self._overlay = built
                 for node, tree in built.trees.items():
-                    self._trees[("out", node)] = tree
+                    self._trees[("out", node)] = (version, tree)
                 self.overlay_builds += 1
+                self.tree_repairs += repairs
             return built
 
     def _floors_for(self) -> Tuple[Dict[int, float], Dict[int, float]]:
@@ -546,14 +609,32 @@ class FleetRouter:
             return result
 
         same_shard = source_shard == target_shard
-        fresh: Dict[Tuple[str, NodeId], ShardTree] = {}
+        fresh: Dict[Tuple[str, NodeId], Tuple[int, ShardTree]] = {}
         trees: List[ShardTree] = []
         for key, shard_id in (
             (("out", source), source_shard),
             (("in", destination), target_shard),
         ):
+            stale = None
             with self._state_lock:
-                tree = self._trees.get(key)
+                held = self._trees.get(key)
+                if held is not None and held[0] != version:
+                    changed = self._changes_since(shard_id, held[0])
+                    if changed:
+                        stale = (held[1], changed)
+            tree = held[1] if held is not None and stale is None else None
+            if stale is not None:
+                # Repaired in this thread on an in-sync replica; a dark
+                # shard falls through to the tree stage, which sheds.
+                try:
+                    tree = self.workers[shard_id].repair(
+                        _TREE_STAGES[key[0]], key[1], stale
+                    )
+                except ShardUnavailableError:
+                    pass
+                else:
+                    with self._state_lock:
+                        self.tree_repairs += 1
             if tree is None:
                 outcome = self._stage(
                     self.workers[shard_id],
@@ -565,7 +646,9 @@ class FleetRouter:
                 )
                 if not outcome.ok:
                     return self._shed(result, outcome)
-                tree = fresh[key] = outcome.value
+                tree = outcome.value
+            if held is None or held[0] != version:
+                fresh[key] = (version, tree)
             trees.append(tree)
         out_tree, in_tree = trees
         seeds, tails = out_tree.boundary, in_tree.boundary
@@ -707,6 +790,8 @@ class FleetRouter:
                 "plan_retries": 0,
                 "epochs_applied": self.epochs_applied,
                 "overlay_builds": self.overlay_builds,
+                "tree_repairs": self.tree_repairs,
+                "trees_held": len(self._trees),
                 "overlay_edges": overlay.edge_count if overlay is not None else 0,
                 "overlay_degraded": (
                     1 if overlay is not None and overlay.degraded else 0

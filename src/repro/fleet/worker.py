@@ -14,7 +14,9 @@ built, instantiated over its shard's *subgraph*:
   into a destination both run the CSR
   :func:`~repro.kernel.csr.sssp_tree` loop over the shard's one
   fingerprint-keyed snapshot — the in-tree over its cached transpose,
-  so no reversed copy of the shard is kept or re-priced per epoch;
+  so no reversed copy of the shard is kept or re-priced per epoch — or,
+  given a tree the router held from an earlier epoch, repair it from
+  the changed edges (:func:`~repro.kernel.csr.repair_tree`);
 * a thread-pool executor with **admission control**: the in-flight
   count is bounded by ``max_queue``; an arrival over the bound is shed
   — counted, reported, and surfaced to the router as an explicit
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,46 +74,58 @@ CliqueEdge = Tuple[NodeId, NodeId, float]
 class ShardTree:
     """One shard shortest-path tree out of, or into (``inward``), a node.
 
-    Immutable once built (one :func:`~repro.kernel.csr.sssp_tree` run),
-    so the router may share it between queries at one fleet version.
-    ``boundary`` maps each boundary node linked to the root inside the
-    shard to its distance; :meth:`cost` and :meth:`path` read any shard
-    node. Distances and paths run root to node for an out-tree and
-    node to root for an in-tree.
+    Immutable once built, so the router may share it between queries
+    and keep it across epochs: a later epoch does not change it, it
+    yields a repaired copy (:meth:`ShardWorker.distances_to_boundary`
+    with ``stale``). :attr:`boundary` maps each boundary node linked to
+    the root inside the shard to its distance; :meth:`cost` and
+    :meth:`path` read any shard node. Distances and paths run root to
+    node for an out-tree and node to root for an in-tree.
+
+    A router holds up to two trees per shard node, so a tree stores
+    only its two flat arrays by dense id (``dist`` as ``array('d')``,
+    ``pred`` as a 16- or 32-bit integer array) and references to its
+    snapshot's interning tables and boundary slots, which every tree of
+    the shard's topology shares.
     """
 
-    __slots__ = ("inward", "boundary", "_index_of", "_node_ids", "_dist", "_pred")
+    __slots__ = ("inward", "dist", "pred", "node_ids", "_index_of", "_slots")
 
     def __init__(
         self,
         inward: bool,
         snapshot: csr.CSRGraph,
-        dist: List[float],
-        pred: List[int],
-        boundary: Iterable[NodeId],
+        dist: Sequence[float],
+        pred: Sequence[int],
+        slots: Sequence[Tuple[NodeId, int]],
     ) -> None:
         self.inward = inward
-        self._index_of = index_of = snapshot.index_of
-        self._node_ids = snapshot.node_ids
-        self._dist = dist
-        self._pred = pred
-        self.boundary: Dict[NodeId, float] = {
-            node: dist[index_of[node]]
-            for node in boundary
-            if dist[index_of[node]] != _INF
-        }
+        self.dist = array("d", dist)
+        self.pred = array("h" if snapshot.node_count < 32768 else "i", pred)
+        #: The snapshot's dense ids: a repair needs a snapshot with the
+        #: very same ones.
+        self.node_ids = snapshot.node_ids
+        self._index_of = snapshot.index_of
+        self._slots = slots
+
+    @property
+    def boundary(self) -> Dict[NodeId, float]:
+        """Boundary node -> distance, for the boundary nodes linked to
+        the root (read from ``dist`` on each call)."""
+        dist = self.dist
+        return {node: dist[i] for node, i in self._slots if dist[i] != _INF}
 
     def cost(self, node: NodeId) -> float:
         i = self._index_of.get(node)
-        return _INF if i is None else self._dist[i]
+        return _INF if i is None else self.dist[i]
 
     def path(self, node: NodeId) -> List[NodeId]:
         """The tree path in travel order (``[]`` when unlinked)."""
         i = self._index_of.get(node)
-        if i is None or self._dist[i] == _INF:
+        if i is None or self.dist[i] == _INF:
             return []
-        node_ids = self._node_ids
-        pred = self._pred
+        node_ids = self.node_ids
+        pred = self.pred
         path = [node_ids[i]]
         while pred[i] != -1:
             i = pred[i]
@@ -118,6 +133,10 @@ class ShardTree:
         if not self.inward:
             path.reverse()
         return path
+
+
+#: A held tree and the shard edges whose cost moved since it was exact.
+StaleTree = Tuple[ShardTree, Iterable[Tuple[NodeId, NodeId]]]
 
 
 class ShardWorker:
@@ -177,6 +196,8 @@ class ShardWorker:
         self.faults_injected = 0
         self.faults_by_kind: Dict[str, int] = {}
         self._latencies: deque = deque(maxlen=latency_window)
+        #: (index_of, boundary slots) of the last topology seen.
+        self._boundary_slots: Tuple = (None, ())
 
     # ------------------------------------------------------------------
     # liveness
@@ -304,47 +325,94 @@ class ShardWorker:
         """One shard-local route through the worker's RouteService."""
         return self.service.plan(self.graph, source, destination)
 
-    def distances_to_boundary(self, source: NodeId) -> ShardTree:
+    def distances_to_boundary(
+        self, source: NodeId, stale: Optional[StaleTree] = None
+    ) -> ShardTree:
         """The shard out-tree of ``source``: its ``boundary`` holds the
-        shard-internal distances ``source -> b``."""
-        return self._tree(source, inward=False)
+        shard-internal distances ``source -> b``. Given ``stale``, an
+        earlier out-tree of ``source`` and the edges changed since, the
+        tree is repaired from it (:func:`~repro.kernel.csr.repair_tree`)
+        instead of searched afresh, or returned as it is when none
+        changed."""
+        return self._tree(source, False, stale)
 
-    def distances_from_boundary(self, destination: NodeId) -> ShardTree:
+    def distances_from_boundary(
+        self, destination: NodeId, stale: Optional[StaleTree] = None
+    ) -> ShardTree:
         """The shard in-tree of ``destination``: its ``boundary`` holds
-        the shard-internal distances ``b -> destination``."""
-        return self._tree(destination, inward=True)
+        the shard-internal distances ``b -> destination``. ``stale`` as
+        for :meth:`distances_to_boundary`."""
+        return self._tree(destination, True, stale)
 
-    def _tree(self, root: NodeId, inward: bool) -> ShardTree:
+    def _tree(
+        self, root: NodeId, inward: bool, stale: Optional[StaleTree] = None
+    ) -> ShardTree:
+        if stale is not None:
+            tree, changed = stale
+            if not changed:
+                return tree
+            snapshot = csr.csr_for(self.graph)
+            # Dense ids are per graph object: another replica's tree is
+            # repairable only if its copy interned the nodes alike.
+            if tree.node_ids is snapshot.node_ids or tree.node_ids == snapshot.node_ids:
+                index_of = snapshot.index_of
+                snapshot, dist, pred = csr.repair_tree(
+                    self.graph,
+                    tree.dist,
+                    tree.pred,
+                    [(index_of[u], index_of[v]) for u, v in changed],
+                    reverse=inward,
+                )
+                return ShardTree(inward, snapshot, dist, pred, self._slots(snapshot))
         snapshot, dist, pred = csr.sssp_tree(self.graph, root, reverse=inward)
-        return ShardTree(inward, snapshot, dist, pred, self.spec.boundary)
+        return ShardTree(inward, snapshot, dist, pred, self._slots(snapshot))
 
-    def boundary_clique(self) -> Tuple[List[CliqueEdge], Dict[NodeId, ShardTree]]:
+    def _slots(self, snapshot: csr.CSRGraph) -> Tuple[Tuple[NodeId, int], ...]:
+        """The boundary's ``(node, dense id)`` pairs, one tuple per
+        topology, shared by all its trees."""
+        memo = self._boundary_slots
+        if memo[0] is not snapshot.index_of:
+            index_of = snapshot.index_of
+            memo = self._boundary_slots = (
+                index_of,
+                tuple((b, index_of[b]) for b in self.spec.boundary),
+            )
+        return memo[1]
+
+    def boundary_clique(
+        self, held: Optional[Dict[NodeId, StaleTree]] = None
+    ) -> Tuple[List[CliqueEdge], Dict[NodeId, ShardTree]]:
         """The dominance-pruned boundary clique and the boundary
         out-trees it was read from.
 
-        One out-tree per boundary node. The edge ``b1 -> b2`` (the exact
-        shard-internal distance) is kept only when b1's tree path to b2
-        passes through no other boundary node b3 strictly between them
-        (``0 < d(b1, b3) < d(b1, b2)``). A dropped edge is priced exactly
-        by the chain through b3 — subpaths of shortest paths are
-        shortest, and both halves are strictly shorter, so by induction
-        on distance each is itself kept or priced by a kept chain.
-        Zero-cost halves never prune, so zero-cost edges cannot cycle
-        the argument. Pairs with no internal connection are omitted.
+        One out-tree per boundary node. ``held`` maps boundary nodes to
+        out-trees the caller already has, each with the edges changed
+        since it was exact: an empty change list takes the tree as it
+        is, any other repairs it, and only the boundary nodes without
+        one run :func:`~repro.kernel.csr.sssp_tree`. The edge ``b1 ->
+        b2`` (the exact shard-internal distance) is kept only when b1's
+        tree path to b2 passes through no other boundary node b3
+        strictly between them (``0 < d(b1, b3) < d(b1, b2)``). A dropped
+        edge is priced exactly by the chain through b3 — subpaths of
+        shortest paths are shortest, and both halves are strictly
+        shorter, so by induction on distance each is itself kept or
+        priced by a kept chain. Zero-cost halves never prune, so
+        zero-cost edges cannot cycle the argument. Pairs with no
+        internal connection are omitted.
         """
-        boundary = self.spec.boundary
+        held = held or {}
         edges: List[CliqueEdge] = []
         trees: Dict[NodeId, ShardTree] = {}
-        for b1 in boundary:
-            snapshot, dist, pred = csr.sssp_tree(self.graph, b1)
-            tree = trees[b1] = ShardTree(False, snapshot, dist, pred, boundary)
-            index_of = snapshot.index_of
-            marks = {index_of[b] for b in boundary}
-            root = index_of[b1]
+        for b1 in self.spec.boundary:
+            tree = trees[b1] = self._tree(b1, False, held.get(b1))
+            dist = tree.dist
+            pred = tree.pred
+            marks = {i for _, i in tree._slots}
+            root = tree._index_of[b1]
             for b2, cost in tree.boundary.items():
                 if b2 == b1:
                     continue
-                i = pred[index_of[b2]]
+                i = pred[tree._index_of[b2]]
                 while i != root and not (i in marks and 0.0 < dist[i] < cost):
                     i = pred[i]
                 if i == root:

@@ -50,7 +50,7 @@ records the observation sequence sees identical streams from both.
 Iteration limits are enforced *before* the bounding expansion: a
 bounded run performs at most ``limit`` expansions (waves), never
 ``limit + 1``. One-to-all searches (:func:`sssp`, :func:`sssp_tree`)
-share one loop.
+and tree repairs (:func:`repair_tree`) share one loop.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import threading
 import weakref
 from itertools import compress
 from operator import truediv
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import CostDelta, Graph, NodeId
@@ -805,11 +805,18 @@ def _one_to_all(
     dist = [_INF] * n
     pred = [-1] * n
     dist[s] = 0.0
-    heap = [(0.0, 0, s)]
-    counter = 1
+    _settle(rows, dist, pred, [(0.0, 0, s)], 1)
+    return csr, dist, pred
+
+
+def _settle(rows, dist, pred, heap, counter) -> None:
+    """Dijkstra's loop from ``heap`` until it empties, in place.
+
+    Every heap entry ``(label, tie, node)`` must carry its node's
+    label; nodes off the heap keep theirs unless a relaxation beats it.
+    """
     pop = heapq.heappop
     push = heapq.heappush
-
     while heap:
         d, _, u = pop(heap)
         # A push needs a strictly smaller label, so only stale entries
@@ -824,6 +831,84 @@ def _one_to_all(
                 counter += 1
                 push(heap, (nd, counter, v))
 
+
+def repair_tree(
+    graph: Graph,
+    dist: Sequence[float],
+    pred: Sequence[int],
+    changed: Iterable[Tuple[int, int]],
+    reverse: bool = False,
+) -> "Tuple[CSRGraph, List[float], List[int]]":
+    """Bring an :func:`sssp_tree` result up to ``graph``'s current costs.
+
+    ``dist`` and ``pred`` are a tree that was exact at an earlier state
+    of the same topology, and ``changed`` holds the dense ``(u, v)``
+    endpoints of every edge whose cost moved since (any superset will
+    do). Returns ``(csr, dist, pred)`` as :func:`sssp_tree` does, on the
+    current snapshot, without touching the inputs:
+
+    1. a changed edge the tree uses detaches the subtree below it; each
+       detached node is reset, then seeded from its best in-neighbour
+       with a label;
+    2. a changed edge whose head now improves seeds that head;
+    3. Dijkstra's loop runs from the seeds.
+
+    Every node keeps a label some current path realizes, and at the end
+    no edge can lower one, so ``dist`` is bit for bit the fresh
+    search's: both are the least such labelling. ``pred`` is a shortest-
+    path tree; where several shortest paths tie it may name another
+    one than a fresh search would. ``reverse`` repairs an in-tree.
+    """
+    csr = csr_for(graph)
+    n = csr.node_count
+    if len(dist) != n or len(pred) != n:
+        raise ValueError(f"tree covers {len(dist)} nodes, snapshot has {n}")
+    rows = csr.rows
+    inrows = csr.reverse_rows()
+    # Edges in the search's direction: an in-tree searches the transpose.
+    if reverse:
+        rows, inrows = inrows, rows
+        changed = [(v, u) for u, v in changed]
+    else:
+        changed = list(changed)
+    dist = list(dist)
+    pred = list(pred)
+    heap = []
+    cut = [v for u, v in changed if pred[v] == u]
+    if cut:
+        children: List[List[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(pred):
+            if p >= 0:
+                children[p].append(v)
+        detached = bytearray(n)
+        subtree = []
+        while cut:
+            v = cut.pop()
+            if not detached[v]:
+                detached[v] = 1
+                subtree.append(v)
+                cut.extend(children[v])
+        for v in subtree:
+            dist[v] = _INF
+            pred[v] = -1
+        for v in subtree:
+            best, via = _INF, -1
+            for u, w in inrows[v]:
+                if dist[u] + w < best:
+                    best, via = dist[u] + w, u
+            if via >= 0:
+                dist[v] = best
+                pred[v] = via
+                heap.append((best, len(heap), v))
+    for u, v in changed:
+        d = dist[u]
+        for x, w in rows[u]:
+            if x == v and d + w < dist[v]:
+                dist[v] = d + w
+                pred[v] = u
+                heap.append((d + w, len(heap), v))
+    heapq.heapify(heap)
+    _settle(rows, dist, pred, heap, len(heap))
     return csr, dist, pred
 
 

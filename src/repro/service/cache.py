@@ -44,8 +44,10 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, deque
+from itertools import compress, repeat
+from operator import not_
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.graphs.graph import CostDelta, Graph, NodeId
@@ -71,6 +73,18 @@ def _slot(key: QueryKey) -> SlotKey:
 #: edge ``(u, v)``, ``(ux, uy, vx, vy, new_cost)``.
 _DecreaseBound = Tuple[float, List[Tuple[float, float, float, float, float]]]
 
+#: :attr:`CacheEntry.ends` before anyone looked the coordinates up.
+_UNKNOWN = object()
+
+
+def _endpoints(graph: Graph, slot: SlotKey) -> Optional[Tuple[float, ...]]:
+    """``(sx, sy, dx, dy)`` of a slot's source and destination, or None
+    when either has no coordinates."""
+    try:
+        return graph.coordinates(slot[1]) + graph.coordinates(slot[2])
+    except Exception:
+        return None
+
 
 def query_key(
     graph: Graph,
@@ -90,8 +104,12 @@ class CacheEntry:
 
     ``fingerprint`` is the graph state the answer is exact for; an
     epoch's re-key moves a survivor by rewriting it. ``slot`` is where
-    the entry lives. Entries compare and hash by identity, which is
-    what the inverted indexes hold them by.
+    the entry lives. ``ends`` holds the source's and destination's
+    coordinates for the decrease bound, looked up once (None: they have
+    none). ``holders`` lists the edge index's sets holding the entry,
+    one per edge of ``edges`` in its iteration order. Entries compare
+    and hash by identity, which is what the inverted indexes hold them
+    by.
     """
 
     result: object
@@ -99,6 +117,8 @@ class CacheEntry:
     edges: Optional[FrozenSet[EdgeKey]]
     fingerprint: Tuple[int, int]
     slot: SlotKey
+    ends: object = _UNKNOWN
+    holders: List[Set["CacheEntry"]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -165,6 +185,7 @@ class RouteCache:
         result: object,
         edges: Optional[Iterable[EdgeKey]] = None,
         cost: Optional[float] = None,
+        graph: Optional[Graph] = None,
     ) -> None:
         """Store a result, evicting the least recently used on overflow.
 
@@ -175,7 +196,10 @@ class RouteCache:
         ``result.cost`` (``inf`` for unreachable answers, which makes
         the decrease bound evict them whenever a cheaper edge might
         connect the pair). A put replaces the query's entry at any
-        other fingerprint: one query holds one slot.
+        other fingerprint: one query holds one slot. ``graph`` (the
+        key's graph) lets the put look the endpoints' coordinates up
+        now, outside the lock; otherwise the first epoch with a cost
+        decrease does.
         """
         if self.capacity <= 0:
             return
@@ -183,16 +207,16 @@ class RouteCache:
             cost = getattr(result, "cost", float("inf"))
         edge_set = frozenset(edges) if edges is not None else None
         entry = CacheEntry(result, cost, edge_set, key[0], _slot(key))
+        if graph is not None:
+            entry.ends = _endpoints(graph, entry.slot)
         with self._lock:
             replaced = self._entries.get(entry.slot)
             if replaced is not None:
-                self._unindex(replaced)
-                self._entries.move_to_end(entry.slot)
+                self._drop([replaced])
             self._entries[entry.slot] = entry
             self._index(entry)
             while len(self._entries) > self.capacity:
-                _, victim = self._entries.popitem(last=False)
-                self._unindex(victim)
+                self._drop([next(iter(self._entries.values()))])
                 self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -202,23 +226,36 @@ class RouteCache:
         uid = entry.slot[0]
         self._by_uid.setdefault(uid, set()).add(entry)
         if entry.edges:
+            index = self._edge_index
             for u, v in entry.edges:
-                self._edge_index.setdefault((uid, u, v), set()).add(entry)
+                held = index.get((uid, u, v))
+                if held is None:
+                    held = index[(uid, u, v)] = set()
+                held.add(entry)
+                entry.holders.append(held)
 
-    def _unindex(self, entry: CacheEntry) -> None:
-        uid = entry.slot[0]
-        entries = self._by_uid.get(uid)
-        if entries is not None:
-            entries.discard(entry)
-            if not entries:
-                del self._by_uid[uid]
-        if entry.edges:
-            for u, v in entry.edges:
-                slot = self._edge_index.get((uid, u, v))
-                if slot is not None:
-                    slot.discard(entry)
-                    if not slot:
-                        del self._edge_index[(uid, u, v)]
+    def _drop(self, dead: Iterable[CacheEntry]) -> None:
+        """Remove ``dead`` entries from the store and both indexes in
+        one pass (the lock held)."""
+        entries = self._entries
+        by_uid = self._by_uid
+        index = self._edge_index
+        for entry in dead:
+            slot = entry.slot
+            uid = slot[0]
+            del entries[slot]
+            owned = by_uid[uid]
+            owned.discard(entry)
+            if not owned:
+                del by_uid[uid]
+            if entry.edges:
+                # The entry leaves its edges' holder sets in C, without
+                # hashing an edge; only the sets it empties are looked
+                # up again, to delete them.
+                holders = entry.holders
+                deque(map(set.discard, holders, repeat(entry)), 0)
+                for u, v in compress(entry.edges, map(not_, holders)):
+                    del index[(uid, u, v)]
 
     # ------------------------------------------------------------------
     # invalidation (the dynamic-traffic loop)
@@ -232,9 +269,7 @@ class RouteCache:
         """
         with self._lock:
             stale = list(self._by_uid.get(graph.uid, ()))
-            for entry in stale:
-                self._unindex(entry)
-                del self._entries[entry.slot]
+            self._drop(stale)
             self.invalidations += len(stale)
             return len(stale)
 
@@ -286,18 +321,22 @@ class RouteCache:
             # crossing a touched edge; on a cost decrease (which can
             # reroute answers that never touched the edge), those the
             # admissible bound does not clear.
-            affected = [
-                entry for entry in cached
-                if entry.fingerprint != previous_fingerprint
-                or (deltas and (entry.edges is None or entry in crossing))
-                or (decreases and not self._survives_decreases(graph, entry, bound))
-            ]
-            for entry in affected:
-                self._unindex(entry)
-                del self._entries[entry.slot]
+            affected = []
+            for entry in cached:
+                if (
+                    entry.fingerprint != previous_fingerprint
+                    or (deltas and (entry.edges is None or entry in crossing))
+                ):
+                    affected.append(entry)
+                elif decreases:
+                    if entry.ends is _UNKNOWN:
+                        entry.ends = _endpoints(graph, entry.slot)
+                    if not self._survives_decreases(entry, bound):
+                        affected.append(entry)
+            self._drop(affected)
             self.invalidations += len(affected)
 
-            # ``cached`` now holds exactly the survivors (``_unindex``
+            # ``cached`` now holds exactly the survivors (``_drop``
             # discarded the rest); re-keying is a field write each.
             survivors = len(cached)
             if survivors and new_fp != previous_fingerprint:
@@ -331,25 +370,23 @@ class RouteCache:
             return 0.0, ends
         return snapshot.euclidean_scale(graph), ends
 
+    @staticmethod
     def _survives_decreases(
-        self, graph: Graph, entry: CacheEntry, bound: Optional[_DecreaseBound]
+        entry: CacheEntry, bound: Optional[_DecreaseBound]
     ) -> bool:
         """True if no cheaper edge can possibly beat the cached cost."""
         if entry.cost == math.inf and entry.edges is not None:
             # A provenance-bearing "unreachable" answer: reachability is
             # structural, so no cost change can ever overturn it.
             return True
-        if bound is None:
+        ends = entry.ends
+        if bound is None or ends is None:
             return False
-        try:
-            sx, sy = graph.coordinates(entry.slot[1])
-            dx, dy = graph.coordinates(entry.slot[2])
-        except Exception:
-            return False
-        scale, ends = bound
+        sx, sy, dx, dy = ends
+        scale, cheaper = bound
         cost = entry.cost
         hypot = math.hypot
-        for ux, uy, vx, vy, new_cost in ends:
+        for ux, uy, vx, vy, new_cost in cheaper:
             detour = (
                 scale * hypot(sx - ux, sy - uy)
                 + new_cost

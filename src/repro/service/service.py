@@ -357,6 +357,7 @@ class RouteService:
                                 result, algorithm, estimator_name, weight
                             ),
                             cost=getattr(result, "cost", None),
+                            graph=graph,
                         )
                     self._record_last_good(
                         graph, source, destination, algorithm,
@@ -932,7 +933,9 @@ class RouteService:
                 path = getattr(run, "path", None)
                 edges = frozenset(zip(path, path[1:])) if path else frozenset()
             with trace.span("cache-store"):
-                self.cache.put(key, run, edges=edges, cost=getattr(run, "cost", None))
+                self.cache.put(
+                    key, run, edges=edges, cost=getattr(run, "cost", None), graph=graph
+                )
             return self._finish(key, run, trace, started, cache_hit=False)
 
     # ------------------------------------------------------------------

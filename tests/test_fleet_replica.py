@@ -311,6 +311,80 @@ class TestFleetReplication:
         finally:
             router.shutdown()
 
+    def test_no_repair_reads_a_lagging_replica(self):
+        """A replica that missed a fan-out is out of the serving order:
+        stale trees of its shard are repaired on the in-sync peer."""
+        graph = make_paper_grid(6, "variance", seed=11)
+        partition, router, feed = make_replicated_fleet(graph, 2, 2, replicas=2)
+        shard_id = partition.shard_of((0, 0))
+        replica_set = router.workers[shard_id]
+        lagging = replica_set.workers[1]
+        reads = []
+
+        def refuse(updates):
+            raise RuntimeError("replica 1 missed the fan-out")
+
+        def recording(name):
+            method = getattr(lagging, name)
+
+            def record(*args):
+                reads.append((name, args))
+                return method(*args)
+
+            return record
+
+        nodes = [node for node in graph.node_ids() if partition.shard_of(node) == shard_id]
+        inside = [
+            (e.source, e.target, e.cost * 3.0)
+            for e in graph.edges()
+            if partition.shard_of(e.source) == partition.shard_of(e.target) == shard_id
+        ]
+        try:
+            for source in nodes:
+                assert_exact(graph, router, source, (5, 5))
+                assert_exact(graph, router, (5, 5), source)
+            lagging.apply_deltas = refuse
+            for name in ("distances_to_boundary", "distances_from_boundary", "boundary_clique"):
+                setattr(lagging, name, recording(name))
+            with pytest.raises(RuntimeError):
+                feed.apply(inside[:5])
+            assert replica_set.serving_order() == [0]
+            repairs = router.snapshot()["fleet"]["tree_repairs"]
+            for source in nodes:
+                assert_exact(graph, router, source, (5, 5))
+                assert_exact(graph, router, (5, 5), source)
+            assert router.snapshot()["fleet"]["tree_repairs"] > repairs
+            assert reads == []
+        finally:
+            router.shutdown()
+
+    def test_dark_shard_with_stale_trees_sheds(self):
+        """A held tree that needs a repair in a dark shard sheds the
+        query: it is never served stale."""
+        graph = make_paper_grid(6, "variance", seed=11)
+        partition, router, feed = make_replicated_fleet(graph, 2, 2, replicas=1)
+        shard_id = partition.shard_of((0, 0))
+        inside = [
+            (e.source, e.target, e.cost * 5.0)
+            for e in graph.edges()
+            if partition.shard_of(e.source) == partition.shard_of(e.target) == shard_id
+        ]
+        peer = next(
+            node for node in graph.node_ids()
+            if partition.shard_of(node) == shard_id and node != (0, 0)
+        )
+        try:
+            for destination in ((5, 5), peer):
+                assert_exact(graph, router, (0, 0), destination)
+            feed.apply(inside)
+            router.kill_replica(shard_id, 0)
+            for destination in ((5, 5), peer):
+                result = router.plan((0, 0), destination)
+                assert result.shed and not result.found
+                assert "dark" in result.shed_reason
+        finally:
+            router.shutdown()
+
     def test_router_shutdown_is_idempotent_and_sheds_after(self):
         graph = make_paper_grid(4, "uniform", seed=1)
         _partition, router, _feed = make_replicated_fleet(graph, 1, 2)

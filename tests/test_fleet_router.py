@@ -163,8 +163,8 @@ class TestTreeTable:
         # priced at the old costs, and a second thread applies an epoch
         # raising every cost to 10. The epoch waits for the query: the
         # answer is 1.0 at the old fleet version, and later answers
-        # price the new costs. A tree remembered across the epoch would
-        # answer 0 -> 1 with 1 and 0 -> 3 with 21.
+        # price the new costs. A tree served across the epoch without a
+        # repair would answer 0 -> 1 with 1 and 0 -> 3 with 21.
         graph = Graph(name="chain")
         for index in range(4):
             graph.add_node(index, float(index), 0.0)
@@ -175,11 +175,11 @@ class TestTreeTable:
         in_tree = worker.distances_from_boundary
         paused, resume = threading.Event(), threading.Event()
 
-        def pausing(destination):
+        def pausing(destination, *stale):
             if not paused.is_set():
                 paused.set()
                 resume.wait(timeout=10)
-            return in_tree(destination)
+            return in_tree(destination, *stale)
 
         worker.distances_from_boundary = pausing
         answers = []
@@ -206,6 +206,63 @@ class TestTreeTable:
             assert router.plan(0, 3).cost == 30.0
         finally:
             resume.set()
+            router.shutdown()
+
+
+class TestHeldTrees:
+    def test_trees_held_across_epochs_answer_like_a_fresh_router(self):
+        """Trees kept over k mixed epochs and repaired on read answer
+        every query as a router built on the current costs does."""
+        graph = make_paper_grid(9, "variance", seed=23)
+        router, feed = make_fleet(graph, 2, 2)
+        rng = random.Random(41)
+        nodes = list(graph.node_ids())
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(40)]
+        edges = list(graph.edges())
+        try:
+            for source, destination in pairs:
+                assert_exact(graph, router, source, destination)
+            held = router.snapshot()["fleet"]["trees_held"]
+            for _ in range(4):
+                feed.apply([
+                    (e.source, e.target, e.cost * rng.choice([0.5, 0.9, 2.0, 4.0]))
+                    for e in rng.sample(edges, 10)
+                ])
+            fresh = FleetRouter(partition_graph(graph, 2, 2))
+            try:
+                for source, destination in pairs:
+                    held_answer = assert_exact(graph, router, source, destination)
+                    fresh_answer = fresh.plan(source, destination)
+                    assert held_answer.found == fresh_answer.found
+                    assert held_answer.cost == pytest.approx(fresh_answer.cost, abs=1e-9)
+            finally:
+                fresh.shutdown()
+            snap = router.snapshot()["fleet"]
+            assert snap["tree_repairs"] > 0
+            assert snap["trees_held"] >= held
+        finally:
+            router.shutdown()
+
+    def test_table_holds_one_out_tree_and_one_in_tree_per_node(self):
+        graph = make_paper_grid(7, "variance", seed=3)
+        router, feed = make_fleet(graph, 2, 2)
+        rng = random.Random(8)
+        nodes = list(graph.node_ids())
+        edges = list(graph.edges())
+        try:
+            for round_ in range(6):
+                for _ in range(60):
+                    router.plan(rng.choice(nodes), rng.choice(nodes))
+                feed.apply([
+                    (e.source, e.target, e.cost * rng.uniform(0.5, 2.0))
+                    for e in rng.sample(edges, 6)
+                ])
+            keys = list(router._trees)
+            assert len(keys) == router.snapshot()["fleet"]["trees_held"]
+            assert {direction for direction, _ in keys} <= {"out", "in"}
+            assert all(node in graph for _, node in keys)
+            assert len(keys) <= 2 * len(graph)
+        finally:
             router.shutdown()
 
 

@@ -301,3 +301,100 @@ def test_dense_potentials_equal_estimate(case, epochs):
                 for node in node_ids
             ]
             assert dense == expected, estimator
+
+
+@st.composite
+def repair_cases(draw):
+    """A graph and chained cost epochs for :func:`csr.repair_tree`.
+
+    Half the graphs are uniform grids, where shortest paths tie
+    everywhere; epoch costs mix arbitrary floats with 0 and 1, so
+    increases, decreases, zero-cost edges and fresh ties all occur.
+    """
+    if draw(st.booleans()):
+        graph, source, _ = draw(random_graphs())
+    else:
+        side = draw(st.integers(min_value=2, max_value=5))
+        graph = Graph(name="tie-grid")
+        for r in range(side):
+            for c in range(side):
+                graph.add_node((r, c), float(c), float(r))
+        for r in range(side):
+            for c in range(side):
+                for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+                    if 0 <= r + dr < side and 0 <= c + dc < side:
+                        graph.add_edge((r, c), (r + dr, c + dc), 1.0)
+        source = (draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1)))
+    costs = st.one_of(_COSTS, st.sampled_from([0.0, 1.0, 2.0]))
+    epochs = draw(
+        st.lists(
+            st.lists(st.tuples(st.integers(min_value=0), costs), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    extra = draw(st.lists(st.integers(min_value=0), max_size=4))
+    return graph, source, epochs, extra
+
+
+def _assert_shortest_path_tree(graph, root, dist, pred, reverse):
+    """``pred`` links every reached node to ``root`` by edges whose
+    costs add up to ``dist`` exactly, with no cycle."""
+    snapshot = csr.csr_for(graph)
+    node_ids = snapshot.node_ids
+    for i, d in enumerate(dist):
+        if d == float("inf"):
+            assert pred[i] == -1
+            continue
+        steps = 0
+        j = i
+        while pred[j] != -1:
+            p = pred[j]
+            u, v = (node_ids[j], node_ids[p]) if reverse else (node_ids[p], node_ids[j])
+            assert dist[p] + graph.edge_cost(u, v) == dist[j]
+            j = p
+            steps += 1
+            assert steps <= len(dist)
+        assert node_ids[j] == root and dist[j] == 0.0
+
+
+@given(repair_cases())
+@_SETTINGS
+def test_repaired_trees_equal_fresh_trees(case):
+    """:func:`csr.repair_tree` after chained mixed epochs: ``dist`` is a
+    fresh :func:`csr.sssp_tree`'s bit for bit in both directions, and
+    every ``pred`` chain is a shortest path. One tree is repaired each
+    epoch, another once from all the epochs' changes, each with a
+    ``changed`` set padded with edges that did not change."""
+    graph, root, epochs, extra = case
+    edges = [(e.source, e.target) for e in graph.edges()]
+    for reverse in (False, True):
+        _, first_dist, first_pred = csr.sssp_tree(graph, root, reverse=reverse)
+        chained = (first_dist, first_pred)
+        pending = []
+        for epoch in epochs:
+            if not edges:
+                break
+            updates = [(*edges[pick % len(edges)], cost) for pick, cost in epoch]
+            graph.apply_cost_updates(updates)
+            snapshot = csr.csr_for(graph)
+            index_of = snapshot.index_of
+            changed = [(index_of[u], index_of[v]) for u, v, _ in updates]
+            changed += [
+                (index_of[u], index_of[v])
+                for u, v in (edges[pick % len(edges)] for pick in extra)
+            ]
+            pending += changed
+            before = (list(chained[0]), list(chained[1]))
+            _, dist, pred = csr.repair_tree(graph, *chained, changed, reverse=reverse)
+            assert (list(chained[0]), list(chained[1])) == before  # inputs untouched
+            _, fresh_dist, _ = csr.sssp_tree(graph, root, reverse=reverse)
+            assert dist == fresh_dist
+            _assert_shortest_path_tree(graph, root, dist, pred, reverse)
+            chained = (dist, pred)
+        _, dist, pred = csr.repair_tree(
+            graph, first_dist, first_pred, pending, reverse=reverse
+        )
+        _, fresh_dist, _ = csr.sssp_tree(graph, root, reverse=reverse)
+        assert dist == fresh_dist
+        _assert_shortest_path_tree(graph, root, dist, pred, reverse)

@@ -1,10 +1,14 @@
 """Unit tests for the serving-layer building blocks: RouteCache,
 EstimatorPool and ServiceMetrics."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.estimators import LandmarkEstimator
-from repro.graphs.grid import make_grid
+from repro.graphs.grid import make_grid, make_paper_grid
+from repro.kernel import csr
 from repro.service.cache import RouteCache, query_key
 from repro.service.metrics import QueryMetrics, ServiceMetrics
 from repro.service.pool import EstimatorPool
@@ -222,6 +226,97 @@ class TestInvalidateEdgesRekeyTarget:
         assert report.rekeyed == 1
         assert cache.get((fp2,) + key1[1:]) == "route"
         assert cache.audit_index() == []
+
+
+def _old_rule_dead(graph, entries, deltas, previous_fp):
+    """The slots the pre-index decrease rule evicts, written out: an
+    entry dies when it was cached at another state, crosses a touched
+    edge or has no provenance, or when some cheaper edge's straight-line
+    detour (scaled by the new snapshot's ``euclidean_scale``) undercuts
+    its cost."""
+    touched = {(d.source, d.target) for d in deltas}
+    decreases = [d for d in deltas if d.decreased]
+    scale = csr.csr_for(graph).euclidean_scale(graph)
+    dead = set()
+    for slot, (fingerprint, cost, edges) in entries.items():
+        if fingerprint != previous_fp or edges is None or edges & touched:
+            dead.add(slot)
+            continue
+        if not decreases or (cost == math.inf and edges is not None):
+            continue
+        sx, sy = graph.coordinates(slot[1])
+        dx, dy = graph.coordinates(slot[2])
+        for delta in decreases:
+            ux, uy = graph.coordinates(delta.source)
+            vx, vy = graph.coordinates(delta.target)
+            detour = (
+                scale * math.hypot(sx - ux, sy - uy)
+                + delta.new_cost
+                + scale * math.hypot(vx - dx, vy - dy)
+            )
+            if detour < cost:
+                dead.add(slot)
+                break
+    return dead
+
+
+class TestDecreaseRuleReplay:
+    def test_invalidation_matches_the_old_rule_epoch_for_epoch(self):
+        """Seeded epochs, some pricing edges below their straight-line
+        length, evict and re-key exactly the slots the old rule does,
+        and leave both indexes an exact mirror. Half the routes are put
+        with their graph (coordinates looked up at the put), the rest
+        without (looked up on the first decrease), plus entries without
+        provenance."""
+        rng = random.Random(1993)
+        graph = make_paper_grid(8, "variance", seed=5)
+        nodes = list(graph.node_ids())
+        edges = [(e.source, e.target) for e in graph.edges()]
+        base = {edge: graph.edge_cost(*edge) for edge in edges}
+        cache = RouteCache(capacity=96)
+
+        def fill(count):
+            for _ in range(count):
+                source, destination = rng.sample(nodes, 2)
+                run = csr.uniform_cost(graph, source, destination)
+                key = _key(graph, source=source, destination=destination,
+                           algorithm="dijkstra")
+                if rng.random() < 0.1:
+                    cache.put(key, run, cost=run.cost)
+                    continue
+                cache.put(key, run, edges=list(zip(run.path, run.path[1:])),
+                          cost=run.cost, graph=graph if rng.random() < 0.5 else None)
+
+        fill(120)
+        evicted = rekeyed = 0
+        for number in range(24):
+            entries = {
+                slot: (entry.fingerprint, entry.cost, entry.edges)
+                for slot, entry in cache._entries.items()
+            }
+            previous_fp = graph.fingerprint
+            low = 0.3 if number % 2 else 1.0
+            deltas = graph.apply_cost_updates(
+                [(u, v, base[(u, v)] * rng.uniform(low, 2.0))
+                 for u, v in rng.sample(edges, 6)]
+            )
+            expected = _old_rule_dead(graph, entries, deltas, previous_fp)
+            report = cache.invalidate_edges(
+                graph, deltas, previous_fp, new_fingerprint=graph.fingerprint
+            )
+            assert set(entries) - set(cache._entries) == expected
+            assert report.evicted == len(expected)
+            assert report.rekeyed == len(cache._entries) == len(entries) - len(expected)
+            assert all(
+                entry.fingerprint == graph.fingerprint
+                for entry in cache._entries.values()
+            )
+            assert cache.audit_index() == []
+            evicted += report.evicted
+            rekeyed += report.rekeyed
+            fill(report.evicted)
+        assert csr.csr_for(graph).euclidean_scale(graph) < 1.0
+        assert evicted and rekeyed
 
 
 class TestRoutesCrossing:
