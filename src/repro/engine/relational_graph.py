@@ -49,6 +49,13 @@ class RelationalGraph:
         else:
             self.db = Database(name=f"db-{graph.name}", stats=stats)
         self.stats = self.db.stats
+        R, S = node_schema(), edge_schema()
+        #: Bf_r: blocking factor of R, the adjacency joins' outer.
+        self.node_blocking_factor = R.blocking_factor(self.db.block_size)
+        #: Bf_rs: blocking factor of R x S join results (Table 1).
+        self.result_blocking_factor = R.join_with(S, "RS").blocking_factor(
+            self.db.block_size
+        )
         self._node_counter = 0
         self.S = self._load_edge_relation()
         # Traffic propagation: S was loaded at one fingerprint; epochs
@@ -83,11 +90,6 @@ class RelationalGraph:
     def average_adjacency(self) -> float:
         """|A|: average out-degree, the model's neighbor-count parameter."""
         return self.graph.average_degree()
-
-    def result_blocking_factor(self) -> int:
-        """Bf_rs: blocking factor of R x S join results (Table 1)."""
-        combined = edge_schema().tuple_size + node_schema().tuple_size
-        return max(1, self.db.block_size // combined)
 
     # ------------------------------------------------------------------
     def fresh_node_relation(
@@ -281,11 +283,11 @@ class RelationalGraph:
         return execute_join(
             outer=current_tuples,
             outer_key="node_id",
-            outer_blocking_factor=node_schema().blocking_factor(self.db.block_size),
+            outer_blocking_factor=self.node_blocking_factor,
             inner=self.S,
             inner_key="begin",
             expected_result_tuples=expected,
-            result_blocking_factor=self.result_blocking_factor(),
+            result_blocking_factor=self.result_blocking_factor,
             stats=stats,
             forced_strategy=forced_strategy,
         )

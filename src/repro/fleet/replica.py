@@ -266,21 +266,31 @@ class ReplicaSet:
         """Fan one epoch's shard slice out to every live replica.
 
         The target bumps unconditionally; each replica's version bumps
-        only after it applied the deltas. A dead replica therefore
-        falls permanently out of sync and out of the serving order —
-        the mechanism that makes stale serves impossible rather than
-        merely unlikely.
+        only after it applied the deltas. A dead replica, or one whose
+        apply raised, therefore falls permanently out of sync and out of
+        the serving order — the mechanism that makes stale serves
+        impossible rather than merely unlikely. A replica that raises
+        does not stop the others; the first failure is re-raised after
+        all of them.
         """
         if not updates:
             return
         with self._lock:
             self._epoch_target += 1
+        failure = None
         for index, worker in enumerate(self.workers):
             if not worker.alive:
                 continue
-            worker.apply_deltas(updates)
+            try:
+                worker.apply_deltas(updates)
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+                continue
             with self._lock:
                 self._epoch_versions[index] = self._epoch_target
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------
     # deadline-governed hedged dispatch

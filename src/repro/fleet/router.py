@@ -301,8 +301,10 @@ class FleetRouter:
         version bumped exactly once per epoch. The tree table is kept:
         each shard's internal edges are logged at the new version, so a
         held tree is repaired from them when next read (a cut-edge
-        delta touches no tree). The log is written even when the
-        fan-out raised — a superset of the changes is always safe. The
+        delta touches no tree). A shard whose fan-out raises does not
+        stop the others; the first failure is re-raised after all of
+        them. The log is written even when the fan-out raised — a
+        superset of the changes is always safe. The
         parent feed calls this holding the parent graph's gate
         exclusively, so no query runs during the fan-out.
         """
@@ -319,8 +321,17 @@ class FleetRouter:
                 per_shard.setdefault(shard_id, []).append(
                     (delta.source, delta.target, delta.new_cost)
                 )
+            # Every shard gets its slice even when one raises: a shard
+            # left behind would serve the old costs unflagged.
+            failure = None
             for shard_id, updates in per_shard.items():
-                self.workers[shard_id].apply_deltas(updates)
+                try:
+                    self.workers[shard_id].apply_deltas(updates)
+                except Exception as exc:
+                    if failure is None:
+                        failure = exc
+            if failure is not None:
+                raise failure
         finally:
             with self._state_lock:
                 self._overlay = None

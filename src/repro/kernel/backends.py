@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 from repro.exceptions import PlannerError
 from repro.kernel.result import RunResult, RelationalRunResult, SearchStats
+from repro.storage.heapfile import RecordId
 from repro.storage.schema import STATUS_CLOSED, STATUS_CURRENT
 
 
@@ -256,6 +257,13 @@ class RelationalWavePolicy:
     where the in-memory wave propagates sequentially within a wave —
     a genuine tier difference the kernel preserves rather than papers
     over; on uniform-cost grids the two coincide.
+
+    Every pass over R is charged in full, but the policy records the
+    current rows itself — the source's, then the rows each REPLACE pass
+    improved — so a step reads only the rows it returns or writes. R
+    must hold no current row when the policy is built (a fresh R from
+    ``fresh_node_relation``); every later status change goes through
+    this object.
     """
 
     early_termination = False
@@ -263,6 +271,16 @@ class RelationalWavePolicy:
     def __init__(self, rgraph, R) -> None:
         self.rgraph = rgraph
         self.R = R
+        node_id = R.schema.position("node_id")
+        # Where each node's label lives: bookkeeping read off R's pages,
+        # not a charged access.
+        self._rid_of = {
+            row[node_id]: (page.page_no, slot)
+            for page in R.heap.pages
+            for slot, row in page.rows()
+        }
+        #: The current rows' record ids, in (page, slot) order.
+        self._current: List[RecordId] = []
 
     def open_node(self, node_id, path_cost, predecessor) -> None:
         # C4: mark the start node current via a keyed replace.
@@ -272,14 +290,16 @@ class RelationalWavePolicy:
         row = dict(self.R.read(rid))
         row.update(status=STATUS_CURRENT, path_cost=path_cost, path=predecessor)
         self.R.heap.update(rid, row)
+        self._current = [rid]
 
     def select(self) -> Optional[List[dict]]:
-        # Step 5: fetch all current nodes (scan of R).
-        status = self.R.schema.position("status")
+        # Step 5: fetch all current nodes (a charged scan of R).
+        for _page in self.R.heap.scan_pages():
+            pass
+        pages = self.R.heap.pages
+        as_dict = self.R.schema.as_dict
         current = [
-            self.R.schema.as_dict(row)
-            for _rid, row in self.R.heap.scan_rows()
-            if row[status] == STATUS_CURRENT
+            as_dict(pages[page_no].slots[slot]) for page_no, slot in self._current
         ]
         return current or None
 
@@ -306,22 +326,27 @@ class RelationalWavePolicy:
         # Step 7: one set-oriented REPLACE pass applies the label
         # improvements and flips statuses (current -> closed,
         # improved -> current for the next wave). This is the
-        # paper's batch update charged at 2 * B_r * t_update.
+        # paper's batch update charged at 2 * B_r * t_update. Only the
+        # current rows and the improvement targets can change.
         schema = self.R.schema
         as_dict = schema.as_dict
         node_id = schema.position("node_id")
         path_cost = schema.position("path_cost")
         status = schema.position("status")
-        updates = 0
+        rid_of = self._rid_of
+        candidates = set(self._current)
+        candidates.update(
+            rid_of[neighbor] for neighbor in best_improvement if neighbor in rid_of
+        )
+        improved = []
 
         def flip(row):
-            nonlocal updates
             improvement = best_improvement.get(row[node_id])
             if improvement is not None and row[path_cost] > improvement[0]:
                 values = as_dict(row)
                 values["path_cost"], values["path"] = improvement
                 values["status"] = STATUS_CURRENT
-                updates += 1
+                improved.append(row[node_id])
                 return values
             if row[status] == STATUS_CURRENT:
                 values = as_dict(row)
@@ -329,7 +354,10 @@ class RelationalWavePolicy:
                 return values
             return None
 
-        self.R.heap.batch_update(flip)
+        self.R.heap.batch_update(flip, candidates)
+        # The pass visits rows in (page, slot) order, so this is too.
+        self._current = [rid_of[node] for node in improved]
+        updates = len(improved)
 
         # Step 8: scan R to count current nodes (termination test). The
         # pass is charged in full; the rows current after step 7 are

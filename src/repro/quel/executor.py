@@ -146,6 +146,14 @@ def _conjuncts(qual: Optional[Qual]) -> List[Qual]:
     return [qual]
 
 
+def _check_keys_kept(relation: Relation, old: Row, new: Row) -> None:
+    changed = relation.changed_key(old, new)
+    if changed is not None:
+        raise QuelError(
+            f"REPLACE cannot change the {changed} of {relation.name!r}"
+        )
+
+
 class QuelSession:
     """Executes mini-QUEL statements against a database."""
 
@@ -364,7 +372,6 @@ class QuelSession:
             keyed = self._keyed_literal(variable, statement.where, relation)
             if keyed is not None and keyed[0] != relation.isam.key_field:
                 keyed = None
-        affected = 0
         if keyed is not None:
             # Keyed REPLACE: one ISAM descent, conditional update.
             rid = relation.isam.probe(keyed[1])
@@ -374,19 +381,26 @@ class QuelSession:
             env = {variable: row}
             if statement.where is not None and not _holds(statement.where, env):
                 return 0
+            old = dict(row)
             for name, expr in statement.assignments:
                 row[name] = _evaluate(expr, env)
+            _check_keys_kept(relation, old, row)
             relation.heap.update(rid, row)
             return 1
+        # Every replacement is computed and checked before the first is
+        # written, so a refused statement changes nothing.
+        replacements = []
         for rid, values in list(relation.scan()):
             env = {variable: dict(values)}
             if statement.where is None or _holds(statement.where, env):
                 row = dict(values)
                 for name, expr in statement.assignments:
                     row[name] = _evaluate(expr, env)
-                relation.heap.update(rid, row)
-                affected += 1
-        return affected
+                _check_keys_kept(relation, values, row)
+                replacements.append((rid, row))
+        for rid, row in replacements:
+            relation.heap.update(rid, row)
+        return len(replacements)
 
     def _run_delete(self, statement: DeleteStmt) -> int:
         relation = self._relation_for(statement.variable)

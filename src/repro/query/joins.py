@@ -21,6 +21,12 @@ Iterative) and the inner is the edge relation S, so the primary-key
 join through S's hash index usually wins — but every strategy is fully
 implemented and the optimizer really compares their costs.
 
+Hash and nested-loop joins charge the inner's full pass (per outer
+block for nested loops) whatever they read. When the inner has a hash
+index on the join key they read only the rows the index locates for
+the outer keys, in (page, slot) order, the rows a full scan would have
+matched; without one they read every row of the pass.
+
 All strategies produce identical results (equi-join on
 ``left_key = right_key``, merged field dicts, right-relation fields
 winning name clashes are prefixed by the caller's schema if needed).
@@ -30,11 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.exceptions import QueryError
 from repro.storage.iostats import IOStatistics
-from repro.storage.page import blocks_for
+from repro.storage.page import Row, blocks_for
 from repro.storage.relation import Relation
 
 
@@ -62,6 +68,29 @@ def _merge(left: Mapping[str, object], right: Mapping[str, object]) -> Dict[str,
         else:
             merged[key] = value
     return merged
+
+
+def _inner_rows(inner: Relation, inner_key: str, keys: Iterable[object]) -> Iterator[Row]:
+    """One full pass over the inner, yielding rows in (page, slot) order.
+
+    Every page is charged, by :meth:`HeapFile.scan_pages`, whatever the
+    pass yields. With a hash index on the join key the pass yields only
+    the rows whose key equals one of ``keys``, located through the
+    index without a charge; without one it yields every row.
+    """
+    index = inner.hash_index
+    if index is None or index.key_field != inner_key:
+        for _rid, row in inner.heap.scan_rows():
+            yield row
+        return
+    located = index.locate(keys)
+    for _page in inner.heap.scan_pages():
+        pass
+    pages = inner.heap.pages
+    for page_no, slot in located:
+        row = pages[page_no].slots[slot]
+        if row is not None:
+            yield row
 
 
 class JoinStrategy:
@@ -115,9 +144,8 @@ class NestedLoopJoin(JoinStrategy):
             block: Dict[object, List[Mapping[str, object]]] = {}
             for outer_values in chunk:
                 block.setdefault(outer_values[outer_key], []).append(outer_values)
-            # One full scan of the inner per outer block (charged by
-            # scan_rows()).
-            for _rid, row in inner.heap.scan_rows():
+            # One full pass over the inner per outer block.
+            for row in _inner_rows(inner, inner_key, block):
                 matches = block.get(row[key])
                 if matches:
                     inner_values = as_dict(row)
@@ -146,7 +174,7 @@ class HashJoin(JoinStrategy):
             table.setdefault(outer_values[outer_key], []).append(outer_values)
         key = inner.schema.position(inner_key)
         result: List[Dict[str, object]] = []
-        for _rid, row in inner.heap.scan_rows():  # charges inner reads
+        for row in _inner_rows(inner, inner_key, table):
             matches = table.get(row[key])
             if matches:
                 inner_values = inner.schema.as_dict(row)

@@ -7,12 +7,12 @@ costs roughly one bucket read plus the data pages.
 
 The index is static: a fixed number of buckets chosen at build time,
 each bucket a chain of index pages holding ``(key, record_id)`` entries.
-Probing charges one read per chain page traversed.
+Probing charges one read per page of the key's bucket chain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import IndexError_
 from repro.storage.heapfile import HeapFile, RecordId
@@ -34,7 +34,15 @@ def _stable_hash(key: object) -> int:
 
 
 class HashIndex:
-    """Static hash index mapping keys to one or more record ids."""
+    """Static hash index mapping keys to one or more record ids.
+
+    Entries are kept grouped by key (keys equal as in a dict share one
+    list of ``(bucket, key, record id)`` in entry order), so a lookup
+    compares only a key's own entries. What a probe is charged for is
+    the bucket's chain of index pages, which grows a page each time its
+    last page fills: a bucket of ``n`` entries has ``max(1, ceil(n /
+    bucket_capacity))`` pages.
+    """
 
     def __init__(
         self,
@@ -53,7 +61,9 @@ class HashIndex:
         self.bucket_capacity = bucket_capacity
         self.injector = injector
         self._requested_buckets = bucket_count
-        self._buckets: List[List[List[Tuple[object, RecordId]]]] = []
+        #: Entries per bucket.
+        self._bucket_sizes: List[int] = []
+        self._by_key: Dict[object, List[Tuple[int, object, RecordId]]] = {}
         self._built = False
 
     def build(self) -> None:
@@ -66,28 +76,38 @@ class HashIndex:
         if bucket_count <= 0:
             # Aim for ~one page per bucket at build time.
             bucket_count = max(1, len(entries) // self.bucket_capacity + 1)
-        chains: List[List[List[Tuple[object, RecordId]]]] = [
-            [[]] for _ in range(bucket_count)
-        ]
+        self._bucket_sizes = [0] * bucket_count
+        self._by_key = {}
         for key, record_id in entries:
-            chain = chains[_stable_hash(key) % bucket_count]
-            if len(chain[-1]) >= self.bucket_capacity:
-                chain.append([])
-            chain[-1].append((key, record_id))
-        self._buckets = chains
+            self._file(key, record_id)
         self._built = True
         self.stats.charge_write(self.page_count)
+
+    def _file(self, key: object, record_id: RecordId) -> None:
+        bucket = _stable_hash(key) % len(self._bucket_sizes)
+        try:
+            group = self._by_key.setdefault(key, [])
+        except TypeError:
+            raise IndexError_(
+                f"hash index on {self.heap.name!r}.{self.key_field}: "
+                f"key {key!r} is unhashable"
+            ) from None
+        group.append((bucket, key, record_id))
+        self._bucket_sizes[bucket] += 1
 
     # ------------------------------------------------------------------
     @property
     def bucket_count(self) -> int:
         self._require_built()
-        return len(self._buckets)
+        return len(self._bucket_sizes)
+
+    def _chain_pages(self, bucket: int) -> int:
+        return max(1, -(-self._bucket_sizes[bucket] // self.bucket_capacity))
 
     @property
     def page_count(self) -> int:
         self._require_built()
-        return sum(len(chain) for chain in self._buckets)
+        return sum(map(self._chain_pages, range(len(self._bucket_sizes))))
 
     def _require_built(self) -> None:
         if not self._built:
@@ -98,19 +118,21 @@ class HashIndex:
 
     # ------------------------------------------------------------------
     def probe(self, key: object) -> List[RecordId]:
-        """All record ids for ``key`` (charges one read per chain page
-        up to and including the last page containing a match, or the
-        whole chain when the key is absent)."""
+        """All record ids for ``key``: the entries of its bucket whose
+        key ``== key``, in entry order. Charges one read per page of
+        the bucket's chain, matches or not."""
         self._require_built()
         if self.injector is not None:
             # Before any chain-page read is charged.
             self.injector.on_read(f"hash:{self.heap.name}")
-        chain = self._buckets[_stable_hash(key) % len(self._buckets)]
-        matches: List[RecordId] = []
-        for page in chain:
+        bucket = _stable_hash(key) % len(self._bucket_sizes)
+        for _page in range(self._chain_pages(bucket)):
             self.stats.charge_read()
-            matches.extend(rid for k, rid in page if k == key)
-        return matches
+        try:
+            group = self._by_key.get(key, ())
+        except TypeError:  # an unhashable key equals no indexed key
+            return []
+        return [rid for b, k, rid in group if b == bucket and k == key]
 
     def fetch_all(self, key: object) -> List[dict]:
         """Probe and materialise the matching tuples.
@@ -118,47 +140,59 @@ class HashIndex:
         This is the paper's ``fetch(u.adjacencyList)``: bucket read(s)
         plus the data-page accesses for the matching tuples.
         """
-        return [dict(self.heap.read(rid)) for rid in self.probe(key)]
+        return [self.heap.read(rid) for rid in self.probe(key)]
 
     def insert(self, key: object, record_id: RecordId) -> None:
         """Add one entry post-build (extends the chain when full)."""
         self._require_built()
-        chain = self._buckets[_stable_hash(key) % len(self._buckets)]
-        if len(chain[-1]) >= self.bucket_capacity:
-            chain.append([])
-        chain[-1].append((key, record_id))
+        self._file(key, record_id)
         self.stats.charge_write()
+
+    def locate(self, keys: Iterable[object]) -> List[RecordId]:
+        """Record ids of the entries whose key equals one of ``keys``,
+        in (page, slot) order, charging nothing.
+
+        Keys match as in a dict lookup, whatever bucket they hash to
+        (1 and 1.0 match). This is for a caller that has already charged
+        a full pass over the heap and reads only the rows it returns.
+        """
+        self._require_built()
+        by_key = self._by_key
+        located = [rid for key in keys for _b, _k, rid in by_key.get(key, ())]
+        located.sort()
+        return located
 
     def verify(self) -> bool:
         """Audit the index against the heap (no I/O charge: a sweep).
 
         Checks, raising :class:`IndexError_` on the first violation:
 
-        * every entry sits in the bucket its key hashes to;
-        * no bucket page exceeds its capacity;
+        * every entry sits in the bucket its key hashes to, and each
+          bucket's size counts its entries;
         * the multiset of ``(key, rid)`` entries equals the multiset of
           live heap tuples' ``(key field, record id)`` pairs.
 
         Run by the crash matrix after every recovery; bills nothing.
         """
         self._require_built()
-        bucket_count = len(self._buckets)
+        bucket_count = len(self._bucket_sizes)
+        sizes = [0] * bucket_count
         index_entries: Dict[Tuple[str, RecordId], int] = {}
-        for bucket_no, chain in enumerate(self._buckets):
-            for page in chain:
-                if len(page) > self.bucket_capacity:
+        for group in self._by_key.values():
+            for bucket_no, key, rid in group:
+                if _stable_hash(key) % bucket_count != bucket_no:
                     raise IndexError_(
-                        f"hash index on {self.heap.name!r}: bucket "
-                        f"{bucket_no} page overflows its capacity"
+                        f"hash index on {self.heap.name!r}: key {key!r} "
+                        f"filed in bucket {bucket_no}, hashes elsewhere"
                     )
-                for key, rid in page:
-                    if _stable_hash(key) % bucket_count != bucket_no:
-                        raise IndexError_(
-                            f"hash index on {self.heap.name!r}: key {key!r} "
-                            f"filed in bucket {bucket_no}, hashes elsewhere"
-                        )
-                    marker = (repr(key), rid)
-                    index_entries[marker] = index_entries.get(marker, 0) + 1
+                sizes[bucket_no] += 1
+                marker = (repr(key), rid)
+                index_entries[marker] = index_entries.get(marker, 0) + 1
+        if sizes != self._bucket_sizes:
+            raise IndexError_(
+                f"hash index on {self.heap.name!r}: bucket sizes disagree "
+                "with its entries"
+            )
         heap_entries: Dict[Tuple[str, RecordId], int] = {}
         key = self.heap.schema.position(self.key_field)
         for page in self.heap.pages:
@@ -175,19 +209,18 @@ class HashIndex:
         return True
 
     def keys(self) -> Iterator[object]:
-        """All distinct keys (metadata; no I/O charge)."""
+        """All distinct keys, in entry order (metadata; no I/O charge)."""
         self._require_built()
         seen = set()
-        for chain in self._buckets:
-            for page in chain:
-                for key, _rid in page:
-                    marker = repr(key)
-                    if marker not in seen:
-                        seen.add(marker)
-                        yield key
+        for group in self._by_key.values():
+            for _bucket, key, _rid in group:
+                marker = repr(key)
+                if marker not in seen:
+                    seen.add(marker)
+                    yield key
 
     def __repr__(self) -> str:
         built = (
-            f"buckets={len(self._buckets)}" if self._built else "unbuilt"
+            f"buckets={len(self._bucket_sizes)}" if self._built else "unbuilt"
         )
         return f"HashIndex({self.heap.name!r}.{self.key_field}, {built})"

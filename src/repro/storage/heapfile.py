@@ -9,7 +9,7 @@ Tables 2-3 charge REPLACE-style operations per tuple.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.buffer import BufferPool
@@ -181,6 +181,7 @@ class HeapFile:
     def batch_update(
         self,
         updater: Callable[[Row], Optional[Mapping[str, object]]],
+        record_ids: Optional[Iterable[RecordId]] = None,
     ) -> int:
         """Set-oriented update pass over the whole file.
 
@@ -194,15 +195,29 @@ class HeapFile:
         replaces and the reason the Iterative algorithm's waves are
         cheap despite touching many labels.
 
+        A caller that knows which rows it may change passes their
+        ``record_ids``: every page is still read and charged, in order,
+        but ``updater`` sees only those rows, in (page, slot) order.
+
         Returns the number of tuples modified.
         """
+        slots_of: Optional[Dict[int, List[int]]] = None
+        if record_ids is not None:
+            slots_of = {}
+            for page_no, slot in sorted(set(record_ids)):
+                slots_of.setdefault(page_no, []).append(slot)
         modified = 0
         journal: List[Tuple[RecordId, Row]] = []
         for page in self.scan_pages():
             page_modified = False
-            # In-place overwrites keep the slot list's length, so it is
-            # iterated directly, each slot read before it is replaced.
-            for slot, row in enumerate(page.slots):
+            rows = page.slots
+            # In-place overwrites keep the slot list's length, so each
+            # slot is read before it is replaced.
+            for slot in (
+                range(len(rows)) if slots_of is None
+                else slots_of.get(page.page_no, ())
+            ):
+                row = rows[slot]
                 if row is None:
                     continue
                 new_values = updater(row)

@@ -147,14 +147,28 @@ class Relation:
 
     def update(self, record_id: RecordId, values: Mapping[str, object]) -> None:
         old = self.heap.read(record_id)
-        if self.isam is not None and old[self.isam.key_field] != values.get(
-            self.isam.key_field
-        ):
-            raise StorageError(
-                f"cannot change ISAM key field {self.isam.key_field!r} "
-                "via update"
-            )
+        changed = self.changed_key(old, values)
+        if changed is not None:
+            raise StorageError(f"cannot change {changed} via update")
         self.heap.update(record_id, values)
+
+    def changed_key(
+        self, old: Mapping[str, object], values: Mapping[str, object]
+    ) -> Optional[str]:
+        """The indexed key field that ``values`` would change in ``old``.
+
+        Indexes are static: an entry stays filed under the key its row
+        had when it was indexed, so an in-place update must keep every
+        indexed key. Returns a description such as ``"ISAM key field
+        'node_id'"``, or None when no indexed key changes. Compares
+        against a row the caller has already read, so it charges nothing.
+        """
+        for kind, index in (("ISAM", self.isam), ("hash", self.hash_index)):
+            if index is not None and old[index.key_field] != values.get(
+                index.key_field
+            ):
+                return f"{kind} key field {index.key_field!r}"
+        return None
 
     def replace_by_key(self, key: object, values: Mapping[str, object]) -> bool:
         """Keyed REPLACE through the ISAM index (QUEL's REPLACE)."""

@@ -32,6 +32,14 @@ _CHECKERS = {
     ANY: lambda v: True,
 }
 
+#: Per typed tag, the exact value types its checker accepts: a value of
+#: one of these passes without the call (``bool`` is in none of them).
+_EXACT_TYPES = {
+    INT: (int,),
+    FLOAT: (float, int),
+    STR: (str,),
+}
+
 
 @dataclass(frozen=True)
 class Field:
@@ -71,11 +79,16 @@ class Schema:
         self._names: Tuple[str, ...] = tuple(names)
         self._by_name: Dict[str, Field] = {f.name: f for f in fields}
         self._positions: Dict[str, int] = {f.name: i for i, f in enumerate(fields)}
-
-    @property
-    def tuple_size(self) -> int:
-        """Bytes per tuple — the paper's T_s / T_r."""
-        return sum(f.size for f in self.fields)
+        #: Bytes per tuple — the paper's T_s / T_r.
+        self.tuple_size: int = sum(f.size for f in fields)
+        # The typed fields' checks, in field order: (position, field,
+        # types accepted without calling the checker). ANY fields need
+        # no check.
+        self._checks: Tuple[Tuple[int, Field, Tuple[type, ...]], ...] = tuple(
+            (i, f, _EXACT_TYPES[f.type_tag])
+            for i, f in enumerate(fields)
+            if f.type_tag != ANY
+        )
 
     @property
     def field_names(self) -> Tuple[str, ...]:
@@ -111,6 +124,22 @@ class Schema:
         :class:`SchemaError` eagerly: a storage engine that silently
         coerces tuples makes cost accounting untrustworthy.
         """
+        try:
+            row = tuple([values[name] for name in self._names])
+        except KeyError:
+            return self._validate_by_field(values)
+        if len(values) != len(row):
+            return self._validate_by_field(values)
+        for i, field_def, exact in self._checks:
+            value = row[i]
+            if type(value) not in exact and not field_def.accepts(value):
+                raise self._mistyped(field_def, value)
+        return row
+
+    def _validate_by_field(self, values: Mapping[str, object]) -> Tuple[object, ...]:
+        """:meth:`validate` field by field, for a mapping with a missing
+        or extra field: an extra field is reported first, then fields in
+        order, each missing or mistyped."""
         extra = set(values) - set(self._by_name)
         if extra:
             raise SchemaError(
@@ -124,12 +153,15 @@ class Schema:
                 )
             value = values[field_def.name]
             if not field_def.accepts(value):
-                raise SchemaError(
-                    f"schema {self.name!r}: field {field_def.name!r} "
-                    f"rejects value {value!r} (expected {field_def.type_tag})"
-                )
+                raise self._mistyped(field_def, value)
             row.append(value)
         return tuple(row)
+
+    def _mistyped(self, field_def: Field, value: object) -> SchemaError:
+        return SchemaError(
+            f"schema {self.name!r}: field {field_def.name!r} "
+            f"rejects value {value!r} (expected {field_def.type_tag})"
+        )
 
     def as_dict(self, row: Sequence[object]) -> Dict[str, object]:
         """Convert a positional tuple back to a field-name mapping."""

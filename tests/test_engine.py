@@ -17,8 +17,11 @@ from repro.engine.frontier import (
     SeparateRelationFrontier,
     StatusAttributeFrontier,
 )
+from repro.engine import rel_iterative
 from repro.graphs.grid import make_grid, make_paper_grid
-from repro.storage.schema import STATUS_NULL
+from repro.graphs.roadmap import make_minneapolis_map, road_queries
+from repro.storage.database import Database
+from repro.storage.schema import STATUS_CURRENT, STATUS_NULL
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +243,59 @@ class TestEstimatorOverride:
             estimator=ManhattanEstimator(),
         )
         assert run.found
+
+
+class _AllRowsWaves(kernel.RelationalWavePolicy):
+    """The wave steps reading every row: step 5 keeps the rows of R whose
+    status is current, step 7 offers every row to the updater."""
+
+    def __init__(self, rgraph, R):
+        super().__init__(rgraph, R)
+        batch_update = R.heap.batch_update
+        R.heap.batch_update = lambda updater, record_ids=None: batch_update(updater)
+
+    def select(self):
+        status = self.R.schema.position("status")
+        current = [
+            self.R.schema.as_dict(row)
+            for _rid, row in self.R.heap.scan_rows()
+            if row[status] == STATUS_CURRENT
+        ]
+        return current or None
+
+
+class TestWavePolicyRows:
+    """The wave policy reads only the current rows and the rows its
+    REPLACE pass changes; its answers, trace, ledger and journal equal
+    the passes that read every row."""
+
+    @staticmethod
+    def _run(graph, pair, capacity):
+        from repro.wal import InMemoryStableStore, WriteAheadLog
+
+        wal = WriteAheadLog(store=InMemoryStableStore())
+        db = Database(buffer_capacity=capacity, wal=wal)
+        result = run_iterative(RelationalGraph(graph, database=db), *pair)
+        pool = db.buffer_pool
+        return (
+            (result.found, result.cost, result.path, result.iterations),
+            [(r.updates_applied, r.join_strategy, r.cumulative_cost) for r in result.trace],
+            (db.stats.snapshot(), dict(db.stats.phase_costs)),
+            (pool.hits, pool.misses, pool.evictions),
+            list(wal.records(charge=False)),
+        )
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    @pytest.mark.parametrize("pair", [((0, 0), (7, 7)), ((3, 5), (6, 1))])
+    def test_equals_the_all_rows_passes(self, grid8, pair, capacity, monkeypatch):
+        located = self._run(grid8, pair, capacity)
+        assert any(record[0] == "batch" for record in located[4])
+        monkeypatch.setattr(rel_iterative, "RelationalWavePolicy", _AllRowsWaves)
+        assert self._run(grid8, pair, capacity) == located
+
+    def test_road_map_pair_equals_the_all_rows_passes(self, monkeypatch):
+        road_map = make_minneapolis_map(1993)
+        pair = road_queries(road_map)["E to F"]
+        located = self._run(road_map.graph, pair, 4)
+        monkeypatch.setattr(rel_iterative, "RelationalWavePolicy", _AllRowsWaves)
+        assert self._run(road_map.graph, pair, 4) == located

@@ -74,6 +74,26 @@ class TestReplicaSet:
         finally:
             rs.shutdown()
 
+    def test_a_raising_replica_does_not_stop_the_fan_out(self):
+        spec = one_shard_spec()
+        rs = ReplicaSet(spec, replicas=3)
+        try:
+            def broken(updates):
+                raise RuntimeError("replica 0 apply failed")
+
+            rs.workers[0].apply_deltas = broken
+            with pytest.raises(RuntimeError, match="replica 0 apply failed"):
+                rs.apply_deltas([((0, 0), (0, 1), 9.5)])
+            # The raising replica falls out of sync; the others applied
+            # the epoch and keep serving it.
+            assert not rs.replica_in_sync(0)
+            for index in (1, 2):
+                assert rs.workers[index].graph.edge_cost((0, 0), (0, 1)) == 9.5
+                assert rs.replica_in_sync(index)
+            assert rs.slo_snapshot()["replicas_in_sync"] == 2
+        finally:
+            rs.shutdown()
+
     def test_transient_errors_retry_then_fail_over_exactly(self):
         spec = one_shard_spec()
         rs = ReplicaSet(

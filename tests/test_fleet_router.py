@@ -410,6 +410,31 @@ class TestEpochConsistency:
         finally:
             router.shutdown()
 
+    def test_a_raising_shard_does_not_stop_the_epoch_fan_out(self):
+        # Shard 0's slice of the epoch comes first and raises; shard 1's
+        # slice must still land, or the fleet serves its old costs.
+        graph = make_paper_grid(6, "variance", seed=11)
+        router, feed = make_fleet(graph, 2, 2)
+        try:
+            partition = router.partition
+            assert partition.shard_of((0, 0)) == partition.shard_of((0, 1)) == 0
+            assert partition.shard_of((0, 3)) == partition.shard_of((0, 4)) == 1
+
+            def broken(updates):
+                raise RuntimeError("shard 0 fan-out failed")
+
+            router.workers[0].apply_deltas = broken
+            bump = graph.edge_cost((0, 0), (0, 1)) + 0.5
+            with pytest.raises(RuntimeError, match="shard 0 fan-out failed"):
+                feed.apply([((0, 0), (0, 1), bump), ((0, 3), (0, 4), 50.0)])
+            assert router.workers[1].spec.graph.edge_cost((0, 3), (0, 4)) == 50.0
+            result = router.plan((0, 3), (0, 4))
+            reference = csr.uniform_cost(graph, (0, 3), (0, 4))
+            assert reference.cost == pytest.approx(3.453928658537465)
+            assert result.shed or result.cost == pytest.approx(reference.cost)
+        finally:
+            router.shutdown()
+
 
 class TestSnapshot:
     def test_nested_shape_with_numeric_leaves(self):

@@ -64,6 +64,37 @@ class TestProbe:
         _heap, index, _stats = make_indexed_heap(rows)
         assert len(index.fetch_all((0, 0))) == 2
 
+    @pytest.mark.parametrize("bucket_count, expected", [(1, [0, 1]), (3, [0])])
+    def test_probe_matches_within_the_bucket(self, bucket_count, expected):
+        # 1 and 1.0 are equal, but file in different buckets of three.
+        assert _stable_hash(1) % 3 != _stable_hash(1.0) % 3
+        rows = [(1, "a", 1.0), (1.0, "b", 1.0), (2, "c", 1.0)]
+        _heap, index, _stats = make_indexed_heap(rows, bucket_count=bucket_count)
+        assert [rid[1] for rid in index.probe(1)] == expected
+
+    def test_locate_matches_across_buckets_and_charges_nothing(self):
+        rows = [(1, "a", 1.0), (2, "b", 1.0), (1.0, "c", 1.0), (3, "d", 1.0)]
+        _heap, index, stats = make_indexed_heap(rows, bucket_count=3)
+        stats.reset()
+        assert index.locate([3, True]) == [(0, 0), (0, 2), (0, 3)]
+        assert index.locate([]) == [] and index.locate([7]) == []
+        assert stats.cost == 0.0
+
+    def test_unhashable_probe_key_matches_nothing(self):
+        _heap, index, stats = make_indexed_heap(ADJACENCY, bucket_count=1)
+        stats.reset()
+        assert index.probe([4]) == []
+        assert stats.block_reads == index.page_count
+
+    def test_unhashable_keys_are_refused(self):
+        with pytest.raises(IndexError_, match="unhashable"):
+            make_indexed_heap([([0], 1, 1.0)])
+        heap, index, _stats = make_indexed_heap(ADJACENCY)
+        rid = heap.insert({"begin": [4], "end": 9, "c": 2.0})
+        with pytest.raises(IndexError_, match="unhashable"):
+            index.insert([4], rid)
+        assert index.page_count == 1 and len(index.fetch_all(4)) == 3
+
 
 class TestBuild:
     def test_unbuilt_raises(self):

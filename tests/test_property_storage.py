@@ -338,6 +338,59 @@ def test_batch_update_equals_per_tuple_updates(tuples):
     assert [v for _r, v in heap_a.scan()] == [v for _r, v in heap_b.scan()]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    tuples=st.lists(
+        st.tuples(st.integers(0, 100), st.floats(0, 9, allow_nan=False)),
+        max_size=40,
+    ),
+    extra=st.lists(st.integers(0, 39), max_size=10),
+    block_size=st.sampled_from([64, 256]),
+    with_wal=st.booleans(),
+)
+def test_batch_update_over_given_rows_equals_the_all_rows_pass(
+    tuples, extra, block_size, with_wal
+):
+    """Offered only the rows it changes (plus any others, repeats
+    included), batch_update writes, journals and charges exactly what
+    the pass offering every row does."""
+    from repro.wal import InMemoryStableStore, WriteAheadLog
+
+    heaps = []
+    for _ in range(2):
+        heap, stats = fresh_heap(block_size=block_size)
+        for key, value in tuples:
+            heap.insert({"k": key, "v": value})
+        if with_wal:
+            heap.wal = WriteAheadLog(store=InMemoryStableStore())
+            heap.wal.bind(stats)
+        stats.reset()
+        heaps.append((heap, stats))
+
+    k, v = heaps[0][0].schema.position("k"), heaps[0][0].schema.position("v")
+
+    def bump(row):
+        if row[v] > 4.0:
+            return {"k": row[k], "v": row[v] + 1.0}
+        return None
+
+    (given_heap, given_stats), (all_heap, all_stats) = heaps
+    rids = [rid for rid, row in given_heap.scan_rows() if bump(row) is not None]
+    live = [rid for rid, _row in given_heap.scan_rows()]
+    offered = rids + [live[i % len(live)] for i in extra if live]
+    given_stats.reset()
+    with given_stats.phase("iterate"), all_stats.phase("iterate"):
+        modified = given_heap.batch_update(bump, offered)
+        assert modified == all_heap.batch_update(bump)
+    assert [p.slots for p in given_heap.pages] == [p.slots for p in all_heap.pages]
+    assert given_stats.snapshot() == all_stats.snapshot()
+    assert given_stats.phase_costs == all_stats.phase_costs
+    if with_wal:
+        assert list(given_heap.wal.records(charge=False)) == list(
+            all_heap.wal.records(charge=False)
+        )
+
+
 class _ScanFrontier(StatusAttributeFrontier):
     """The selection as a full positional scan of R with strict ``<``:
     the rule the open-row heap must reproduce, row for row and charge

@@ -203,6 +203,40 @@ class TestMutations:
         )
         assert affected == 0  # path_cost is 999
 
+    def test_replace_cannot_change_a_hash_indexed_key(self):
+        db = Database()
+        S = db.create_relation(edge_schema(), name="S")
+        S.bulk_load(
+            {"begin": u, "end": v, "cost": 1.0}
+            for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
+        )
+        S.create_hash_index("begin")
+        session = QuelSession(db)
+        session.execute("RANGE OF s IS S")
+        with pytest.raises(QuelError, match="hash key field 'begin'"):
+            session.execute('REPLACE s (begin = "z") WHERE s.end = "b"')
+        # Nothing was written: the index and the heap still agree.
+        assert S.hash_index.verify()
+        assert [row["end"] for row in S.hash_index.fetch_all("a")] == ["b", "c"]
+        assert session.execute('RETRIEVE (s.end) WHERE s.begin = "z"') == []
+        # A REPLACE that keeps the key still runs.
+        assert session.execute('REPLACE s (cost = 2.0) WHERE s.end = "b"') == 1
+
+    def test_keyed_replace_cannot_change_the_isam_key(self, session):
+        with pytest.raises(QuelError, match="ISAM key field 'node_id'"):
+            session.execute("REPLACE r (node_id = 7) WHERE r.node_id = 3")
+        assert session.database.relation("R").fetch_by_key(3)["node_id"] == 3
+        assert session.database.relation("R").fetch_by_key(7) is None
+
+    def test_scan_replace_refused_part_way_writes_nothing(self, session):
+        # The begin-0 rows keep their key (0 + 0 / 4 == 0) and pass the
+        # check before a begin-1 row is refused; none of them is written.
+        stats = session.database.stats
+        updates = stats.tuple_updates
+        with pytest.raises(QuelError, match="hash key field 'begin'"):
+            session.execute("REPLACE s (begin = s.begin + s.begin / 4) WHERE s.cost > 0")
+        assert stats.tuple_updates == updates
+
     def test_delete_on_unindexed_relation(self, session):
         session.execute(
             "RETRIEVE INTO Scratch (s.end) WHERE s.begin = 0"

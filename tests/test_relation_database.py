@@ -49,6 +49,21 @@ class TestRelation:
         with pytest.raises(StorageError):
             relation.update(rid, {"k": 2, "v": 0.0})
 
+    def test_update_cannot_change_hash_key(self):
+        db = Database()
+        relation = db.create_relation(simple_schema())
+        rid = relation.insert({"k": "a", "v": 0.0})
+        relation.create_hash_index("k")
+        before = db.stats.snapshot()
+        with pytest.raises(StorageError, match="hash key field 'k'"):
+            relation.update(rid, {"k": "z", "v": 1.0})
+        # Refused after the one read the update makes anyway: no write.
+        assert db.stats.block_reads == before["block_reads"] + 1
+        assert db.stats.tuple_updates == before["tuple_updates"]
+        assert relation.hash_index.fetch_all("a") == [{"k": "a", "v": 0.0}]
+        relation.update(rid, {"k": "a", "v": 2.0})  # the key kept: allowed
+        assert relation.hash_index.fetch_all("a") == [{"k": "a", "v": 2.0}]
+
     def test_delete_forbidden_on_indexed_relation(self):
         db = Database()
         relation = db.create_relation(simple_schema())
