@@ -105,7 +105,6 @@ stays exact with dark shards).
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -178,12 +177,20 @@ class FleetResult:
 
 
 class _Overlay:
-    """The boundary graph: cut edges + per-shard boundary cliques."""
+    """The boundary graph: cut edges + per-shard boundary cliques.
 
-    def __init__(self, version: int) -> None:
+    Every overlay node is a boundary node, so the overlay runs on the
+    router's dense boundary ids (:attr:`FleetRouter._overlay_ids`):
+    ``rows[i]`` lists node ``i``'s ``(neighbor id, cost, via)`` edges,
+    ``via`` the owning shard of a clique edge or ``CUT``.
+    """
+
+    def __init__(self, version: int, nodes: List[NodeId], ids: Dict[NodeId, int]) -> None:
         self.version = version
-        #: node -> [(neighbor, cost, via_shard-or-CUT)]
-        self.adjacency: Dict[NodeId, List[Tuple[NodeId, float, int]]] = {}
+        #: Dense id -> boundary node, and back.
+        self.nodes = nodes
+        self.ids = ids
+        self.rows: List[List[Tuple[int, float, int]]] = [[] for _ in nodes]
         self.edge_count = 0
         #: The boundary out-trees the cliques were read from; a clique
         #: hop ``b1 -> b2`` is materialized as ``trees[b1].path(b2)``.
@@ -197,10 +204,27 @@ class _Overlay:
     def degraded(self) -> bool:
         return bool(self.dark_shards)
 
+    @property
+    def adjacency(self) -> Dict[NodeId, List[Tuple[NodeId, float, int]]]:
+        """The rows by node: node -> [(neighbor, cost, via)]."""
+        nodes = self.nodes
+        return {
+            nodes[i]: [(nodes[j], cost, via) for j, cost, via in row]
+            for i, row in enumerate(self.rows)
+        }
+
     def add_edge(self, source: NodeId, target: NodeId, cost: float, via: int) -> None:
-        self.adjacency.setdefault(source, []).append((target, cost, via))
-        self.adjacency.setdefault(target, [])
+        ids = self.ids
+        self.rows[ids[source]].append((ids[target], cost, via))
         self.edge_count += 1
+
+
+def _reached(tree: ShardTree, base: int) -> List[Tuple[float, int]]:
+    """``(distance, overlay id)`` of each boundary node linked to the
+    tree's root; ``base`` is the overlay id of the shard's first
+    boundary node."""
+    dist = tree.dist
+    return [(dist[i], base + j) for j, i in enumerate(tree.slots) if dist[i] != _INF]
 
 
 class FleetRouter:
@@ -251,6 +275,17 @@ class FleetRouter:
         self._cut_shards: Dict[EdgeKey, Tuple[int, int]] = {
             (cut.source, cut.target): (cut.source_shard, cut.target_shard)
             for cut in partition.cut_edges
+        }
+        #: Dense overlay ids: the boundary nodes shard by shard, each
+        #: shard's in ShardSpec.boundary order, so boundary slot j of a
+        #: shard's trees is overlay id ``_overlay_base[shard] + j``.
+        self._overlay_nodes: List[NodeId] = []
+        self._overlay_base: Dict[int, int] = {}
+        for spec in partition.shards:
+            self._overlay_base[spec.shard_id] = len(self._overlay_nodes)
+            self._overlay_nodes.extend(spec.boundary)
+        self._overlay_ids: Dict[NodeId, int] = {
+            node: i for i, node in enumerate(self._overlay_nodes)
         }
         self._state_lock = threading.Lock()
         #: Serializes overlay builds, so concurrent queries build once.
@@ -380,7 +415,7 @@ class FleetRouter:
                 overlay = self._overlay
             if overlay is not None and overlay.version == version:
                 return overlay
-            built = _Overlay(version)
+            built = _Overlay(version, self._overlay_nodes, self._overlay_ids)
             for key, cost in self._cut_costs.items():
                 built.add_edge(key[0], key[1], cost, CUT)
             repairs = 0
@@ -436,45 +471,53 @@ class FleetRouter:
     @staticmethod
     def _overlay_search(
         overlay: _Overlay,
-        seeds: Dict[NodeId, float],
-        targets: Dict[NodeId, float],
+        seeds: List[Tuple[float, int]],
+        tails: List[Tuple[float, int]],
         bound: float,
-    ) -> Tuple[float, Optional[NodeId], Dict[NodeId, Tuple[NodeId, int]]]:
-        """Multi-source Dijkstra over the overlay.
+    ) -> Tuple[float, int, List[Optional[Tuple[int, int]]]]:
+        """Multi-source Dijkstra over the overlay's dense rows.
 
-        ``seeds`` maps entry boundary nodes to d_s(s -> b1); ``targets``
-        maps exit boundary nodes to d_t(b2 -> t). Only totals below
-        ``bound`` (the local answer, or inf) count. Returns the best
-        total stitched cost, the winning exit node (None when nothing
-        beat ``bound``), and the predecessor map (node -> (previous
-        node, via-shard or CUT)) for path materialization.
+        ``seeds`` holds ``(d_s(s -> b1), id)`` for the entry boundary
+        nodes and ``tails`` ``(d_t(b2 -> t), id)`` for the exit ones
+        (:func:`_reached`). Only totals below ``bound`` (the local
+        answer, or inf) count. Returns the best total stitched cost,
+        the winning exit id (-1 when nothing beat ``bound``), and the
+        predecessor list (id -> (previous id, via-shard or CUT), None
+        for an id no relaxation reached) for path materialization.
         """
-        dist: Dict[NodeId, float] = dict(seeds)
-        pred: Dict[NodeId, Tuple[NodeId, int]] = {}
-        counter = itertools.count()
-        heap = [(cost, next(counter), node) for node, cost in seeds.items()]
+        size = len(overlay.rows)
+        dist = [_INF] * size
+        tail = [_INF] * size
+        for cost, node in seeds:
+            dist[node] = cost
+        for cost, node in tails:
+            tail[node] = cost
+        pred: List[Optional[Tuple[int, int]]] = [None] * size
+        heap = list(seeds)
         heapq.heapify(heap)
-        best_cost, best_exit = bound, None
+        pop = heapq.heappop
+        push = heapq.heappush
+        best_cost, best_exit = bound, -1
         # Every total through a frontier cost c is at least c + floor,
         # so the search stops once that reaches the best total, and
         # never pushes a label that cannot beat it.
-        floor = min(targets.values())
-        adjacency = overlay.adjacency
+        floor = min(tails)[0]
+        rows = overlay.rows
         while heap:
-            cost, _tie, node = heapq.heappop(heap)
+            cost, node = pop(heap)
             if cost + floor >= best_cost:
                 break
             if cost > dist[node]:
                 continue
-            tail = targets.get(node)
-            if tail is not None and cost + tail < best_cost:
-                best_cost, best_exit = cost + tail, node
-            for neighbor, weight, via in adjacency.get(node, ()):
+            total = cost + tail[node]
+            if total < best_cost:
+                best_cost, best_exit = total, node
+            for neighbor, weight, via in rows[node]:
                 candidate = cost + weight
-                if candidate + floor < best_cost and candidate < dist.get(neighbor, _INF):
+                if candidate + floor < best_cost and candidate < dist[neighbor]:
                     dist[neighbor] = candidate
                     pred[neighbor] = (node, via)
-                    heapq.heappush(heap, (candidate, next(counter), neighbor))
+                    push(heap, (candidate, neighbor))
         return best_cost, best_exit, pred
 
     @staticmethod
@@ -482,32 +525,33 @@ class FleetRouter:
         overlay: _Overlay,
         out_tree: ShardTree,
         in_tree: ShardTree,
-        exit_: NodeId,
-        pred: Dict[NodeId, Tuple[NodeId, int]],
+        exit_: int,
+        pred: List[Optional[Tuple[int, int]]],
     ) -> List[NodeId]:
         """Expand the winning overlay chain into a parent-node path by
         walking trees: source to entry in ``out_tree``, each clique hop
         in its boundary node's out-tree, exit to destination in
         ``in_tree``; cut hops append the crossing edge directly."""
         # Walk the predecessor chain back to the true entry node. Only
-        # seeds carry an initial distance, so any node without a pred
+        # seeds carry an initial distance, so any id without a pred
         # entry is a seed reached at its seed cost; a seed that was
         # *relaxed* cheaper via another node keeps its pred entry and
         # the walk correctly continues through it.
+        nodes = overlay.nodes
         node = exit_
         hops: List[Tuple[NodeId, NodeId, int]] = []
-        while node in pred:
+        while pred[node] is not None:
             previous, via = pred[node]
-            hops.append((previous, node, via))
+            hops.append((nodes[previous], nodes[node], via))
             node = previous
         hops.reverse()
-        path = out_tree.path(node)
+        path = out_tree.path(nodes[node])
         for segment_source, segment_target, via in hops:
             if via == CUT:
                 path.append(segment_target)
             else:
                 path.extend(overlay.trees[segment_source].path(segment_target)[1:])
-        path.extend(in_tree.path(exit_)[1:])
+        path.extend(in_tree.path(nodes[exit_])[1:])
         return path
 
     # ------------------------------------------------------------------
@@ -662,7 +706,8 @@ class FleetRouter:
                 fresh[key] = (version, tree)
             trees.append(tree)
         out_tree, in_tree = trees
-        seeds, tails = out_tree.boundary, in_tree.boundary
+        seeds = _reached(out_tree, self._overlay_base[source_shard])
+        tails = _reached(in_tree, self._overlay_base[target_shard])
 
         if same_shard:
             result.cost = out_tree.cost(destination)
@@ -685,7 +730,7 @@ class FleetRouter:
             best, exit_node, pred = self._overlay_search(
                 overlay, seeds, tails, result.cost
             )
-            if exit_node is not None:
+            if exit_node >= 0:
                 result.found = True
                 result.cost = best
                 result.path = self._materialize(
@@ -704,8 +749,8 @@ class FleetRouter:
     def _pruned(
         self,
         result: FleetResult,
-        seeds: Dict[NodeId, float],
-        tails: Dict[NodeId, float],
+        seeds: List[Tuple[float, int]],
+        tails: List[Tuple[float, int]],
         source_shard: int,
         target_shard: int,
     ) -> bool:
@@ -723,10 +768,10 @@ class FleetRouter:
             return True  # the shard has no usable exit or entry
         min_exit, min_entry = self._floors_for()
         floor = (
-            min(seeds.values())
+            min(seeds)[0]
             + min_exit.get(source_shard, _INF)
             + min_entry.get(target_shard, _INF)
-            + min(tails.values())
+            + min(tails)[0]
         )
         if result.cost <= floor:
             with self._state_lock:

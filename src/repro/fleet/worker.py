@@ -77,43 +77,40 @@ class ShardTree:
     Immutable once built, so the router may share it between queries
     and keep it across epochs: a later epoch does not change it, it
     yields a repaired copy (:meth:`ShardWorker.distances_to_boundary`
-    with ``stale``). :attr:`boundary` maps each boundary node linked to
-    the root inside the shard to its distance; :meth:`cost` and
-    :meth:`path` read any shard node. Distances and paths run root to
-    node for an out-tree and node to root for an in-tree.
+    with ``stale``). :attr:`slots` holds the dense id of each of the
+    shard's boundary nodes, in :attr:`ShardSpec.boundary` order, so
+    ``dist[slots[j]]`` is the distance between the root and boundary
+    node ``j`` (``inf`` when unlinked); :meth:`cost` and :meth:`path`
+    read any shard node. Distances and paths run root to node for an
+    out-tree and node to root for an in-tree.
 
     A router holds up to two trees per shard node, so a tree stores
-    only its two flat arrays by dense id (``dist`` as ``array('d')``,
-    ``pred`` as a 16- or 32-bit integer array) and references to its
-    snapshot's interning tables and boundary slots, which every tree of
-    the shard's topology shares.
+    only the four flat arrays of :func:`~repro.kernel.csr.tree_index`
+    by dense id (``dist``, ``pred`` and the child index ``first`` /
+    ``sibling``, the last three 16-bit on shards under 32,768 nodes),
+    adopted as they are, and references to its snapshot's interning
+    tables and the boundary slots, which every tree of the shard's
+    topology shares.
     """
 
-    __slots__ = ("inward", "dist", "pred", "node_ids", "_index_of", "_slots")
+    __slots__ = (
+        "inward", "dist", "pred", "first", "sibling", "node_ids", "_index_of", "slots"
+    )
 
     def __init__(
         self,
         inward: bool,
         snapshot: csr.CSRGraph,
-        dist: Sequence[float],
-        pred: Sequence[int],
-        slots: Sequence[Tuple[NodeId, int]],
+        arrays: Tuple[array, array, array, array],
+        slots: Tuple[int, ...],
     ) -> None:
         self.inward = inward
-        self.dist = array("d", dist)
-        self.pred = array("h" if snapshot.node_count < 32768 else "i", pred)
+        self.dist, self.pred, self.first, self.sibling = arrays
         #: The snapshot's dense ids: a repair needs a snapshot with the
         #: very same ones.
         self.node_ids = snapshot.node_ids
         self._index_of = snapshot.index_of
-        self._slots = slots
-
-    @property
-    def boundary(self) -> Dict[NodeId, float]:
-        """Boundary node -> distance, for the boundary nodes linked to
-        the root (read from ``dist`` on each call)."""
-        dist = self.dist
-        return {node: dist[i] for node, i in self._slots if dist[i] != _INF}
+        self.slots = slots
 
     def cost(self, node: NodeId) -> float:
         i = self._index_of.get(node)
@@ -328,7 +325,7 @@ class ShardWorker:
     def distances_to_boundary(
         self, source: NodeId, stale: Optional[StaleTree] = None
     ) -> ShardTree:
-        """The shard out-tree of ``source``: its ``boundary`` holds the
+        """The shard out-tree of ``source``: its boundary slots hold the
         shard-internal distances ``source -> b``. Given ``stale``, an
         earlier out-tree of ``source`` and the edges changed since, the
         tree is repaired from it (:func:`~repro.kernel.csr.repair_tree`)
@@ -339,7 +336,7 @@ class ShardWorker:
     def distances_from_boundary(
         self, destination: NodeId, stale: Optional[StaleTree] = None
     ) -> ShardTree:
-        """The shard in-tree of ``destination``: its ``boundary`` holds
+        """The shard in-tree of ``destination``: its boundary slots hold
         the shard-internal distances ``b -> destination``. ``stale`` as
         for :meth:`distances_to_boundary`."""
         return self._tree(destination, True, stale)
@@ -356,26 +353,30 @@ class ShardWorker:
             # repairable only if its copy interned the nodes alike.
             if tree.node_ids is snapshot.node_ids or tree.node_ids == snapshot.node_ids:
                 index_of = snapshot.index_of
-                snapshot, dist, pred = csr.repair_tree(
+                snapshot, *arrays = csr.repair_tree(
                     self.graph,
                     tree.dist,
                     tree.pred,
+                    tree.first,
+                    tree.sibling,
                     [(index_of[u], index_of[v]) for u, v in changed],
                     reverse=inward,
                 )
-                return ShardTree(inward, snapshot, dist, pred, self._slots(snapshot))
+                return ShardTree(inward, snapshot, arrays, self._slots(snapshot))
         snapshot, dist, pred = csr.sssp_tree(self.graph, root, reverse=inward)
-        return ShardTree(inward, snapshot, dist, pred, self._slots(snapshot))
+        return ShardTree(
+            inward, snapshot, csr.tree_index(dist, pred), self._slots(snapshot)
+        )
 
-    def _slots(self, snapshot: csr.CSRGraph) -> Tuple[Tuple[NodeId, int], ...]:
-        """The boundary's ``(node, dense id)`` pairs, one tuple per
-        topology, shared by all its trees."""
+    def _slots(self, snapshot: csr.CSRGraph) -> Tuple[int, ...]:
+        """The boundary's dense ids, one tuple per topology, shared by
+        all its trees."""
         memo = self._boundary_slots
         if memo[0] is not snapshot.index_of:
             index_of = snapshot.index_of
             memo = self._boundary_slots = (
                 index_of,
-                tuple((b, index_of[b]) for b in self.spec.boundary),
+                tuple(index_of[b] for b in self.spec.boundary),
             )
         return memo[1]
 
@@ -403,19 +404,22 @@ class ShardWorker:
         held = held or {}
         edges: List[CliqueEdge] = []
         trees: Dict[NodeId, ShardTree] = {}
-        for b1 in self.spec.boundary:
+        boundary = self.spec.boundary
+        for b1 in boundary:
             tree = trees[b1] = self._tree(b1, False, held.get(b1))
             dist = tree.dist
             pred = tree.pred
-            marks = {i for _, i in tree._slots}
+            slots = tree.slots
+            marks = set(slots)
             root = tree._index_of[b1]
-            for b2, cost in tree.boundary.items():
-                if b2 == b1:
+            for b2, i in zip(boundary, slots):
+                cost = dist[i]
+                if i == root or cost == _INF:
                     continue
-                i = pred[tree._index_of[b2]]
-                while i != root and not (i in marks and 0.0 < dist[i] < cost):
-                    i = pred[i]
-                if i == root:
+                j = pred[i]
+                while j != root and not (j in marks and 0.0 < dist[j] < cost):
+                    j = pred[j]
+                if j == root:
                     edges.append((b1, b2, cost))
         return edges, trees
 

@@ -59,6 +59,7 @@ import heapq
 import math
 import threading
 import weakref
+from array import array
 from itertools import compress
 from operator import truediv
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -832,32 +833,79 @@ def _settle(rows, dist, pred, heap, counter) -> None:
                 push(heap, (nd, counter, v))
 
 
+def _id_typecode(n: int) -> str:
+    """The ``array`` typecode that holds the dense ids of ``n`` nodes."""
+    return "h" if n < 32768 else "i"
+
+
+def tree_index(
+    dist: Sequence[float], pred: Sequence[int]
+) -> "Tuple[array, array, array, array]":
+    """An :func:`sssp_tree` result in the form :func:`repair_tree`
+    takes and returns: ``(dist, pred, first, sibling)`` as arrays.
+
+    ``dist`` becomes an ``array('d')``; ``pred`` and the tree's child
+    index are 16-bit integer arrays (32-bit from 32,768 nodes on).
+    The child index links each node's children: ``first[p]`` is one
+    child of ``p`` and ``sibling[v]`` the next child of ``pred[v]``
+    after ``v``, ``-1`` ending either list. It lets a repair visit the
+    subtree below a changed edge without a pass over every node.
+    """
+    n = len(pred)
+    code = _id_typecode(n)
+    first = array(code, [-1]) * n
+    sibling = array(code, [-1]) * n
+    for v, p in enumerate(pred):
+        if p >= 0:
+            sibling[v] = first[p]
+            first[p] = v
+    return array("d", dist), array(code, pred), first, sibling
+
+
 def repair_tree(
     graph: Graph,
     dist: Sequence[float],
     pred: Sequence[int],
+    first: Sequence[int],
+    sibling: Sequence[int],
     changed: Iterable[Tuple[int, int]],
     reverse: bool = False,
-) -> "Tuple[CSRGraph, List[float], List[int]]":
-    """Bring an :func:`sssp_tree` result up to ``graph``'s current costs.
+) -> "Tuple[CSRGraph, array, array, array, array]":
+    """Bring a :func:`tree_index` tree up to ``graph``'s current costs.
 
-    ``dist`` and ``pred`` are a tree that was exact at an earlier state
-    of the same topology, and ``changed`` holds the dense ``(u, v)``
-    endpoints of every edge whose cost moved since (any superset will
-    do). Returns ``(csr, dist, pred)`` as :func:`sssp_tree` does, on the
-    current snapshot, without touching the inputs:
+    ``dist``, ``pred`` and the child index ``first`` / ``sibling`` are
+    a tree that was exact at an earlier state of the same topology,
+    and ``changed`` holds the dense ``(u, v)`` endpoints of every edge
+    whose cost moved since (any superset will do). Returns ``(csr,
+    dist, pred, first, sibling)`` on the current snapshot, in
+    :func:`tree_index`'s array form, without touching the inputs:
 
-    1. a changed edge the tree uses detaches the subtree below it; each
-       detached node is reset, then seeded from its best in-neighbour
-       with a label;
-    2. a changed edge whose head now improves seeds that head;
-    3. Dijkstra's loop runs from the seeds.
+    1. a changed edge the tree uses detaches the subtree below it,
+       walked through the child index, and each detached node is
+       reset;
+    2. the detached nodes are relabelled in walk order (a parent
+       mostly before its children), each from its best in-neighbour,
+       and a relabelled node that can lower one relabelled before it
+       lowers it. Only a node so lowered, or one whose label fell
+       below its old one, is seeded;
+    3. a changed edge whose head now improves seeds that head;
+    4. Dijkstra's loop runs from the seeds;
+    5. the child index moves each node whose ``pred`` changed from its
+       old parent's list to its new one.
 
-    Every node keeps a label some current path realizes, and at the end
-    no edge can lower one, so ``dist`` is bit for bit the fresh
-    search's: both are the least such labelling. ``pred`` is a shortest-
-    path tree; where several shortest paths tie it may name another
-    one than a fresh search would. ``reverse`` repairs an in-tree.
+    Apart from the array copies, which run in C, the work is bounded by
+    the detached subtrees and the nodes the loop improves, not by the
+    tree's size. Every label stays one some current path realizes: a
+    node outside the detached subtrees keeps its old tree path, and
+    every new label extends a realized one by an edge. At the end no
+    edge can lower a label: an edge into a relabelled node was read by
+    step 2 or checked from its tail, an edge out of a node whose label
+    did not fall keeps its old slack unless its cost moved (step 3),
+    and the loop relaxes everything out of the nodes it pops. So
+    ``dist`` is bit for bit the fresh search's: both are the least such
+    labelling. ``pred`` is a shortest-path tree; where several shortest
+    paths tie it may name another one than a fresh search would.
+    ``reverse`` repairs an in-tree.
     """
     csr = csr_for(graph)
     n = csr.node_count
@@ -871,35 +919,53 @@ def repair_tree(
         changed = [(v, u) for u, v in changed]
     else:
         changed = list(changed)
-    dist = list(dist)
-    pred = list(pred)
-    heap = []
+    code = _id_typecode(n)
+    old_dist, old_pred = dist, pred
+    dist = array("d", dist)
+    pred = array(code, pred)
+    first = array(code, first)
+    sibling = array(code, sibling)
+    # ``seen``: 1 detached, then 2 once relabelled.
+    seen = bytearray(n)
+    detached = []
     cut = [v for u, v in changed if pred[v] == u]
-    if cut:
-        children: List[List[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(pred):
-            if p >= 0:
-                children[p].append(v)
-        detached = bytearray(n)
-        subtree = []
-        while cut:
-            v = cut.pop()
-            if not detached[v]:
-                detached[v] = 1
-                subtree.append(v)
-                cut.extend(children[v])
-        for v in subtree:
+    while cut:
+        v = cut.pop()
+        if not seen[v]:
+            seen[v] = 1
+            detached.append(v)
             dist[v] = _INF
             pred[v] = -1
-        for v in subtree:
-            best, via = _INF, -1
-            for u, w in inrows[v]:
-                if dist[u] + w < best:
-                    best, via = dist[u] + w, u
-            if via >= 0:
-                dist[v] = best
-                pred[v] = via
-                heap.append((best, len(heap), v))
+            c = first[v]
+            while c != -1:
+                cut.append(c)
+                c = sibling[c]
+    heap = []
+    for v in detached:
+        seen[v] = 2
+        best = _INF
+        for u, w in inrows[v]:
+            d = dist[u] + w
+            if d < best:
+                best = d
+                via = u
+        if best == _INF:
+            continue
+        dist[v] = best
+        pred[v] = via
+        if best < old_dist[v]:
+            # Its out-edges may lower nodes outside the subtree: the
+            # loop relaxes them all.
+            heap.append((best, len(heap), v))
+            continue
+        for x, w in rows[v]:
+            if seen[x] == 2 and best + w < dist[x]:
+                dist[x] = best + w
+                pred[x] = v
+                heap.append((best + w, len(heap), x))
+    # ``seen`` 3 marks a node outside the subtrees whose pred may move;
+    # ``lowered`` lists them.
+    lowered = []
     for u, v in changed:
         d = dist[u]
         for x, w in rows[u]:
@@ -907,9 +973,44 @@ def repair_tree(
                 dist[v] = d + w
                 pred[v] = u
                 heap.append((d + w, len(heap), v))
+                if not seen[v]:
+                    seen[v] = 3
+                    lowered.append(v)
+    # A node the loop lowers hangs, in the new tree, below a seed,
+    # through nodes it lowered: walk down from the seeds to find them.
+    walk = [v for _, _, v in heap]
+    start = array("d", dist)
     heapq.heapify(heap)
     _settle(rows, dist, pred, heap, len(heap))
-    return csr, dist, pred
+    for u in walk:
+        for v, _ in rows[u]:
+            if pred[v] == u and dist[v] < start[v]:
+                if not seen[v]:
+                    seen[v] = 3
+                    lowered.append(v)
+                    walk.append(v)
+                elif seen[v] == 2:
+                    seen[v] = 1  # walked once
+                    walk.append(v)
+    for v in detached + lowered:
+        p = old_pred[v]
+        if p == pred[v]:
+            continue
+        if p >= 0:
+            c = first[p]
+            if c == v:
+                first[p] = sibling[v]
+            else:
+                while sibling[c] != v:
+                    c = sibling[c]
+                sibling[c] = sibling[v]
+        p = pred[v]
+        if p >= 0:
+            sibling[v] = first[p]
+            first[p] = v
+        else:
+            sibling[v] = -1
+    return csr, dist, pred, first, sibling
 
 
 def bidirectional(

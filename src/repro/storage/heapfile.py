@@ -145,6 +145,17 @@ class HeapFile:
             )
         return self.schema.as_dict(row)
 
+    def peek(self, record_id: RecordId) -> Mapping[str, object]:
+        """One tuple by record id, charging nothing and bypassing the
+        buffer pool: for a caller about to :meth:`update` the tuple,
+        whose ``t_update`` already charges reading it."""
+        row = self._page(record_id[0]).read(record_id[1])
+        if row is None:
+            raise StorageError(
+                f"record {record_id} in {self.name!r} was deleted"
+            )
+        return self.schema.as_dict(row)
+
     def update(self, record_id: RecordId, values: Mapping[str, object]) -> None:
         """Overwrite one tuple in place — the QUEL REPLACE operation.
 

@@ -160,19 +160,6 @@ class ISAMIndex:
             return None
         return dict(self.heap.read(rid))
 
-    def update_via_index(self, key: object, values: dict) -> bool:
-        """Keyed REPLACE: descend, then update in place.
-
-        Returns False when the key is absent. The combined charge is
-        the paper's ``(I_l + S_r) * t_update`` shape: index traversal
-        reads plus one tuple update.
-        """
-        rid = self.probe(key)
-        if rid is None:
-            return False
-        self.heap.update(rid, values)
-        return True
-
     def insert(self, key: object, record_id: RecordId) -> None:
         """Post-build insertion into the overflow area of the leaf."""
         self._require_built()

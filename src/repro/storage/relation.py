@@ -171,12 +171,33 @@ class Relation:
         return None
 
     def replace_by_key(self, key: object, values: Mapping[str, object]) -> bool:
-        """Keyed REPLACE through the ISAM index (QUEL's REPLACE)."""
+        """Keyed REPLACE through the ISAM index (QUEL's REPLACE).
+
+        Returns False when the key is absent. Indexes are static (see
+        :meth:`changed_key`), so ``values`` must keep every indexed
+        key: a changed ISAM key is refused before the probe, as the
+        probed key is the row's; a changed hash key is refused against
+        the old row, read uncharged (:meth:`HeapFile.peek`) because the
+        update's ``t_update`` already charges reading the tuple. Either
+        refusal writes nothing, and the charge stays the paper's
+        ``(I_l + S_r) * t_update`` shape: index traversal reads plus one
+        tuple update.
+        """
         if self.isam is None:
             raise StorageError(
                 f"relation {self.name!r} has no ISAM index for keyed replace"
             )
-        return self.isam.update_via_index(key, dict(values))
+        field = self.isam.key_field
+        if values.get(field) != key:
+            raise StorageError(f"cannot change ISAM key field {field!r} via replace")
+        rid = self.isam.probe(key)
+        if rid is None:
+            return False
+        changed = self.changed_key(self.heap.peek(rid), values)
+        if changed is not None:
+            raise StorageError(f"cannot change {changed} via replace")
+        self.heap.update(rid, values)
+        return True
 
     def fetch_by_key(self, key: object) -> Optional[dict]:
         """Keyed fetch through the ISAM index."""

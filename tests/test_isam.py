@@ -95,15 +95,6 @@ class TestProbe:
 
 
 class TestUpdateInsert:
-    def test_update_via_index(self):
-        heap, index, _stats = make_indexed_heap(range(10))
-        assert index.update_via_index(4, {"k": 4, "v": 99.0})
-        assert index.fetch(4)["v"] == 99.0
-
-    def test_update_via_index_missing_key(self):
-        _heap, index, _stats = make_indexed_heap(range(10))
-        assert not index.update_via_index(42, {"k": 42, "v": 0.0})
-
     def test_overflow_insert_and_probe(self):
         heap, index, _stats = make_indexed_heap(range(0, 100, 2))
         rid = heap.insert({"k": 75, "v": 0.0})

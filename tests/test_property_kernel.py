@@ -358,19 +358,49 @@ def _assert_shortest_path_tree(graph, root, dist, pred, reverse):
         assert node_ids[j] == root and dist[j] == 0.0
 
 
+def _children(pred):
+    """Each parent's children, rebuilt from ``pred``."""
+    children = {}
+    for v, p in enumerate(pred):
+        if p != -1:
+            children.setdefault(p, set()).add(v)
+    return children
+
+
+def _assert_child_index(pred, first, sibling):
+    """``first`` / ``sibling`` list exactly each node's children."""
+    assert len(first) == len(sibling) == len(pred)
+    listed = {}
+    for p, c in enumerate(first):
+        steps = 0
+        while c != -1:
+            assert c not in listed.get(p, set())
+            listed.setdefault(p, set()).add(c)
+            c = sibling[c]
+            steps += 1
+            assert steps <= len(pred)
+    assert listed == _children(pred)
+
+
+def _bits(dist):
+    return [d.hex() for d in dist]
+
+
 @given(repair_cases())
 @_SETTINGS
 def test_repaired_trees_equal_fresh_trees(case):
     """:func:`csr.repair_tree` after chained mixed epochs: ``dist`` is a
-    fresh :func:`csr.sssp_tree`'s bit for bit in both directions, and
-    every ``pred`` chain is a shortest path. One tree is repaired each
-    epoch, another once from all the epochs' changes, each with a
+    fresh :func:`csr.sssp_tree`'s bit for bit in both directions, every
+    ``pred`` chain is a shortest path, and the returned child index
+    lists exactly the children ``pred`` names. One tree is repaired
+    each epoch, another once from all the epochs' changes, each with a
     ``changed`` set padded with edges that did not change."""
     graph, root, epochs, extra = case
     edges = [(e.source, e.target) for e in graph.edges()]
     for reverse in (False, True):
-        _, first_dist, first_pred = csr.sssp_tree(graph, root, reverse=reverse)
-        chained = (first_dist, first_pred)
+        first_tree = csr.tree_index(*csr.sssp_tree(graph, root, reverse=reverse)[1:])
+        _assert_child_index(*first_tree[1:])
+        chained = first_tree
         pending = []
         for epoch in epochs:
             if not edges:
@@ -385,16 +415,19 @@ def test_repaired_trees_equal_fresh_trees(case):
                 for u, v in (edges[pick % len(edges)] for pick in extra)
             ]
             pending += changed
-            before = (list(chained[0]), list(chained[1]))
-            _, dist, pred = csr.repair_tree(graph, *chained, changed, reverse=reverse)
-            assert (list(chained[0]), list(chained[1])) == before  # inputs untouched
+            before = [list(part) for part in chained]
+            _, *repaired = csr.repair_tree(graph, *chained, changed, reverse=reverse)
+            assert [list(part) for part in chained] == before  # inputs untouched
+            dist, pred, first, sibling = repaired
             _, fresh_dist, _ = csr.sssp_tree(graph, root, reverse=reverse)
-            assert dist == fresh_dist
+            assert _bits(dist) == _bits(fresh_dist)
             _assert_shortest_path_tree(graph, root, dist, pred, reverse)
-            chained = (dist, pred)
-        _, dist, pred = csr.repair_tree(
-            graph, first_dist, first_pred, pending, reverse=reverse
+            _assert_child_index(pred, first, sibling)
+            chained = repaired
+        _, dist, pred, first, sibling = csr.repair_tree(
+            graph, *first_tree, pending, reverse=reverse
         )
         _, fresh_dist, _ = csr.sssp_tree(graph, root, reverse=reverse)
-        assert dist == fresh_dist
+        assert _bits(dist) == _bits(fresh_dist)
         _assert_shortest_path_tree(graph, root, dist, pred, reverse)
+        _assert_child_index(pred, first, sibling)

@@ -35,6 +35,45 @@ class TestRelation:
         assert relation.fetch_by_key(3)["v"] == 7.0
         assert not relation.replace_by_key(42, {"k": 42, "v": 0.0})
 
+    def test_replace_by_key_cannot_change_isam_key(self):
+        db = Database()
+        relation = db.create_relation(simple_schema())
+        for i in range(5):
+            relation.insert({"k": i, "v": 0.0})
+        relation.create_isam_index("k")
+        before = db.stats.snapshot()
+        with pytest.raises(StorageError, match="ISAM key field 'k'"):
+            relation.replace_by_key(3, {"k": 7, "v": 1.0})
+        # Refused before the probe: nothing read, nothing written.
+        assert db.stats.snapshot() == before
+        assert relation.isam.verify()
+        assert relation.fetch_by_key(3) == {"k": 3, "v": 0.0}
+        assert relation.fetch_by_key(7) is None
+
+    def test_replace_by_key_cannot_change_hash_key(self):
+        db = Database()
+        relation = db.create_relation(
+            Schema("t", [Field("k", ANY, 8), Field("g", ANY, 8), Field("v", FLOAT, 8)])
+        )
+        for i in range(5):
+            relation.insert({"k": i, "g": i % 2, "v": 0.0})
+        relation.create_isam_index("k")
+        relation.create_hash_index("g")
+        with pytest.raises(StorageError, match="hash key field 'g'"):
+            relation.replace_by_key(3, {"k": 3, "g": 0, "v": 1.0})
+        assert relation.isam.verify()
+        assert relation.fetch_by_key(3) == {"k": 3, "g": 1, "v": 0.0}
+        assert {"k": 3, "g": 1, "v": 0.0} in relation.hash_index.fetch_all(1)
+        # The old-row read for the check is not charged: a replace that
+        # keeps both keys costs the index traversal plus one update.
+        before = db.stats.snapshot()
+        assert relation.replace_by_key(3, {"k": 3, "g": 1, "v": 2.0})
+        assert db.stats.tuple_updates == before["tuple_updates"] + 1
+        probe_reads = db.stats.block_reads - before["block_reads"]
+        before = db.stats.snapshot()
+        relation.isam.probe(3)
+        assert db.stats.block_reads - before["block_reads"] == probe_reads
+
     def test_replace_requires_isam(self):
         db = Database()
         relation = db.create_relation(simple_schema())
