@@ -150,7 +150,7 @@ class StatusAttributeFrontier:
         rid = self.R.isam.probe(node_id)  # charges I_l reads
         if rid is None:
             return None
-        old = dict(self.R.read(rid))  # charges the data-page access
+        old = self.R.read(rid)  # a fresh dict; charges the data-page access
         if conditional and old["path_cost"] <= new_cost:
             return False
         old["path_cost"] = new_cost

@@ -23,6 +23,7 @@ from repro.storage.iostats import IOStatistics
 from repro.storage.relation import Relation
 from repro.storage.schema import (
     STATUS_NULL,
+    Schema,
     edge_schema,
     node_schema,
 )
@@ -57,6 +58,9 @@ class RelationalGraph:
             self.db.block_size
         )
         self._node_counter = 0
+        self._initial_rows: Tuple[tuple, ...] = ()
+        #: The adjacency joins' plans, by F's inputs (see execute_join).
+        self._join_plans: Dict[tuple, object] = {}
         self.S = self._load_edge_relation()
         # Traffic propagation: S was loaded at one fingerprint; epochs
         # dirty adjacency lists by begin-node and sync() re-fetches them
@@ -112,7 +116,18 @@ class RelationalGraph:
                 # C2: the node set is derived by scanning the edge
                 # relation, so its blocks are read once.
                 self.stats.charge_read(self.S.block_count)
-                R.bulk_load(
+                R.heap.load_rows(self._initial_node_rows(R.schema))
+                if with_index:
+                    R.create_isam_index("node_id")  # C3
+        return R
+
+    def _initial_node_rows(self, schema: Schema) -> Tuple[tuple, ...]:
+        """R's rows before a run, one per node in graph order: unlabelled,
+        status null. Nodes are never removed or changed, only added, so
+        the rows are validated once per node count."""
+        if len(self._initial_rows) != len(self.graph):
+            self._initial_rows = tuple(
+                schema.validate(
                     {
                         "node_id": node.node_id,
                         "x": node.x,
@@ -121,11 +136,10 @@ class RelationalGraph:
                         "path": NO_PATH,
                         "path_cost": UNLABELLED,
                     }
-                    for node in self.graph.nodes()
                 )
-                if with_index:
-                    R.create_isam_index("node_id")  # C3
-        return R
+                for node in self.graph.nodes()
+            )
+        return self._initial_rows
 
     def drop_node_relation(self, relation: Relation) -> None:
         """Discard a run's R (charges the fixed deletion cost D_t)."""
@@ -290,6 +304,7 @@ class RelationalGraph:
             result_blocking_factor=self.result_blocking_factor,
             stats=stats,
             forced_strategy=forced_strategy,
+            plans=self._join_plans,
         )
 
     def __repr__(self) -> str:

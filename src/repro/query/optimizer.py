@@ -8,7 +8,9 @@ Join, (3) Sort-Merge Join, and (4) Primary Key Join."
 given block counts and returns the cheapest applicable one;
 :func:`execute_join` runs it and returns both the joined tuples and the
 plan that was picked (for EXPLAIN-style traces and the ablation
-benchmarks).
+benchmarks). A plan is a pure function of F's inputs, the candidates
+and the unit rates, so a caller that joins repeatedly passes a memo of
+the plans already chosen.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from repro.query.joins import (
 )
 from repro.storage.iostats import IOStatistics
 from repro.storage.relation import Relation
+
+#: Plans a join memo holds before it is emptied and refilled.
+PLAN_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -92,11 +97,15 @@ def execute_join(
     result_blocking_factor: int,
     stats: IOStatistics,
     forced_strategy: Optional[Type[JoinStrategy]] = None,
+    plans: Optional[Dict[tuple, JoinPlan]] = None,
 ) -> Tuple[List[Dict[str, object]], JoinPlan]:
     """Optimize and execute one equi-join; return (tuples, plan).
 
     ``forced_strategy`` bypasses the optimizer — used by the ablation
     benchmarks that compare plans the optimizer would not pick.
+    ``plans``, a memo owned by the caller, reuses the plan chosen for
+    equal inputs, candidates and rates; it holds at most
+    :data:`PLAN_MEMO_LIMIT` plans.
     """
     inputs = make_inputs(
         outer,
@@ -115,9 +124,16 @@ def execute_join(
             },
         )
     else:
-        plan = choose_strategy(
-            inputs, stats, applicable_strategies(inner, inner_key)
-        )
+        candidates = applicable_strategies(inner, inner_key)
+        if plans is None:
+            plan = choose_strategy(inputs, stats, candidates)
+        else:
+            key = (inputs, candidates, stats.t_read, stats.t_write, stats.t_update)
+            plan = plans.get(key)
+            if plan is None:
+                if len(plans) >= PLAN_MEMO_LIMIT:
+                    plans.clear()
+                plan = plans[key] = choose_strategy(inputs, stats, candidates)
     rows = plan.strategy().execute(
         outer, outer_key, inner, inner_key, inputs, stats
     )

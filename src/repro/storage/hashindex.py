@@ -42,6 +42,12 @@ class HashIndex:
     the bucket's chain of index pages, which grows a page each time its
     last page fills: a bucket of ``n`` entries has ``max(1, ceil(n /
     bucket_capacity))`` pages.
+
+    Each filed key's bucket is computed once per build. A non-int
+    key's ``_stable_hash`` is a function of its repr, so the buckets
+    are kept by repr: keys equal as in a dict but with distinct reprs
+    (``1.0`` and ``1``, ``(0.0, 0)`` and ``(0, 0)``) keep distinct
+    buckets, as ``1`` and ``True`` keep one.
     """
 
     def __init__(
@@ -64,6 +70,8 @@ class HashIndex:
         #: Entries per bucket.
         self._bucket_sizes: List[int] = []
         self._by_key: Dict[object, List[Tuple[int, object, RecordId]]] = {}
+        #: repr of each filed non-int key -> its bucket.
+        self._bucket_of: Dict[str, int] = {}
         self._built = False
 
     def build(self) -> None:
@@ -78,13 +86,27 @@ class HashIndex:
             bucket_count = max(1, len(entries) // self.bucket_capacity + 1)
         self._bucket_sizes = [0] * bucket_count
         self._by_key = {}
+        self._bucket_of = {}
         for key, record_id in entries:
             self._file(key, record_id)
         self._built = True
         self.stats.charge_write(self.page_count)
 
+    def _bucket(self, key: object, remember: bool = False) -> int:
+        """The bucket ``_stable_hash`` puts ``key`` in, looked up by repr
+        for a filed key; ``remember`` records it for a key being filed."""
+        if isinstance(key, int):
+            return key % len(self._bucket_sizes)
+        marker = repr(key)
+        bucket = self._bucket_of.get(marker)
+        if bucket is None:
+            bucket = _stable_hash(key) % len(self._bucket_sizes)
+            if remember:
+                self._bucket_of[marker] = bucket
+        return bucket
+
     def _file(self, key: object, record_id: RecordId) -> None:
-        bucket = _stable_hash(key) % len(self._bucket_sizes)
+        bucket = self._bucket(key, remember=True)
         try:
             group = self._by_key.setdefault(key, [])
         except TypeError:
@@ -125,9 +147,8 @@ class HashIndex:
         if self.injector is not None:
             # Before any chain-page read is charged.
             self.injector.on_read(f"hash:{self.heap.name}")
-        bucket = _stable_hash(key) % len(self._bucket_sizes)
-        for _page in range(self._chain_pages(bucket)):
-            self.stats.charge_read()
+        bucket = self._bucket(key)
+        self.stats.charge_reads(self._chain_pages(bucket))
         try:
             group = self._by_key.get(key, ())
         except TypeError:  # an unhashable key equals no indexed key

@@ -94,12 +94,15 @@ class HeapFile:
 
     def _append(self, values: Mapping[str, object]) -> Tuple[RecordId, Row]:
         row = self.schema.validate(values)
+        return self._place(row), row
+
+    def _place(self, row: Row) -> RecordId:
         if not self.pages or self.pages[-1].is_full:
             self.pages.append(Page(len(self.pages), self.blocking_factor))
         page = self.pages[-1]
         slot = page.insert(row)
         self._tuple_count += 1
-        return (page.page_no, slot), row
+        return (page.page_no, slot)
 
     def insert_many(self, rows: Iterator[Mapping[str, object]]) -> int:
         """Insert tuples one by one (per-tuple write charges)."""
@@ -109,20 +112,27 @@ class HeapFile:
             count += 1
         return count
 
-    def bulk_load(self, rows: Iterator[Mapping[str, object]]) -> int:
+    def bulk_load(self, rows: Iterable[Mapping[str, object]]) -> int:
         """Sequential bulk load charging one write per *page* filled.
 
         This is the loading pattern behind the model's initialization
         term C2 = B_s * t_read + B_r * t_write: the source is scanned
-        and the result written out block by block.
+        and the result written out block by block. Each mapping is
+        validated as it is loaded (see :meth:`load_rows`).
         """
+        return self.load_rows(map(self.schema.validate, rows))
+
+    def load_rows(self, rows: Iterable[Row]) -> int:
+        """:meth:`bulk_load` for positional rows this schema has already
+        validated, such as the rows of an earlier load: the same pages,
+        charges and log record, without checking each row again."""
         self._check_write_fault()
         pages_before = len(self.pages)
         tail_was_open = bool(self.pages) and not self.pages[-1].is_full
         count = 0
         loaded: List[Row] = []
-        for values in rows:
-            _record_id, row = self._append(values)
+        for row in rows:
+            self._place(row)
             if self.wal is not None:
                 loaded.append(row)
             count += 1

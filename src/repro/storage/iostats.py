@@ -75,26 +75,54 @@ class IOStatistics:
                 self.phase_costs.get(self._phase, 0.0) + cost
             )
 
+    # The block and tuple charges, one call per storage access, inline
+    # _attribute: the same single addition to the open phase per call,
+    # so each phase's float sum adds the same terms in the same order.
     def charge_read(self, blocks: int = 1) -> None:
         """Charge ``blocks`` block reads."""
         if blocks < 0:
             raise ValueError("cannot charge a negative number of reads")
         self.block_reads += blocks
-        self._attribute(blocks * self.t_read)
+        phase = self._phase
+        if phase is not None:
+            costs = self.phase_costs
+            costs[phase] = costs.get(phase, 0.0) + blocks * self.t_read
+
+    def charge_reads(self, count: int) -> None:
+        """Charge ``count`` single-block reads, as ``count`` calls of
+        :meth:`charge_read` would: each read's ``t_read`` is added to
+        the open phase on its own (an index descent, a bucket chain)."""
+        if count < 0:
+            raise ValueError("cannot charge a negative number of reads")
+        self.block_reads += count
+        phase = self._phase
+        if phase is not None:
+            costs = self.phase_costs
+            units = costs.get(phase, 0.0)
+            t_read = self.t_read
+            for _read in range(count):
+                units += t_read
+            costs[phase] = units
 
     def charge_write(self, blocks: int = 1) -> None:
         """Charge ``blocks`` block writes."""
         if blocks < 0:
             raise ValueError("cannot charge a negative number of writes")
         self.block_writes += blocks
-        self._attribute(blocks * self.t_write)
+        phase = self._phase
+        if phase is not None:
+            costs = self.phase_costs
+            costs[phase] = costs.get(phase, 0.0) + blocks * self.t_write
 
     def charge_update(self, tuples: int = 1) -> None:
         """Charge ``tuples`` in-place tuple updates (read + write)."""
         if tuples < 0:
             raise ValueError("cannot charge a negative number of updates")
         self.tuple_updates += tuples
-        self._attribute(tuples * self.t_update)
+        phase = self._phase
+        if phase is not None:
+            costs = self.phase_costs
+            costs[phase] = costs.get(phase, 0.0) + tuples * self.t_update
 
     def charge_latency(self, units: float) -> None:
         """Charge ``units`` of stall time (injected latency / backoff).

@@ -14,6 +14,7 @@ from repro.query.joins import (
     SortMergeJoin,
     make_inputs,
 )
+from repro.query import optimizer
 from repro.query.optimizer import (
     applicable_strategies,
     choose_strategy,
@@ -200,6 +201,30 @@ class TestOptimizer:
         pairs = sorted((r["node_id"], r["end"], r["cost"]) for r in rows)
         assert pairs == expected_join_pairs(OUTER, EDGES)
         assert plan.strategy_name in plan.alternatives
+
+    def test_plan_memo_reuses_plans_for_equal_inputs_and_rates(self):
+        relation, stats = make_edge_relation(EDGES)
+        plans = {}
+        first = execute_join(OUTER, "node_id", 256, relation, "begin", 4, 86, stats, plans=plans)
+        again = execute_join(OUTER, "node_id", 256, relation, "begin", 4, 86, stats, plans=plans)
+        bare = execute_join(OUTER, "node_id", 256, relation, "begin", 4, 86, stats)
+        assert again[1] is first[1] and len(plans) == 1
+        assert again[1] == bare[1] and again[0] == bare[0]
+        # Another rate is another plan: a memo outlives no rate change.
+        stats.t_read = 0.5
+        dear = execute_join(OUTER, "node_id", 256, relation, "begin", 4, 86, stats, plans=plans)
+        assert dear[1] is not first[1] and len(plans) == 2
+        assert dear[1] == choose_strategy(dear[1].inputs, stats, applicable_strategies(relation, "begin"))
+
+    def test_plan_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "PLAN_MEMO_LIMIT", 2)
+        relation, stats = make_edge_relation(EDGES)
+        plans = {}
+        for size in (1, 2, 3):
+            outer = [{"node_id": n, "g": 0.0} for n in range(size)]
+            execute_join(outer, "node_id", 1, relation, "begin", 4, 86, stats, plans=plans)
+            assert len(plans) <= 2
+        assert len(plans) == 1
 
     def test_forced_strategy(self):
         relation, stats = make_edge_relation(EDGES)

@@ -17,12 +17,19 @@ harnesses. A* versions 2 and 3 (the status-attribute frontier) and the
 iterative waves are pinned at capacity 4 as well, recorded before the
 status frontier kept its own open-row heap and the wave's updater went
 positional.
+
+Each case also pins its ``phase_costs`` (init, iterate, cleanup) as
+``float.hex``: the units attributed to a phase are a float sum, so the
+hex pins the order in which every charge was added, not only the
+totals. A traffic-sync case pins a run that re-fetches the adjacency
+blocks an epoch dirtied through S's hash index.
 """
 
 import zlib
 
 import pytest
 
+from repro import TrafficFeed
 from repro.engine import RelationalGraph, run_astar, run_dijkstra, run_iterative
 from repro.graphs.roadmap import make_minneapolis_map, road_queries
 from repro.storage.database import Database
@@ -93,6 +100,52 @@ BUFFERED = {
 }
 
 
+# PASS_THROUGH / BUFFERED key -> phase_costs as float.hex, in the order
+# (init, iterate, cleanup).
+PASS_THROUGH_PHASES = {
+    ('A to B', 'astar-v1'): ("0x1.2f5c28f5c28f6p+0", "0x1.68f9999999d18p+10", "0x1.3eb851eb851f7p+3"),
+    ('A to B', 'astar-v2'): ("0x1.619999999999ap+3", "0x1.0f25c28f5c09ap+10", "0x1.766666666667ap+3"),
+    ('A to B', 'astar-v3'): ("0x1.619999999999ap+3", "0x1.4a2e147ae162bp+8", "0x1.766666666667ap+3"),
+    ('A to B', 'dijkstra'): ("0x1.619999999999ap+3", "0x1.324c7ae147d68p+10", "0x1.766666666667ap+3"),
+    ('A to B', 'iterative'): ("0x1.619999999999ap+3", "0x1.0b7ae147ae05cp+7", "0x1.7c00000000014p+3"),
+    ('C to D', 'astar-v1'): ("0x1.2f5c28f5c28f6p+0", "0x1.407d1eb852060p+10", "0x1.3eb851eb851f7p+3"),
+    ('C to D', 'astar-v2'): ("0x1.619999999999ap+3", "0x1.f47c28f5c21a9p+9", "0x1.766666666667ap+3"),
+    ('C to D', 'astar-v3'): ("0x1.619999999999ap+3", "0x1.09970a3d70919p+7", "0x1.766666666667ap+3"),
+    ('C to D', 'dijkstra'): ("0x1.619999999999ap+3", "0x1.32b3d70a3d99ap+10", "0x1.766666666667ap+3"),
+    ('C to D', 'iterative'): ("0x1.619999999999ap+3", "0x1.0b7851eb85108p+7", "0x1.7c00000000014p+3"),
+    ('E to F', 'astar-v1'): ("0x1.2f5c28f5c28f6p+0", "0x1.c3a3d70a3d662p+5", "0x1.747ae147ae148p+0"),
+    ('E to F', 'astar-v2'): ("0x1.619999999999ap+3", "0x1.32f5c28f5c19ep+6", "0x1.6333333333332p+1"),
+    ('E to F', 'astar-v3'): ("0x1.619999999999ap+3", "0x1.19dc28f5c282dp+6", "0x1.6333333333332p+1"),
+    ('E to F', 'dijkstra'): ("0x1.619999999999ap+3", "0x1.4c028f5c29128p+8", "0x1.6333333333332p+1"),
+    ('E to F', 'iterative'): ("0x1.619999999999ap+3", "0x1.85c7ae147ad16p+6", "0x1.799999999999ap+1"),
+    ('G to D', 'astar-v1'): ("0x1.2f5c28f5c28f6p+0", "0x1.7ab851eb85200p+3", "0x1.3eb851eb851ecp+0"),
+    ('G to D', 'astar-v2'): ("0x1.619999999999ap+3", "0x1.0a7ae147ae159p+4", "0x1.b99999999999ap+0"),
+    ('G to D', 'astar-v3'): ("0x1.619999999999ap+3", "0x1.3b851eb851ec6p+3", "0x1.b99999999999ap+0"),
+    ('G to D', 'dijkstra'): ("0x1.619999999999ap+3", "0x1.119eb851eb78fp+6", "0x1.b99999999999ap+0"),
+    ('G to D', 'iterative'): ("0x1.619999999999ap+3", "0x1.f03851eb85052p+6", "0x1.e666666666665p+0"),
+}
+
+BUFFERED_PHASES = {
+    (4, 'C to D', 'iterative'): ("0x1.687ae147ae149p+3", "0x1.0ddeb851eb777p+7", "0x1.38cccccccccdcp+3"),
+    (4, 'E to F', 'astar-v1'): ("0x1.2f5c28f5c28f6p+0", "0x1.4ecccccccccb4p+5", "0x1.199999999999ap+0"),
+    (4, 'E to F', 'astar-v2'): ("0x1.687ae147ae149p+3", "0x1.1275c28f5c1dfp+6", "0x1.2f5c28f5c28f3p+1"),
+    (4, 'E to F', 'astar-v3'): ("0x1.687ae147ae149p+3", "0x1.fba3d70a3d5e9p+5", "0x1.2f5c28f5c28f3p+1"),
+    (4, 'E to F', 'dijkstra'): ("0x1.687ae147ae149p+3", "0x1.22347ae147b43p+8", "0x1.2f5c28f5c28f3p+1"),
+    (4, 'E to F', 'iterative'): ("0x1.687ae147ae149p+3", "0x1.9928f5c28f4b6p+6", "0x1.3ae147ae147aap+1"),
+    (64, 'A to B', 'dijkstra'): ("0x1.607ae147ae148p+3", "0x1.91e147ae14546p+9", "0x1.36b851eb851fcp+3"),
+}
+
+#: Dijkstra E to F after one epoch scales every 97th edge (in sorted
+#: order) by 1.5: the ledger as above, then the phases in charge order.
+SYNCED_LEDGER = (7705, 418, 725, 290, 353.2, 1.926486686313802, 14, 2499534877)
+SYNCED_PHASES = {
+    "traffic-sync": "0x1.0bae147ae1484p+3",
+    "init": "0x1.619999999999ap+3",
+    "iterate": "0x1.4b028f5c2911bp+8",
+    "cleanup": "0x1.6333333333332p+1",
+}
+
+
 @pytest.fixture(scope="module")
 def road():
     road_map = make_minneapolis_map(1993)
@@ -118,6 +171,10 @@ def _ledger(result):
     )
 
 
+def _phases(result):
+    return {phase: units.hex() for phase, units in result.io.phase_costs.items()}
+
+
 def _assert_ledger(actual, expected):
     assert actual[:4] == expected[:4]
     assert actual[4] == pytest.approx(expected[4], abs=1e-9)
@@ -131,6 +188,8 @@ def test_pass_through_ledger(road, rgraph, pair, runner):
     result = RUNNERS[runner](rgraph, source, destination)
     assert result.found
     _assert_ledger(_ledger(result), PASS_THROUGH[(pair, runner)])
+    expected = PASS_THROUGH_PHASES[(pair, runner)]
+    assert _phases(result) == dict(zip(("init", "iterate", "cleanup"), expected))
 
 
 @pytest.mark.parametrize("capacity, pair, runner", sorted(BUFFERED))
@@ -142,3 +201,20 @@ def test_buffered_ledger(road, capacity, pair, runner):
     ledger, pool = BUFFERED[(capacity, pair, runner)]
     _assert_ledger(_ledger(result), ledger)
     assert (db.buffer_pool.hits, db.buffer_pool.misses, db.buffer_pool.evictions) == pool
+    expected = BUFFERED_PHASES[(capacity, pair, runner)]
+    assert _phases(result) == dict(zip(("init", "iterate", "cleanup"), expected))
+
+
+def test_synced_ledger_and_phases():
+    road_map = make_minneapolis_map(1993)
+    graph = road_map.graph
+    rgraph = RelationalGraph(graph)
+    feed = TrafficFeed(graph)
+    feed.subscribe(rgraph)
+    edges = sorted((edge.source, edge.target, edge.cost) for edge in graph.edges())
+    feed.apply([(u, v, cost * 1.5) for u, v, cost in edges[::97]])
+    source, destination = road_queries(road_map)["E to F"]
+    result = run_dijkstra(rgraph, source, destination)
+    assert rgraph.tuples_refreshed == 35 and rgraph.full_reloads == 0
+    _assert_ledger(_ledger(result), SYNCED_LEDGER)
+    assert list(_phases(result).items()) == list(SYNCED_PHASES.items())
